@@ -47,7 +47,7 @@ from .memory import (AnnealSchedule, SpinConfig, flip_spins,
 from .networks import (barabasi_albert, edge_list_text, small_world_scan,
                        watts_strogatz)
 from .paths import (EuclideanAction, Lattice, hausdorff_scan,
-                    metropolis_sample, resolution_ladder)
+                    metropolis_batch, resolution_ladder)
 from .quantum import (ComplexAmplitude, DecayModel, Grid1D, WaveState,
                       decay_sample, spectrum_gaps, superpose,
                       uncertainty_product)
@@ -516,8 +516,8 @@ def _run_uncertainty(p, rng) -> _RunOutput:
 _POTENTIALS = {
     "harmonic": lambda x: 0.5 * x**2,
     "quartic": lambda x: 0.25 * x**4,
-    "box": lambda x: np.zeros_like(x),
-    "free": lambda x: np.zeros_like(x),
+    "box": np.zeros_like,
+    "free": np.zeros_like,
 }
 
 
@@ -540,13 +540,11 @@ def _run_paths(p, rng) -> _RunOutput:
     dynamics = EuclideanAction(mass=1.0, potential=_POTENTIALS[p["potential"]],
                                a_t=p["a_t"])
     lattice = Lattice(n_t=p["n_t"], a_t=p["a_t"])
-    pooled = [
-        metropolis_sample(dynamics, lattice, rng.substream(chain),
-                          sweeps=p["sweeps"],
-                          thermalization=p["thermalization"]).paths
-        for chain in range(p["chains"])
-    ]
-    ensemble = np.vstack(pooled)
+    streams = [rng.substream(chain) for chain in range(p["chains"])]
+    ensemble = np.vstack([
+        chain.paths for chain in metropolis_batch(
+            dynamics, lattice, streams, sweeps=p["sweeps"],
+            thermalization=p["thermalization"])])
     scan = hausdorff_scan(ensemble, resolution_ladder(ensemble))
     rows = list(zip(scan.block_sizes.tolist(), scan.resolutions.tolist(),
                     scan.mean_lengths.tolist()))
@@ -971,3 +969,7 @@ def main(argv=None) -> int:
         return 3
     print(manifest.path)
     return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -24,6 +24,11 @@ approaching the path length, and feeding those distortions into both axes
 doubles their effect on the exponent.  For the same reason the fit window is
 restricted to block sizes 4 .. n_t // 8.  Alternatives (subsampling,
 smoothing kernels) exist but are not implemented.
+
+Sampling: :func:`metropolis_batch` advances many chains as one (chains, n_t)
+array, one chain per RngStream; :func:`metropolis_sample` is the one-chain
+case.  Each chain's draw order is fixed by its own stream alone, so a chain
+is bit for bit the same whichever other chains share its batch.
 """
 
 from __future__ import annotations
@@ -133,12 +138,13 @@ class PathEnsemble:
     audit: ProposalAudit | None = None
 
 
-def _action_of(positions: np.ndarray, dynamics: EuclideanAction) -> float:
-    kinetic = (dynamics.mass / (2.0 * dynamics.a_t)) * float(
-        (np.diff(positions) ** 2).sum())
+def _action_of(positions: np.ndarray, dynamics: EuclideanAction):
+    """Action of each path along the last axis (a float for a single path)."""
+    kinetic = (dynamics.mass / (2.0 * dynamics.a_t)) * (
+        np.diff(positions) ** 2).sum(axis=-1)
     v = np.asarray(dynamics.potential(positions), dtype=float)
     # Trapezoidal weighting: endpoints count half.
-    potential = dynamics.a_t * float(v.sum() - 0.5 * (v[0] + v[-1]))
+    potential = dynamics.a_t * (v.sum(axis=-1) - 0.5 * (v[..., 0] + v[..., -1]))
     return kinetic + potential
 
 
@@ -146,7 +152,7 @@ def action(path: LatticePath, dynamics: EuclideanAction) -> float:
     """Discretized Euclidean action: kinetic links plus trapezoid-weighted potential."""
     if not math.isclose(path.a_t, dynamics.a_t, rel_tol=1e-12):
         raise ValueError(f"path spacing {path.a_t} != dynamics spacing {dynamics.a_t}")
-    return _action_of(path.positions, dynamics)
+    return float(_action_of(path.positions, dynamics))
 
 
 def path_distance(p1: LatticePath, p2: LatticePath,
@@ -180,14 +186,20 @@ def _integrated_autocorrelation(series: np.ndarray) -> float:
     return max(tau, 0.5)
 
 
-def metropolis_sample(dynamics: EuclideanAction, lattice: Lattice,
-                      rng: RngStream, sweeps: int, thermalization: int,
-                      proposal_width: float = 1.0,
-                      audit_proposals: int = 0) -> PathEnsemble:
-    """Sample fixed-endpoint paths with Boltzmann weight exp(-S/hbar).
+# Widths are retuned every _TUNE_INTERVAL thermalization sweeps, and uniforms
+# are drawn in blocks of that many sweeps, so a width is fixed within a block.
+_TUNE_INTERVAL = 25
+
+
+def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
+                     streams: Sequence[RngStream], sweeps: int,
+                     thermalization: int, proposal_width: float = 1.0,
+                     audit_proposals: int = 0) -> list[PathEnsemble]:
+    """Sample fixed-endpoint paths with Boltzmann weight exp(-S/hbar), one
+    chain per stream.
 
     One sweep proposes a shift x_j -> x_j + U(-w, w) at every interior site,
-    visiting sites in a fixed even/odd checkerboard order so the proposals in
+    visiting sites in a fixed odd/even checkerboard order so the proposals in
     each half-sweep depend only on frozen neighbors (single-site detailed
     balance is preserved and the schedule is deterministic from the seed).
 
@@ -199,7 +211,16 @@ def metropolis_sample(dynamics: EuclideanAction, lattice: Lattice,
 
     Set ``audit_proposals`` to log that many post-thermalization proposals
     (delta S, uniform draw, decision) for detailed-balance checks.
+
+    Each chain keeps its own width, tuning, action trace, tau_int, stride and
+    audit, and draws from its own stream in this order: the n_t - 1 bridge
+    normals, then per sweep the proposal and the acceptance uniforms of the
+    odd sites, then of the even sites.  Chain c therefore equals
+    ``metropolis_sample(..., streams[c], ...)`` bit for bit.  The potential
+    must act elementwise.
     """
+    if not streams:
+        raise ValueError("need at least one stream")
     if thermalization < 0 or sweeps <= thermalization:
         raise ValueError("need sweeps > thermalization >= 0")
     if proposal_width <= 0:
@@ -208,7 +229,8 @@ def metropolis_sample(dynamics: EuclideanAction, lattice: Lattice,
         raise ValueError("lattice and dynamics disagree on a_t")
 
     n_t = lattice.n_t
-    gen = rng.gen
+    gens = [stream.gen for stream in streams]
+    chains = len(gens)
     # Exact free-particle bridge start.  From a cold (straight-line) start,
     # site-local updates equilibrate wavelength-L modes diffusively, in about
     # (n_t / pi)**2 sweeps for the longest one — far more than a typical run.
@@ -216,83 +238,92 @@ def metropolis_sample(dynamics: EuclideanAction, lattice: Lattice,
     # burn-in entirely for V = 0 and leaves only the fast, locally driven
     # relaxation toward V for interacting potentials.
     step_std = math.sqrt(dynamics.a_t * dynamics.hbar / dynamics.mass)
-    walk = np.concatenate([[0.0], np.cumsum(gen.normal(0.0, step_std,
-                                                       size=n_t - 1))])
-    bridge = walk - walk[-1] * (np.arange(n_t) / (n_t - 1))
+    walk = np.zeros((chains, n_t))
+    walk[:, 1:] = np.cumsum([gen.normal(0.0, step_std, size=n_t - 1)
+                             for gen in gens], axis=1)
+    bridge = walk - walk[:, -1:] * (np.arange(n_t) / (n_t - 1))
     x = np.linspace(lattice.x_start, lattice.x_end, n_t) + bridge
-    interior = np.arange(1, n_t - 1)
-    groups = [interior[interior % 2 == 1], interior[interior % 2 == 0]]
-    groups = [g for g in groups if g.size > 0]
+    # Per checkerboard group: its first site, where its draws start within a
+    # sweep's (proposals, then acceptance uniforms), and its site count.
+    groups, per_sweep = [], 0
+    for first in (1, 2):
+        size = len(range(first, n_t - 1, 2))
+        if size:
+            groups.append((first, per_sweep, size))
+            per_sweep += 2 * size
 
     coef = dynamics.mass / (2.0 * dynamics.a_t)
-    width = float(proposal_width)
-    measuring = sweeps - thermalization
-    trace = np.empty(sweeps)
-    kept = np.empty((measuring, n_t))
-    accepted_meas = proposed_meas = 0
-    tune_acc = tune_prop = 0
-    audit_ds: list[np.ndarray] = []
-    audit_u: list[np.ndarray] = []
-    audit_acc: list[np.ndarray] = []
+    width = np.full((chains, 1, 1), float(proposal_width))
+    trace = np.empty((chains, sweeps))
+    kept = np.empty((chains, sweeps - thermalization, n_t))
+    accepts = np.zeros((chains, sweeps), dtype=np.int64)
+    draws = np.empty((chains, _TUNE_INTERVAL, per_sweep))
+    snapshots = np.empty((chains, _TUNE_INTERVAL, n_t))
+    audit: list[list[np.ndarray]] = []
     audit_left = int(audit_proposals)
 
-    for sweep in range(sweeps):
-        in_measurement = sweep >= thermalization
-        for sites in groups:
-            old = x[sites]
-            new = old + gen.uniform(-width, width, size=sites.size)
-            left, right = x[sites - 1], x[sites + 1]
-            delta_s = coef * ((new - left) ** 2 + (right - new) ** 2
-                              - (old - left) ** 2 - (right - old) ** 2)
-            delta_s += dynamics.a_t * (
-                np.asarray(dynamics.potential(new), dtype=float)
-                - np.asarray(dynamics.potential(old), dtype=float))
-            u = gen.random(sites.size)
-            accept = u < np.exp(np.minimum(-delta_s / dynamics.hbar, 0.0))
-            x[sites] = np.where(accept, new, old)
-            if in_measurement:
-                accepted_meas += int(accept.sum())
-                proposed_meas += sites.size
-                if audit_left > 0:
-                    take = min(audit_left, sites.size)
-                    audit_ds.append(delta_s[:take].copy())
-                    audit_u.append(u[:take].copy())
-                    audit_acc.append(accept[:take].copy())
+    for start in range(0, sweeps, _TUNE_INTERVAL):
+        k = min(_TUNE_INTERVAL, sweeps - start)
+        for gen, out in zip(gens, draws):
+            gen.random(out=out[:k])
+        # gen.uniform(-w, w) is bitwise -w + 2w * gen.random().
+        steps = -width + 2.0 * width * draws[:, :k]
+        for sweep in range(start, start + k):
+            for first, offset, size in groups:
+                old = x[:, first:n_t - 1:2]
+                new = old + steps[:, sweep - start, offset:offset + size]
+                left, right = x[:, first - 1:n_t - 2:2], x[:, first + 1:n_t:2]
+                delta_s = coef * ((new - left) ** 2 + (right - new) ** 2
+                                  - (old - left) ** 2 - (right - old) ** 2)
+                delta_s += dynamics.a_t * (
+                    np.asarray(dynamics.potential(new), dtype=float)
+                    - np.asarray(dynamics.potential(old), dtype=float))
+                u = draws[:, sweep - start, offset + size:offset + 2 * size]
+                accept = u < np.exp(np.minimum(-delta_s / dynamics.hbar, 0.0))
+                x[:, first:n_t - 1:2] = np.where(accept, new, old)
+                accepts[:, sweep] += accept.sum(axis=1)
+                if audit_left > 0 and sweep >= thermalization:
+                    take = min(audit_left, size)
+                    audit.append([a[:, :take].copy() for a in (delta_s, u, accept)])
                     audit_left -= take
-            else:
-                tune_acc += int(accept.sum())
-                tune_prop += sites.size
-        trace[sweep] = _action_of(x, dynamics)
-        if in_measurement:
-            kept[sweep - thermalization] = x
-        elif (sweep + 1) % 25 == 0 and tune_prop > 0:
-            rate = tune_acc / tune_prop
-            width = float(np.clip(width * np.clip(rate / 0.5, 0.5, 2.0),
-                                  1e-9, 1e9))
-            tune_acc = tune_prop = 0
+            snapshots[:, sweep - start] = x
+            if sweep >= thermalization:
+                kept[:, sweep - thermalization] = x
+        trace[:, start:start + k] = _action_of(snapshots[:, :k], dynamics)
+        if k == _TUNE_INTERVAL and start + k <= thermalization:
+            rate = accepts[:, start:start + k].sum(axis=1) / (k * (n_t - 2))
+            width = np.clip(width * np.clip(rate / 0.5, 0.5, 2.0)[:, None, None],
+                            1e-9, 1e9)
 
-    measured_trace = trace[thermalization:]
-    tau = _integrated_autocorrelation(measured_trace)
-    stride = max(1, math.ceil(2.0 * tau))
-    samples = kept[::stride]
-    audit = None
-    if audit_proposals > 0 and audit_ds:
-        audit = ProposalAudit(
-            delta_s=np.concatenate(audit_ds),
-            uniforms=np.concatenate(audit_u),
-            accepted=np.concatenate(audit_acc),
-        )
-    return PathEnsemble(
-        paths=samples,
-        sample_actions=measured_trace[::stride],
-        action_trace=trace,
-        acceptance_rate=accepted_meas / max(proposed_meas, 1),
-        proposal_width=width,
-        stride=stride,
-        tau_int=tau,
-        lattice=lattice,
-        audit=audit,
-    )
+    audit_arrays = [np.concatenate(parts, axis=1) for parts in zip(*audit)]
+    ensembles = []
+    for c in range(chains):
+        measured_trace = trace[c, thermalization:]
+        tau = _integrated_autocorrelation(measured_trace)
+        stride = max(1, math.ceil(2.0 * tau))
+        ensembles.append(PathEnsemble(
+            # An owned copy, so the samples do not pin every measured sweep.
+            paths=kept[c, ::stride].copy(),
+            sample_actions=measured_trace[::stride],
+            action_trace=trace[c],
+            acceptance_rate=int(accepts[c, thermalization:].sum())
+            / ((sweeps - thermalization) * (n_t - 2)),
+            proposal_width=float(width[c, 0, 0]),
+            stride=stride,
+            tau_int=tau,
+            lattice=lattice,
+            audit=ProposalAudit(*(a[c] for a in audit_arrays)) if audit else None,
+        ))
+    return ensembles
+
+
+def metropolis_sample(dynamics: EuclideanAction, lattice: Lattice,
+                      rng: RngStream, sweeps: int, thermalization: int,
+                      proposal_width: float = 1.0,
+                      audit_proposals: int = 0) -> PathEnsemble:
+    """Sample a single chain: :func:`metropolis_batch` over ``[rng]``."""
+    return metropolis_batch(dynamics, lattice, [rng], sweeps, thermalization,
+                            proposal_width, audit_proposals)[0]
 
 
 def _coarse_increments(paths: np.ndarray, block: int) -> np.ndarray:

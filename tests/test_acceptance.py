@@ -21,7 +21,7 @@ from stochlab.memory import (AnnealSchedule, SpinConfig, exact_thermo,
                              sk_couplings, zero_t_dynamics)
 from stochlab.networks import barabasi_albert, small_world_scan
 from stochlab.paths import (EuclideanAction, Lattice, hausdorff_scan,
-                            metropolis_sample, resolution_ladder)
+                            metropolis_batch, resolution_ladder)
 from stochlab.quantum import (Grid1D, WaveState, double_slit_pattern,
                               uncertainty_product)
 from stochlab.resonance import DoubleWellSpec, resonance_scan
@@ -39,10 +39,9 @@ def _pooled_roughness(potential, a_t, stream_id, chains=16):
     dynamics = EuclideanAction(mass=1.0, potential=potential, a_t=a_t)
     base = RngStream(120, stream_id)
     pooled = np.vstack([
-        metropolis_sample(dynamics, lattice, base.substream(c),
-                          sweeps=10_000, thermalization=1000).paths
-        for c in range(chains)
-    ])
+        run.paths for run in metropolis_batch(
+            dynamics, lattice, [base.substream(c) for c in range(chains)],
+            sweeps=10_000, thermalization=1000)])
     return hausdorff_scan(pooled, resolution_ladder(pooled)).d_h
 
 

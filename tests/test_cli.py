@@ -4,6 +4,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -240,6 +243,24 @@ def test_main_invalid_config_exits_2(tmp_path, capsys):
 def test_main_unknown_experiment_exits_2(tmp_path, capsys):
     assert cli.main(["warpdrive", "--out", str(tmp_path)]) == 2
     assert "supported" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["stochlab", "stochlab.cli"])
+def test_python_dash_m_runs_the_command_line(module, tmp_path):
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+
+    def python_m(*args):
+        return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    ok = python_m("interfere", "--out", str(tmp_path))
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.strip() == str(tmp_path / "manifest.json")
+    unknown = python_m("warpdrive", "--out", str(tmp_path / "unknown"))
+    assert unknown.returncode == 2
+    assert "supported" in unknown.stderr
 
 
 def test_main_runtime_failure_exits_3(tmp_path, capsys):

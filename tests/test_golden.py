@@ -27,7 +27,7 @@ from test_acceptance import _RERUN_CONFIGS
 
 from stochlab import cli
 from stochlab.core import RngStream
-from stochlab.paths import EuclideanAction, Lattice, metropolis_sample
+from stochlab.paths import EuclideanAction, Lattice, metropolis_batch
 
 GOLDEN_CLI = {
     "clt": {
@@ -143,12 +143,9 @@ def _kernel_digest(case: str) -> str:
     dynamics = EuclideanAction(mass=1.0, potential=potential, a_t=a_t)
     lattice = Lattice(n_t=n_t, a_t=a_t)
     base = RngStream(7, 0)
-    ensembles = [
-        metropolis_sample(dynamics, lattice, base.substream(c), sweeps=600,
-                          thermalization=210, proposal_width=width,
-                          audit_proposals=500)
-        for c in range(3)
-    ]
+    ensembles = metropolis_batch(
+        dynamics, lattice, [base.substream(c) for c in range(3)], sweeps=600,
+        thermalization=210, proposal_width=width, audit_proposals=500)
     digest = hashlib.sha256()
     for ensemble in ensembles:
         audit = ensemble.audit

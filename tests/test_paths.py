@@ -1,5 +1,6 @@
 """Tests for the Euclidean path sampler and the dimension scan."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,12 +16,13 @@ from stochlab.paths import (
     LatticePath,
     action,
     hausdorff_scan,
+    metropolis_batch,
     metropolis_sample,
     path_distance,
     resolution_ladder,
 )
 from stochlab.quantum import Grid1D, spectrum_gaps
-from util import brownian_bridge_paths
+from util import brownian_bridge_paths, reference_metropolis
 
 
 def zero_potential(x):
@@ -183,8 +185,8 @@ def pooled_free_chains():
     """Eight independent free-particle chains at n_t = 128, pooled."""
     dyn = EuclideanAction(mass=1.0, potential=zero_potential, a_t=0.05)
     lattice = Lattice(n_t=128, a_t=0.05)
-    return [metropolis_sample(dyn, lattice, RngStream(33, k), 4000, 800)
-            for k in range(8)]
+    return metropolis_batch(dyn, lattice, [RngStream(33, k) for k in range(8)],
+                            4000, 800)
 
 
 def test_acceptance_rate_lands_in_tuned_window(free_run):
@@ -210,6 +212,58 @@ def test_trace_covers_every_sweep_and_samples_are_strided(free_run):
     assert free_run.paths.shape == (expected, 64)
     assert free_run.sample_actions.shape == (expected,)
     assert free_run.stride == math.ceil(2.0 * free_run.tau_int)
+
+
+def test_thinned_samples_own_their_memory(free_run, pooled_free_chains):
+    # A view would keep every measured sweep of the chain (or batch) alive.
+    for run in (free_run, *pooled_free_chains):
+        assert run.paths.flags.owndata and run.paths.flags.c_contiguous
+
+
+# (potential, n_t, a_t, chains, sweeps, thermalization, audit_proposals):
+# odd and even n_t, a lone interior site, runs that end mid-block and
+# thermalization that ends mid tuning interval.
+_BATCH_CASES = {
+    "harmonic": (harmonic_potential, 33, 0.1, 3, 260, 60, 0),
+    "free-audit": (zero_potential, 18, 0.05, 2, 130, 75, 40),
+    "single-chain": (harmonic_potential, 3, 0.1, 1, 90, 30, 5),
+}
+
+
+def _assert_bitwise_equal(ours, theirs):
+    if isinstance(theirs, dict):
+        for key, value in theirs.items():
+            _assert_bitwise_equal(ours[key], value)
+    elif isinstance(theirs, np.ndarray):
+        assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
+        assert ours.tobytes() == theirs.tobytes()
+    else:
+        assert ours == theirs
+
+
+@pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+def test_batch_equals_separate_chains_and_reference_loop(case):
+    potential, n_t, a_t, chains, sweeps, therm, audit = _BATCH_CASES[case]
+    dyn = EuclideanAction(1.0, potential, a_t)
+    lat = Lattice(n_t, a_t, x_start=0.5)
+    args = (sweeps, therm, 0.7, audit)
+    batch = metropolis_batch(dyn, lat, [RngStream(61, k) for k in range(chains)],
+                             *args)
+    assert len(batch) == chains
+    for k, run in enumerate(batch):
+        assert (run.audit is None) == (audit == 0)
+        if audit:
+            assert run.audit.delta_s.shape == (audit,)
+        single = metropolis_sample(dyn, lat, RngStream(61, k), *args)
+        _assert_bitwise_equal(dataclasses.asdict(run), dataclasses.asdict(single))
+        _assert_bitwise_equal(dataclasses.asdict(run), reference_metropolis(
+            dyn, lat, RngStream(61, k), *args))
+
+
+def test_batch_needs_a_stream():
+    with pytest.raises(ValueError):
+        metropolis_batch(EuclideanAction(1.0, zero_potential, 0.1),
+                         Lattice(16, 0.1), [], 10, 0)
 
 
 def test_action_histogram_is_near_gaussian(pooled_free_chains):
@@ -272,11 +326,10 @@ def test_harmonic_spread_matches_eigensolver_ground_state():
     # 3e-3 term allows for the leading lattice bias at a_t = 0.2.
     a_t, n_t = 0.2, 160
     dyn = EuclideanAction(1.0, harmonic_potential, a_t)
-    chain_means = []
-    for k in range(6):
-        run = metropolis_sample(dyn, Lattice(n_t, a_t), RngStream(23, k),
-                                sweeps=4500, thermalization=1200)
-        chain_means.append(float((run.paths[:, 40:120] ** 2).mean()))
+    runs = metropolis_batch(dyn, Lattice(n_t, a_t),
+                            [RngStream(23, k) for k in range(6)],
+                            sweeps=4500, thermalization=1200)
+    chain_means = [float((run.paths[:, 40:120] ** 2).mean()) for run in runs]
     mc = float(np.mean(chain_means))
     sem = float(np.std(chain_means, ddof=1)) / math.sqrt(len(chain_means))
 
@@ -323,8 +376,8 @@ def test_dimension_is_stable_under_slice_doubling():
         dyn = EuclideanAction(1.0, zero_potential, a_t)
         lat = Lattice(n_t, a_t)
         pooled = np.concatenate([
-            metropolis_sample(dyn, lat, RngStream(47, k), 5000, 1000).paths
-            for k in range(10)])
+            run.paths for run in metropolis_batch(
+                dyn, lat, [RngStream(47, k) for k in range(10)], 5000, 1000)])
         estimates.append(hausdorff_scan(pooled, resolution_ladder(pooled)).d_h)
     assert abs(estimates[1] - estimates[0]) < 0.1
 
