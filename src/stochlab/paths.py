@@ -290,7 +290,7 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
             if sweep >= thermalization:
                 kept[:, sweep - thermalization] = x
         trace[:, start:start + k] = _action_of(snapshots[:, :k], dynamics)
-        if k == _TUNE_INTERVAL and start + k <= thermalization:
+        if start + k <= thermalization:
             rate = accepts[:, start:start + k].sum(axis=1) / (k * (n_t - 2))
             width = np.clip(width * np.clip(rate / 0.5, 0.5, 2.0)[:, None, None],
                             1e-9, 1e9)

@@ -247,17 +247,21 @@ def test_batch_equals_separate_chains_and_reference_loop(case):
     dyn = EuclideanAction(1.0, potential, a_t)
     lat = Lattice(n_t, a_t, x_start=0.5)
     args = (sweeps, therm, 0.7, audit)
-    batch = metropolis_batch(dyn, lat, [RngStream(61, k) for k in range(chains)],
-                             *args)
+    streams = [RngStream(61, k) for k in range(chains)]
+    batch = metropolis_batch(dyn, lat, streams, *args)
     assert len(batch) == chains
     for k, run in enumerate(batch):
         assert (run.audit is None) == (audit == 0)
         if audit:
             assert run.audit.delta_s.shape == (audit,)
-        single = metropolis_sample(dyn, lat, RngStream(61, k), *args)
+        single_stream, reference_stream = RngStream(61, k), RngStream(61, k)
+        single = metropolis_sample(dyn, lat, single_stream, *args)
         _assert_bitwise_equal(dataclasses.asdict(run), dataclasses.asdict(single))
         _assert_bitwise_equal(dataclasses.asdict(run), reference_metropolis(
-            dyn, lat, RngStream(61, k), *args))
+            dyn, lat, reference_stream, *args))
+        # Block draws never run ahead: each stream ends where the loop's does.
+        assert (streams[k].gen.random() == single_stream.gen.random()
+                == reference_stream.gen.random())
 
 
 def test_batch_needs_a_stream():
