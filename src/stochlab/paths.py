@@ -139,7 +139,7 @@ class PathEnsemble:
 
 
 def _action_of(positions: np.ndarray, dynamics: EuclideanAction):
-    """Action of each path along the last axis (a float for a single path)."""
+    """Action of each path along the last axis (a scalar for a single path)."""
     kinetic = (dynamics.mass / (2.0 * dynamics.a_t)) * (
         np.diff(positions) ** 2).sum(axis=-1)
     v = np.asarray(dynamics.potential(positions), dtype=float)
