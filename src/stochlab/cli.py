@@ -38,8 +38,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .core import (RngStream, clt_scaling, fit_power_law, mc_integrate,
-                   periodogram)
+from .core import (RngStream, clt_scaling, fit_power_law,
+                   low_high_power_ratio, mc_integrate)
 from .diffusion import WalkSpec, convergence_scan
 from .memory import (AnnealSchedule, SpinConfig, flip_spins,
                      ground_state_bruteforce, hebbian_couplings, overlap,
@@ -98,6 +98,7 @@ class RunManifest:
     started: str
     finished: str
     outputs: tuple
+    environment: dict
     path: str
 
 
@@ -576,17 +577,6 @@ def _run_diffuse(p, rng) -> _RunOutput:
                        "sampling_limited"), rows, summary, {})
 
 
-def _decile_power_ratio(signal, segments: int = 8) -> float:
-    signal = np.asarray(signal, dtype=float)
-    if signal.size < 4 * segments:
-        return float("nan")
-    spectrum = periodogram(signal, 1.0, segments)
-    power = spectrum.power[spectrum.frequencies > 0]
-    k = max(1, power.size // 10)
-    high = float(power[-k:].mean())
-    return float(power[:k].mean() / high) if high > 0 else float("inf")
-
-
 def _run_sandpile(p, rng) -> _RunOutput:
     grid = SandGrid.zeros(p["width"], p["height"])
     if p["warmup"]:
@@ -611,7 +601,7 @@ def _run_sandpile(p, rng) -> _RunOutput:
         "ccdf_slope": slope,
         "ccdf_stderr": stderr,
         "round_activity_low_high_ratio":
-            _decile_power_ratio(record.round_activity),
+            low_high_power_ratio(record.round_activity),
         "abelian_ok": bool(abelian_check(grid, sites, rng.substream(3),
                                          permutations=3)),
     }
@@ -858,6 +848,14 @@ def run(config: ExperimentConfig) -> RunManifest:
         for path in [csv_path, summary_path, *extra_paths]
     )
     finished = datetime.now(timezone.utc).isoformat(timespec="microseconds")
+    # numpy does not promise the same Generator streams across versions, so
+    # a digest mismatch between runs is diagnosed from this stamp.  scipy is
+    # already loaded by the experiment modules; nothing is imported here.
+    environment = {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "scipy": sys.modules["scipy"].__version__,
+    }
     manifest_path = out_dir / "manifest.json"
     manifest = RunManifest(
         experiment=config.experiment,
@@ -869,6 +867,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         started=started,
         finished=finished,
         outputs=outputs,
+        environment=environment,
         path=str(manifest_path),
     )
     payload = {
@@ -881,6 +880,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         "started": manifest.started,
         "finished": manifest.finished,
         "outputs": list(manifest.outputs),
+        "environment": manifest.environment,
     }
     _write_json(manifest_path, payload)
     return manifest

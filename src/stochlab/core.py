@@ -206,6 +206,24 @@ def periodogram(signal: Sequence[float] | np.ndarray, sample_step: float,
     return PowerSpectrum(frequencies=freqs, power=power, segment_count=segments)
 
 
+def low_high_power_ratio(signal: Sequence[float] | np.ndarray,
+                         segments: int = 8) -> float:
+    """Low- over high-frequency power of a unit-step signal's periodogram.
+
+    The mean power over the lowest decile of positive-frequency bins divided
+    by the mean over the highest decile.  A signal with fewer than four
+    points per segment gives nan, and a silent top decile gives inf.
+    """
+    x = np.asarray(signal, dtype=float)
+    if x.size < 4 * segments:
+        return float("nan")
+    spectrum = periodogram(x, 1.0, segments)
+    power = spectrum.power[spectrum.frequencies > 0]
+    k = max(1, power.size // 10)
+    high = float(power[-k:].mean())
+    return float(power[:k].mean() / high) if high > 0 else float("inf")
+
+
 def fit_power_law(x: Sequence[float] | np.ndarray,
                   y: Sequence[float] | np.ndarray) -> PowerLawFit:
     """Least-squares slope of log y against log x, with its standard error.

@@ -379,33 +379,48 @@ def simulated_annealing(couplings: CouplingMatrix,
     probability exp(-dH/T).
     """
     n = couplings.n
-    j = couplings.j
-    s = rng.gen.choice(np.array([-1.0, 1.0]), size=n)
-    fields = j @ s
+    sweeps = schedule.sweeps_per_level
+    proposals = sweeps * n
+    gen = rng.gen
+    s = gen.choice(np.array([-1.0, 1.0]), size=n)
+    fields = couplings.j @ s
     current = float(-0.5 * s @ fields)
     best = current
-    best_spins = s.copy()
+    # Python floats: per-element numpy scalars would cost more than the
+    # arithmetic.  The list update rounds each product and sum once, exactly
+    # as the array update ``fields + c * j[:, i]`` does, so results match it
+    # bit for bit.
+    spins = s.tolist()
+    fields = fields.tolist()
+    columns = couplings.j.T.tolist()
+    best_spins = spins.copy()
+    exp = math.exp
 
     acceptance = np.empty(schedule.levels)
     best_trace = np.empty(schedule.levels)
-    for level, t in enumerate(schedule.temperatures):
+    for level, t in enumerate(schedule.temperatures.tolist()):
         accepted = 0
-        proposals = schedule.sweeps_per_level * n
-        uniforms = iter(rng.gen.random(proposals).tolist())
-        for _ in range(schedule.sweeps_per_level):
-            for i in rng.gen.permutation(n):
-                delta = 2.0 * s[i] * fields[i]
-                if delta <= 0.0 or next(uniforms) < math.exp(-delta / t):
-                    s[i] = -s[i]
-                    fields += 2.0 * s[i] * j[:, i]
+        uniforms = iter(gen.random(proposals).tolist())
+        # One draw for the level's sweep orders: row k equals what the k-th
+        # of ``sweeps`` successive ``gen.permutation(n)`` calls would return,
+        # and the stream ends where they would leave it.
+        orders = gen.permuted(np.tile(np.arange(n), (sweeps, 1)), axis=1)
+        for order in orders.tolist():
+            for i in order:
+                delta = 2.0 * spins[i] * fields[i]
+                if delta <= 0.0 or next(uniforms) < exp(-delta / t):
+                    flipped = -spins[i]
+                    spins[i] = flipped
+                    c = 2.0 * flipped
+                    fields = [f + c * jk for f, jk in zip(fields, columns[i])]
                     current += delta
                     accepted += 1
                     if current < best:
                         best = current
-                        best_spins = s.copy()
+                        best_spins = spins.copy()
         acceptance[level] = accepted / proposals
         best_trace[level] = best
-    return AnnealResult(config=SpinConfig(best_spins.astype(np.int8)),
+    return AnnealResult(config=SpinConfig(np.array(best_spins, dtype=np.int8)),
                         energy=best,
                         acceptance_trace=acceptance,
                         best_energy_trace=best_trace)

@@ -12,8 +12,10 @@ round's start topples once in that round.  Topplings commute -- the final
 stable configuration does not depend on the order in which unstable cells
 fire, or on the order of the drops themselves (:func:`abelian_check` verifies
 the latter directly) -- so the parallel schedule reaches the same state as
-any sequential queue while letting each round be a handful of whole-grid
-array operations.  ``Avalanche.duration`` counts these rounds.
+any sequential queue.  A round visits only the active set: the cells that
+toppled in the previous round and their neighbours, held in a flat list of
+Python ints with a sink ring around the grid.  ``Avalanche.duration`` counts
+these rounds.
 
 Two activity clocks are recorded.  ``DriveRecord.activity`` is topplings per
 drop: the natural driving clock for event statistics.  On that clock the
@@ -49,6 +51,10 @@ __all__ = [
 # may sit above this (a "lazy" pile is still Abelian) but never below it,
 # otherwise a toppling could drive a cell's height negative.
 _SHED = 4
+
+# Value of the padding cells around a grid being relaxed: a sink that absorbs
+# any number of grains and never topples.
+_SINK = float("-inf")
 
 _SITE_POLICIES = ("uniform-random", "center")
 
@@ -179,43 +185,71 @@ class DriveRecord:
         return self.sizes
 
 
-def _relax(heights: np.ndarray,
-           threshold: int,
-           round_log: list[int] | None = None) -> Avalanche:
-    """Topple ``heights`` in place until stable; return the event record.
+def _to_cells(heights: np.ndarray) -> tuple[list, list[int]]:
+    """Flatten ``heights`` into a row-major list padded with a sink ring.
 
-    When ``round_log`` is given, the per-round toppling counts are appended
-    to it (nothing is appended for an event with no topplings).
+    Cell ``(r, c)`` sits at index ``(r + 1) * (width + 2) + c + 1``, so its
+    four neighbours are ``k - 1``, ``k + 1`` and ``k -+ (width + 2)``.  Sink
+    cells hold ``-inf``: they absorb any number of grains without ever
+    reaching the threshold.  The second list gives, per index, the grains a
+    toppling there sheds over the edge.
     """
-    size = 0
-    duration = 0
-    lost = 0
-    toppled: np.ndarray | None = None
-    while True:
-        unstable = heights >= threshold
-        n_unstable = int(np.count_nonzero(unstable))
-        if n_unstable == 0:
-            break
+    inside = np.pad(np.ones(heights.shape, dtype=np.int64), 1)
+    loss = np.pad(_SHED - (inside[:-2, 1:-1] + inside[2:, 1:-1]
+                           + inside[1:-1, :-2] + inside[1:-1, 2:]), 1)
+    cells = np.pad(heights, 1).astype(object)
+    cells[inside == 0] = _SINK
+    return cells.ravel().tolist(), loss.ravel().tolist()
+
+
+def _write_back(cells: list, heights: np.ndarray) -> None:
+    """Copy the interior of a padded cell list back into ``heights``."""
+    rows, cols = heights.shape
+    padded = np.array(cells, dtype=object).reshape(rows + 2, cols + 2)
+    heights[...] = padded[1:-1, 1:-1]
+
+
+def _relax(cells: list,
+           stride: int,
+           threshold: int,
+           loss: list[int],
+           candidates: Iterable[int],
+           round_log: list[int]) -> Avalanche:
+    """Topple a padded cell list in place until stable; return the record.
+
+    ``candidates`` must include every cell that is unstable on entry.  Each
+    round, every unstable cell topples once, and only those cells and their
+    neighbours can be unstable after it.  A toppled cell still at or above
+    ``threshold`` stays unstable; any other cell was below ``threshold`` at
+    the round's start and becomes unstable when a grain lifts it to exactly
+    ``threshold``, so no cell is listed twice.  The per-round toppling
+    counts are appended to ``round_log`` (nothing for an event with no
+    topplings).
+    """
+    size = duration = lost = 0
+    toppled: set[int] = set()
+    unstable = [k for k in candidates if cells[k] >= threshold]
+    while unstable:
         duration += 1
-        size += n_unstable
-        if round_log is not None:
-            round_log.append(n_unstable)
-        if toppled is None:
-            toppled = unstable.copy()
-        else:
-            toppled |= unstable
-        shed = unstable.astype(np.int64)
-        heights -= _SHED * shed
-        # One grain to each neighbour; slices drop the off-grid shifts, whose
-        # grains are exactly the boundary-row/column topplers.
-        heights[1:, :] += shed[:-1, :]
-        heights[:-1, :] += shed[1:, :]
-        heights[:, 1:] += shed[:, :-1]
-        heights[:, :-1] += shed[:, 1:]
-        lost += int(shed[0, :].sum() + shed[-1, :].sum()
-                    + shed[:, 0].sum() + shed[:, -1].sum())
-    area = 0 if toppled is None else int(toppled.sum())
-    return Avalanche(size=size, area=area, duration=duration, dissipated=lost)
+        size += len(unstable)
+        round_log.append(len(unstable))
+        toppled.update(unstable)
+        lost += sum(map(loss.__getitem__, unstable))
+        fired = unstable
+        unstable = []
+        for k in fired:
+            h = cells[k] - _SHED
+            cells[k] = h
+            if h >= threshold:
+                unstable.append(k)
+        for k in fired:
+            for j in (k - 1, k + 1, k - stride, k + stride):
+                h = cells[j] + 1
+                cells[j] = h
+                if h == threshold:
+                    unstable.append(j)
+    return Avalanche(size=size, area=len(toppled), duration=duration,
+                     dissipated=lost)
 
 
 def drop_and_relax(grid: SandGrid, site: tuple[int, int]) -> Avalanche:
@@ -223,8 +257,12 @@ def drop_and_relax(grid: SandGrid, site: tuple[int, int]) -> Avalanche:
     row, col = site
     if not (0 <= row < grid.height and 0 <= col < grid.width):
         raise IndexError(f"site {site!r} outside {grid.height}x{grid.width} grid")
-    grid.heights[row, col] += 1
-    return _relax(grid.heights, grid.threshold)
+    cells, loss = _to_cells(grid.heights)
+    stride = grid.width + 2
+    cells[(row + 1) * stride + col + 1] += 1
+    event = _relax(cells, stride, grid.threshold, loss, range(len(cells)), [])
+    _write_back(cells, grid.heights)
+    return event
 
 
 def drive(grid: SandGrid,
@@ -259,11 +297,17 @@ def drive(grid: SandGrid,
 
     grains = grid.total_grains
     n_cells = grid.width * grid.height
-    heights = grid.heights
+    cells, loss = _to_cells(grid.heights)
+    stride = grid.width + 2
     threshold = grid.threshold
-    for i in range(n_drops):
-        heights[rows[i], cols[i]] += 1
-        event = _relax(heights, threshold, round_log)
+    sites = ((rows + 1) * stride + cols + 1).tolist()
+    # The grid may start unstable, so the first drop scans every cell; after
+    # it the grid is stable and only the drop site can become unstable.
+    everywhere = range(len(cells))
+    for i, site in enumerate(sites):
+        cells[site] += 1
+        event = _relax(cells, stride, threshold, loss,
+                       (site,) if i else everywhere, round_log)
         if event.duration == 0:
             round_log.append(0)
         sizes[i] = event.size
@@ -272,6 +316,7 @@ def drive(grid: SandGrid,
         dissipated[i] = event.dissipated
         grains += 1 - event.dissipated
         mean_heights[i] = grains / n_cells
+    _write_back(cells, grid.heights)
     return DriveRecord(sizes=sizes, areas=areas, durations=durations,
                        dissipated=dissipated, mean_heights=mean_heights,
                        round_activity=np.asarray(round_log, dtype=np.int64))

@@ -13,7 +13,8 @@ import numpy as np
 from util import count_local_maxima
 
 from stochlab import cli
-from stochlab.core import RngStream, clt_scaling, fit_power_law, periodogram
+from stochlab.core import (RngStream, clt_scaling, fit_power_law,
+                           low_high_power_ratio)
 from stochlab.diffusion import WalkSpec, convergence_scan
 from stochlab.memory import (AnnealSchedule, SpinConfig, exact_thermo,
                              flip_spins, ground_state_bruteforce,
@@ -173,10 +174,7 @@ def test_criterion_07_sandpile_criticality():
     window = (values >= 10) & (values <= 1000)
     fit = fit_power_law(values[window], tail[window])
 
-    spectrum = periodogram(record.round_activity.astype(float), 1.0, 8)
-    power = spectrum.power[spectrum.frequencies > 0]
-    k = max(1, power.size // 10)
-    ratio = float(power[:k].mean() / power[-k:].mean())
+    ratio = low_high_power_ratio(record.round_activity)
 
     ab_rng = base.substream(2)
     abelian = all(

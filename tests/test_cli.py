@@ -176,6 +176,21 @@ def test_manifest_digests_match_written_files(tmp_path):
     assert echoed["artifact_version"]
 
 
+def test_manifest_stamps_python_numpy_and_scipy_versions(tmp_path):
+    import numpy
+    import platform
+    import scipy
+
+    cli.run(ExperimentConfig("mcint", {"samples": "4000"},
+                             output_dir=str(tmp_path)))
+    echoed = json.loads((tmp_path / "manifest.json").read_text())
+    assert echoed["environment"] == {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
 def test_same_seed_reproduces_data_bytes(tmp_path):
     blobs = []
     for label in ("a", "b"):

@@ -14,6 +14,7 @@ from stochlab.core import (
     clt_scaling,
     fit_power_law,
     gaussian,
+    low_high_power_ratio,
     mc_integrate,
     periodogram,
 )
@@ -146,6 +147,25 @@ class TestPeriodogram:
             periodogram(np.ones(7), sample_step=1.0, segments=4)
         with pytest.raises(ValueError):
             periodogram(np.ones(16), sample_step=1.0, segments=0)
+
+
+class TestLowHighPowerRatio:
+    def test_ratio_of_lowest_to_highest_decile_means(self):
+        walk = np.cumsum(RngStream(9, 1).gen.standard_normal(4000))
+        spec = periodogram(walk, sample_step=1.0, segments=8)
+        power = spec.power[1:]
+        k = power.size // 10
+        expected = float(power[:k].mean() / power[-k:].mean())
+        assert low_high_power_ratio(walk) == expected
+        assert expected > 100  # a random walk is red
+
+    def test_white_noise_is_near_one(self):
+        noise = RngStream(9, 2).gen.standard_normal(8000)
+        assert 0.5 < low_high_power_ratio(noise) < 2.0
+
+    def test_short_and_silent_signals(self):
+        assert math.isnan(low_high_power_ratio(np.ones(31), segments=8))
+        assert low_high_power_ratio(np.zeros(64), segments=8) == math.inf
 
 
 class TestFitPowerLaw:

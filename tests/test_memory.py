@@ -22,6 +22,7 @@ from stochlab.memory import (
     sk_couplings,
     zero_t_dynamics,
 )
+from util import reference_anneal
 
 
 def _pairwise_energy(spins, j):
@@ -435,3 +436,32 @@ def test_annealing_is_reproducible():
     assert np.array_equal(runs[0].config.spins, runs[1].config.spins)
     assert runs[0].energy == runs[1].energy
     assert np.array_equal(runs[0].acceptance_trace, runs[1].acceptance_trace)
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 50])
+def test_annealing_matches_the_array_loop_byte_for_byte(n):
+    j = sk_couplings(n, RngStream(51, n))
+    schedule = AnnealSchedule(t_initial=3.0, ratio=0.7, levels=12,
+                              sweeps_per_level=6)
+    streams = [RngStream(52, n), RngStream(52, n)]
+    got = simulated_annealing(j, schedule, streams[0])
+    want = reference_anneal(j, schedule, streams[1])
+    assert got.config.spins.tobytes() == want.config.spins.tobytes()
+    assert float(got.energy) == float(want.energy)
+    assert got.acceptance_trace.tobytes() == want.acceptance_trace.tobytes()
+    assert got.best_energy_trace.tobytes() == want.best_energy_trace.tobytes()
+    # Both streams stop at the same position.
+    assert (streams[0].gen.random(4).tobytes()
+            == streams[1].gen.random(4).tobytes())
+
+
+@pytest.mark.parametrize("n, rows", [(1, 3), (2, 1), (5, 50), (16, 50),
+                                     (50, 7), (300, 2)])
+def test_numpy_permuted_rows_equal_sequential_permutations(n, rows):
+    # simulated_annealing draws a level's sweep orders with one permuted()
+    # call; that is only the documented draw order if numpy keeps this.
+    a, b = RngStream(53, n).gen, RngStream(53, n).gen
+    batch = a.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
+    sequential = np.stack([b.permutation(n) for _ in range(rows)])
+    assert batch.tobytes() == sequential.tobytes()
+    assert a.random(4).tobytes() == b.random(4).tobytes()

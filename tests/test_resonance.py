@@ -16,6 +16,7 @@ from stochlab.resonance import (
     resonance_scan,
     snr_at_drive,
 )
+from util import reference_integrate
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,6 +88,33 @@ def test_sample_stride_thins_the_record():
     assert traj.sample_step == pytest.approx(0.05)
     assert traj.positions.size == spec.n_steps // 5 + 1
     assert traj.times[1] - traj.times[0] == pytest.approx(0.05)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 7])
+def test_integrate_matches_the_checked_loop_byte_for_byte(stride):
+    # 2001 steps: not a multiple of 3 or 7, so the tail is thinned too.
+    spec = DoubleWellSpec(amplitude=0.3, omega=0.5, noise_d=0.25,
+                          dt=0.01, t_total=20.01, x0=-0.3)
+    got = integrate(spec, RngStream(7, stride), sample_stride=stride)
+    want = reference_integrate(spec, RngStream(7, stride), sample_stride=stride)
+    assert got.positions.tobytes() == want.positions.tobytes()
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.sample_step == want.sample_step
+
+
+@pytest.mark.parametrize("x0, dt, noise_d, t_total", [
+    (3.0, 0.5, 0.0, 10.0),     # overshoots on the first steps
+    (0.9, 0.25, 1.0, 2000.0),  # a noise kick escapes after 909 steps
+])
+def test_divergence_is_reported_at_the_same_step_as_the_checked_loop(
+        x0, dt, noise_d, t_total):
+    spec = DoubleWellSpec(amplitude=0.0, omega=1.0, noise_d=noise_d,
+                          dt=dt, t_total=t_total, x0=x0)
+    with pytest.raises(IntegrationError) as want:
+        reference_integrate(spec, RngStream(8))
+    with pytest.raises(IntegrationError) as got:
+        integrate(spec, RngStream(8))
+    assert str(got.value) == str(want.value)
 
 
 def test_spec_validation():

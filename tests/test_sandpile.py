@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochlab.core import RngStream, fit_power_law
+from stochlab.core import RngStream, fit_power_law, low_high_power_ratio
 from stochlab.sandpile import (
     SandGrid,
     abelian_check,
@@ -12,7 +12,7 @@ from stochlab.sandpile import (
     drive,
     drop_and_relax,
 )
-from util import low_high_power_ratio
+from util import reference_drive, reference_drop_and_relax
 
 
 # ---------------------------------------------------------------------------
@@ -286,3 +286,53 @@ def test_drive_validation():
 def test_ccdf_rejects_all_quiet_series():
     with pytest.raises(ValueError):
         avalanche_ccdf(np.zeros(10, dtype=int))
+
+
+# ---------------------------------------------------------------------------
+# The active-set relaxation against the whole-grid oracle
+
+_ORACLE_CASES = [
+    # (heights, threshold, site_policy, n_drops)
+    (np.zeros((1, 1), dtype=int), 4, "uniform-random", 60),
+    (np.zeros((1, 5), dtype=int), 4, "uniform-random", 200),
+    (np.zeros((3, 7), dtype=int), 5, "uniform-random", 600),
+    (np.zeros((5, 5), dtype=int), 4, "center", 300),
+    (np.full((6, 4), 9), 4, "uniform-random", 200),
+]
+_ORACLE_IDS = ["1x1", "1x5", "7x3-threshold5", "center", "unstable-start"]
+
+
+@pytest.mark.parametrize("heights, threshold, policy, n_drops", _ORACLE_CASES,
+                         ids=_ORACLE_IDS)
+def test_drive_matches_whole_grid_oracle(heights, threshold, policy, n_drops):
+    grid = SandGrid(heights, threshold)
+    oracle = SandGrid(heights, threshold)
+    record = drive(grid, RngStream(65, 1), n_drops, site_policy=policy)
+    expected = reference_drive(oracle, RngStream(65, 1), n_drops,
+                               site_policy=policy)
+    for name in ("sizes", "areas", "durations", "dissipated",
+                 "mean_heights", "round_activity"):
+        got, want = getattr(record, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    np.testing.assert_array_equal(grid.heights, oracle.heights)
+    assert grid.heights.dtype == np.int64
+
+
+@pytest.mark.parametrize("heights, threshold, policy, n_drops", _ORACLE_CASES,
+                         ids=_ORACLE_IDS)
+def test_drop_and_relax_matches_whole_grid_oracle(heights, threshold, policy,
+                                                  n_drops):
+    grid = SandGrid(heights, threshold)
+    oracle = SandGrid(heights, threshold)
+    buffer = grid.heights
+    rng = RngStream(66, 2)
+    for _ in range(n_drops // 2):
+        site = (grid.center if policy == "center" else
+                (int(rng.gen.integers(0, grid.height)),
+                 int(rng.gen.integers(0, grid.width))))
+        assert drop_and_relax(grid, site) == reference_drop_and_relax(oracle,
+                                                                      site)
+        np.testing.assert_array_equal(grid.heights, oracle.heights)
+    assert grid.heights is buffer
+

@@ -7,8 +7,11 @@ from scipy.sparse import diags, identity
 from scipy.sparse.linalg import splu
 
 from stochlab.core import RngStream
+from stochlab.memory import AnnealResult, SpinConfig
 from stochlab.paths import _integrated_autocorrelation
 from stochlab.quantum import Grid1D, WaveState
+from stochlab.resonance import IntegrationError, Trajectory
+from stochlab.sandpile import Avalanche, DriveRecord
 
 
 def count_local_maxima(values) -> int:
@@ -76,17 +79,6 @@ def crank_nicolson_free_evolution(state: WaveState, t: float,
     for _ in range(steps):
         psi = solver.solve(backward @ psi)
     return psi
-
-
-def low_high_power_ratio(signal, segments: int = 8) -> float:
-    """Mean periodogram power over the lowest decile of positive-frequency
-    bins divided by the mean over the highest decile."""
-    from stochlab.core import periodogram
-
-    spectrum = periodogram(np.asarray(signal, dtype=float), 1.0, segments)
-    power = spectrum.power[spectrum.frequencies > 0]
-    k = max(1, power.size // 10)
-    return float(power[:k].mean() / power[-k:].mean())
 
 
 def reference_metropolis(dynamics, lattice, rng: RngStream, sweeps: int,
@@ -166,3 +158,124 @@ def reference_metropolis(dynamics, lattice, rng: RngStream, sweeps: int,
                            map(np.concatenate, audit)))
                   if audit_proposals > 0 else None),
     }
+
+
+def reference_integrate(spec, rng: RngStream, sample_stride: int = 1):
+    """``resonance.integrate`` as a checked scalar loop.
+
+    A slow oracle: the trust region is tested after every step and the
+    stride applied as the loop runs.  Same kicks, same recurrence.
+    """
+    n, dt = spec.n_steps, spec.dt
+    kicks = spec.amplitude * np.sin(spec.omega * (dt * np.arange(n))) * dt
+    if spec.noise_d > 0:
+        kicks = kicks + math.sqrt(2.0 * spec.noise_d * dt) * rng.gen.standard_normal(n)
+    x = spec.x0
+    out = [x]
+    for i, kick in enumerate(kicks.tolist()):
+        x += (x - x * x * x) * dt + kick
+        if not (-1e3 < x < 1e3):
+            raise IntegrationError(
+                f"|x| exceeded {1e3:g} at t = {(i + 1) * dt:g}; reduce dt")
+        if (i + 1) % sample_stride == 0:
+            out.append(x)
+    positions = np.asarray(out)
+    step = dt * sample_stride
+    return Trajectory(times=step * np.arange(positions.size),
+                      positions=positions, sample_step=step)
+
+
+def _reference_relax(heights: np.ndarray, threshold: int,
+                     round_log: list) -> Avalanche:
+    """Whole-grid parallel rounds: every unstable cell topples once per
+    round, found and shifted with array operations over the full grid."""
+    size = duration = lost = 0
+    toppled = np.zeros(heights.shape, dtype=bool)
+    while True:
+        unstable = heights >= threshold
+        n_unstable = int(np.count_nonzero(unstable))
+        if n_unstable == 0:
+            break
+        duration += 1
+        size += n_unstable
+        round_log.append(n_unstable)
+        toppled |= unstable
+        shed = unstable.astype(np.int64)
+        heights -= 4 * shed
+        heights[1:, :] += shed[:-1, :]
+        heights[:-1, :] += shed[1:, :]
+        heights[:, 1:] += shed[:, :-1]
+        heights[:, :-1] += shed[:, 1:]
+        lost += int(shed[0, :].sum() + shed[-1, :].sum()
+                    + shed[:, 0].sum() + shed[:, -1].sum())
+    return Avalanche(size=size, area=int(toppled.sum()), duration=duration,
+                     dissipated=lost)
+
+
+def reference_drop_and_relax(grid, site) -> Avalanche:
+    """``sandpile.drop_and_relax`` on whole-grid rounds (slow oracle)."""
+    grid.heights[site] += 1
+    return _reference_relax(grid.heights, grid.threshold, [])
+
+
+def reference_drive(grid, rng: RngStream, n_drops: int,
+                    site_policy: str = "uniform-random") -> DriveRecord:
+    """``sandpile.drive`` on whole-grid rounds (slow oracle): same sites,
+    same per-drop records, one round-activity sample per round."""
+    if site_policy == "center":
+        rows = np.full(n_drops, grid.center[0])
+        cols = np.full(n_drops, grid.center[1])
+    else:
+        rows = rng.gen.integers(0, grid.height, size=n_drops)
+        cols = rng.gen.integers(0, grid.width, size=n_drops)
+    events, mean_heights, round_log = [], [], []
+    grains = grid.total_grains
+    for row, col in zip(rows, cols):
+        grid.heights[row, col] += 1
+        event = _reference_relax(grid.heights, grid.threshold, round_log)
+        if event.duration == 0:
+            round_log.append(0)
+        events.append(event)
+        grains += 1 - event.dissipated
+        mean_heights.append(grains / grid.heights.size)
+    field = lambda name: np.array([getattr(e, name) for e in events],
+                                  dtype=np.int64)
+    return DriveRecord(sizes=field("size"), areas=field("area"),
+                       durations=field("duration"),
+                       dissipated=field("dissipated"),
+                       mean_heights=np.array(mean_heights),
+                       round_activity=np.array(round_log, dtype=np.int64))
+
+
+def reference_anneal(couplings, schedule, rng: RngStream) -> AnnealResult:
+    """``memory.simulated_annealing`` on numpy arrays and scalars.
+
+    A slow oracle: one ``gen.permutation(n)`` per sweep, drawn after the
+    level's uniform block, and the field update as an array expression.
+    """
+    n, j = couplings.n, couplings.j
+    s = rng.gen.choice(np.array([-1.0, 1.0]), size=n)
+    fields = j @ s
+    current = float(-0.5 * s @ fields)
+    best, best_spins = current, s.copy()
+    acceptance = np.empty(schedule.levels)
+    best_trace = np.empty(schedule.levels)
+    for level, t in enumerate(schedule.temperatures):
+        accepted = 0
+        proposals = schedule.sweeps_per_level * n
+        uniforms = iter(rng.gen.random(proposals).tolist())
+        for _ in range(schedule.sweeps_per_level):
+            for i in rng.gen.permutation(n):
+                delta = 2.0 * s[i] * fields[i]
+                if delta <= 0.0 or next(uniforms) < math.exp(-delta / t):
+                    s[i] = -s[i]
+                    fields += 2.0 * s[i] * j[:, i]
+                    current += delta
+                    accepted += 1
+                    if current < best:
+                        best, best_spins = current, s.copy()
+        acceptance[level] = accepted / proposals
+        best_trace[level] = best
+    return AnnealResult(config=SpinConfig(best_spins.astype(np.int8)),
+                        energy=best, acceptance_trace=acceptance,
+                        best_energy_trace=best_trace)
