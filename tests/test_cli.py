@@ -5,11 +5,14 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 from stochlab import cli
 from stochlab.cli import ConfigError, ExperimentConfig
@@ -177,10 +180,6 @@ def test_manifest_digests_match_written_files(tmp_path):
 
 
 def test_manifest_stamps_python_numpy_and_scipy_versions(tmp_path):
-    import numpy
-    import platform
-    import scipy
-
     cli.run(ExperimentConfig("mcint", {"samples": "4000"},
                              output_dir=str(tmp_path)))
     echoed = json.loads((tmp_path / "manifest.json").read_text())
