@@ -1,6 +1,7 @@
 """Command-line front end: validation, artifacts, manifests, reruns."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -73,6 +74,52 @@ def test_cross_checks_catch_inconsistent_combinations():
         violations = cli.validate(ExperimentConfig(experiment, params))
         assert violations, (experiment, params)
         assert any(v.startswith(key + ":") for v in violations), violations
+
+
+# Every integer parameter with an "at least N" bound: (experiment, name, N,
+# companion overrides that keep the cross-checks quiet at the bound).
+_LOWER_BOUNDS = [
+    ("decay", "n_atoms", 1, {}),
+    ("decay", "bins", 2, {}),
+    ("uncertainty", "n_states", 1, {}),
+    ("uncertainty", "n_points", 2, {}),
+    ("spectrum", "n_levels", 2, {}),
+    ("spectrum", "n_points", 2, {}),
+    ("paths", "n_t", 3, {}),
+    ("paths", "sweeps", 2, {"thermalization": "1"}),
+    ("paths", "chains", 1, {}),
+    ("diffuse", "n_walkers", 1, {}),
+    ("diffuse", "n_steps", 1, {}),
+    ("diffuse", "refinements", 2, {}),
+    ("sandpile", "width", 1, {}),
+    ("sandpile", "height", 1, {}),
+    ("sandpile", "n_drops", 1, {}),
+    ("resonance", "replicas_per_level", 4, {}),
+    ("memory", "n", 2, {"corrupt_flips": "0"}),
+    ("memory", "patterns", 1, {}),
+    ("memory", "trials", 1, {}),
+    ("memory", "instances", 1, {}),
+    ("memory", "levels", 1, {}),
+    ("memory", "sweeps_per_level", 1, {}),
+    ("network", "n", 3, {"k": "2"}),
+    ("network", "seeds", 10, {}),
+    ("network", "ba_n", 2, {"ba_m": "1"}),
+    ("network", "ba_m", 1, {}),
+    ("search", "replicas_per_cell", 100, {}),
+    ("mcint", "dim", 1, {}),
+    ("mcint", "samples", 2, {}),
+    ("clt", "replicas", 2, {}),
+]
+
+
+@pytest.mark.parametrize("experiment,name,low,companions", _LOWER_BOUNDS)
+def test_integer_lower_bound_and_its_message(experiment, name, low,
+                                             companions):
+    at_bound = {**companions, name: str(low)}
+    assert cli.validate(ExperimentConfig(experiment, at_bound)) == []
+    below = {**companions, name: str(low - 1)}
+    assert cli.validate(ExperimentConfig(experiment, below)) \
+        == [f"{name}: must be at least {low}"]
 
 
 def test_bad_seed_and_replicas_are_violations():
@@ -177,6 +224,22 @@ def test_manifest_digests_match_written_files(tmp_path):
     assert echoed["parameters"]["samples"] == 4000
     assert echoed["seed"] == 21
     assert echoed["artifact_version"]
+
+
+def test_manifest_payload_echoes_the_returned_manifest(tmp_path):
+    manifest = cli.run(ExperimentConfig("network",
+                                        {"n": "20", "k": "4", "seeds": "10",
+                                         "ba_n": "50"},
+                                        output_dir=str(tmp_path), seed=4,
+                                        replicas=2))
+    echoed = json.loads((tmp_path / "manifest.json").read_text())
+    fields = {field.name for field in dataclasses.fields(cli.RunManifest)}
+    assert set(echoed) == fields - {"path"}
+    assert echoed["parameters"] == manifest.parameters
+    assert echoed["outputs"] == list(manifest.outputs)
+    assert echoed["environment"] == manifest.environment
+    assert echoed["seed"] == manifest.seed == 4
+    assert echoed["replicas"] == manifest.replicas == 2
 
 
 def test_manifest_stamps_python_numpy_and_scipy_versions(tmp_path):

@@ -161,6 +161,14 @@ def test_abelian_check_leaves_grid_untouched():
     np.testing.assert_array_equal(grid.heights, snapshot)
 
 
+def test_abelian_check_rejects_out_of_grid_site():
+    grid = SandGrid(np.full((4, 4), 3))
+    for site in ((4, 0), (0, -1)):
+        with pytest.raises(IndexError, match="outside 4x4 grid"):
+            abelian_check(grid, [(1, 1), site], RngStream(62, 3))
+    np.testing.assert_array_equal(grid.heights, np.full((4, 4), 3))
+
+
 def test_abelian_check_needs_two_permutations():
     with pytest.raises(ValueError):
         abelian_check(SandGrid.zeros(2, 2), [(0, 0)], RngStream(1), permutations=1)
