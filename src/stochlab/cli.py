@@ -30,7 +30,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -192,126 +192,23 @@ def _i(default, check, constraint):
     return _Param(_to_int, default, check, constraint)
 
 
-EXPERIMENTS: dict = {
-    "interfere": {
-        "a_re": _f(1.0), "a_im": _f(0.0), "b_re": _f(1.0), "b_im": _f(0.0),
-    },
-    "decay": {
-        "rate_lambda": _f(1.0, _positive, "must be positive"),
-        "n_atoms": _i(10_000, lambda v: v >= 1, "must be at least 1"),
-        "t_max": _f(5.0, _positive, "must be positive"),
-        "bins": _i(50, lambda v: v >= 2, "must be at least 2"),
-    },
-    "uncertainty": {
-        "n_states": _i(1000, lambda v: v >= 1, "must be at least 1"),
-        "n_points": _i(64, lambda v: v >= 2, "must be at least 2"),
-        "x_min": _f(-8.0), "x_max": _f(8.0),
-        "sigma0": _f(1.0, _positive, "must be positive (Gaussian width)"),
-    },
-    "spectrum": {
-        "potential": _Param(_to_str, "harmonic",
-                            _choice("harmonic", "quartic", "box"),
-                            "must be one of: harmonic, quartic, box"),
-        "n_levels": _i(6, lambda v: v >= 2, "must be at least 2"),
-        "n_points": _i(400, lambda v: v >= 2, "must be at least 2"),
-        "x_min": _f(-8.0), "x_max": _f(8.0),
-        "commuting": _Param(_to_bool, False, _TRUE, ""),
-    },
-    "paths": {
-        "potential": _Param(_to_str, "free", _choice("free", "harmonic"),
-                            "must be one of: free, harmonic"),
-        "n_t": _i(256, lambda v: v >= 3, "must be at least 3"),
-        "a_t": _f(0.05, _positive, "must be positive"),
-        "sweeps": _i(10_000, lambda v: v >= 2, "must be at least 2"),
-        "thermalization": _i(1000, lambda v: v >= 0, "must be nonnegative"),
-        "chains": _i(16, lambda v: v >= 1, "must be at least 1"),
-    },
-    "diffuse": {
-        "dim": _i(1, lambda v: 1 <= v <= 3, "must be 1, 2, or 3"),
-        "a_s": _f(0.5, _positive, "must be positive"),
-        "a_t": _f(0.125, _positive, "must be positive"),
-        "n_walkers": _i(1_000_000, lambda v: v >= 1, "must be at least 1"),
-        "n_steps": _i(8, lambda v: v >= 1, "must be at least 1"),
-        "refinements": _i(2, lambda v: v >= 2, "must be at least 2"),
-    },
-    "sandpile": {
-        "width": _i(16, lambda v: v >= 1, "must be at least 1"),
-        "height": _i(16, lambda v: v >= 1, "must be at least 1"),
-        "warmup": _i(4000, lambda v: v >= 0, "must be nonnegative"),
-        "n_drops": _i(20_000, lambda v: v >= 1, "must be at least 1"),
-        "site_policy": _Param(_to_str, "uniform-random",
-                              _choice("uniform-random", "center"),
-                              "must be one of: uniform-random, center"),
-    },
-    "resonance": {
-        "amplitude": _f(0.3),
-        "omega": _f(0.1, _positive, "must be positive"),
-        "dt": _f(0.01, _positive, "must be positive"),
-        "t_total": _f(100.0 * 2.0 * math.pi / 0.1, _positive,
-                      "must be positive"),
-        "noise_levels": _Param(
-            _to_floats, (0.02, 0.05, 0.1, 0.2, 0.4, 0.8),
-            lambda v: len(v) >= 5 and all(x > 0 for x in v),
-            "needs at least 5 positive comma-separated values"),
-        "replicas_per_level": _i(4, lambda v: v >= 4, "must be at least 4"),
-    },
-    "memory": {
-        "task": _Param(_to_str, "retrieve", _choice("retrieve", "anneal"),
-                       "must be one of: retrieve, anneal"),
-        "n": _i(50, lambda v: v >= 2, "must be at least 2"),
-        "patterns": _i(2, lambda v: v >= 1, "must be at least 1"),
-        "corrupt_flips": _i(5, lambda v: v >= 0, "must be nonnegative"),
-        "trials": _i(200, lambda v: v >= 1, "must be at least 1"),
-        "instances": _i(20, lambda v: v >= 1, "must be at least 1"),
-        "t_initial": _f(2.0, _positive, "must be positive"),
-        "ratio": _f(0.95, lambda v: 0.0 < v < 1.0,
-                    "must lie strictly between 0 and 1"),
-        "levels": _i(120, lambda v: v >= 1, "must be at least 1"),
-        "sweeps_per_level": _i(50, lambda v: v >= 1, "must be at least 1"),
-    },
-    "network": {
-        "n": _i(300, lambda v: v >= 3, "must be at least 3"),
-        "k": _i(8, lambda v: v >= 2 and v % 2 == 0,
-                "must be an even count >= 2"),
-        "p_values": _Param(
-            _to_floats, (0.0, 0.02, 0.1, 0.5),
-            lambda v: len(v) >= 1 and all(0.0 <= x <= 1.0 for x in v),
-            "entries must lie in [0, 1]"),
-        "seeds": _i(10, lambda v: v >= 10, "must be at least 10"),
-        "ba_n": _i(10_000, lambda v: v >= 2, "must be at least 2"),
-        "ba_m": _i(2, lambda v: v >= 1, "must be at least 1"),
-    },
-    "search": {
-        "sides": _Param(_to_ints, (8, 16),
-                        lambda v: len(v) >= 1 and all(s >= 1 for s in v),
-                        "needs at least one side >= 1"),
-        "target_counts": _Param(_to_ints, (1, 4),
-                                lambda v: len(v) >= 1
-                                and all(c >= 1 for c in v),
-                                "needs at least one count >= 1"),
-        "radii": _Param(_to_floats, (0.0, 1.0),
-                        lambda v: len(v) >= 1 and all(r >= 0 for r in v),
-                        "entries must be nonnegative"),
-        "replicas_per_cell": _i(100, lambda v: v >= 100,
-                                "must be at least 100"),
-        "step_budget": _i(0, lambda v: v >= 0,
-                          "must be nonnegative (0 = 10 * side^2)"),
-    },
-    "mcint": {
-        "integrand": _Param(_to_str, "ball", _choice("ball", "polyprod"),
-                            "must be one of: ball, polyprod"),
-        "dim": _i(2, lambda v: v >= 1, "must be at least 1"),
-        "samples": _i(100_000, lambda v: v >= 2, "must be at least 2"),
-    },
-    "clt": {
-        "n_values": _Param(_to_ints, (4, 8, 16, 32, 64, 128, 256, 512, 1024),
-                           lambda v: len(v) >= 2 and all(n >= 2 for n in v),
-                           "needs at least two entries, each >= 2"),
-        "replicas": _i(300, lambda v: v >= 2, "must be at least 2"),
-        "sampler": _Param(_to_str, "normal", _choice("normal", "uniform"),
-                          "must be one of: normal, uniform"),
-    },
-}
+def _at_least(low, default):
+    return _Param(_to_int, default, lambda v: v >= low,
+                  f"must be at least {low}")
+
+
+def _no_cross_check(p) -> list:
+    return []
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One registry entry: the runner, its parameter schema, and a check
+    over the resolved parameters for combinations the schema cannot see."""
+
+    run: Callable
+    schema: dict
+    cross_check: Callable = _no_cross_check
 
 
 def _cross_uncertainty(p) -> list:
@@ -386,18 +283,6 @@ def _cross_search(p) -> list:
     return []
 
 
-_CROSS_CHECKS: dict = {
-    "uncertainty": _cross_uncertainty,
-    "spectrum": _cross_spectrum,
-    "paths": _cross_paths,
-    "diffuse": _cross_diffuse,
-    "resonance": _cross_resonance,
-    "memory": _cross_memory,
-    "network": _cross_network,
-    "search": _cross_search,
-}
-
-
 def _resolve(config: ExperimentConfig) -> tuple:
     """Apply the schema: defaults, conversions, checks.
 
@@ -420,7 +305,8 @@ def _resolve(config: ExperimentConfig) -> tuple:
     except (ValueError, TypeError):
         violations.append("replicas: must be a positive integer")
 
-    schema = EXPERIMENTS[config.experiment]
+    experiment = EXPERIMENTS[config.experiment]
+    schema = experiment.schema
     for key in config.parameters:
         if key not in schema:
             violations.append(
@@ -446,9 +332,8 @@ def _resolve(config: ExperimentConfig) -> tuple:
             continue
         resolved[name] = value
 
-    cross = _CROSS_CHECKS.get(config.experiment)
-    if cross is not None and not violations:
-        violations.extend(cross(resolved))
+    if not violations:
+        violations.extend(experiment.cross_check(resolved))
     return resolved, violations
 
 
@@ -741,20 +626,128 @@ def _run_clt(p, rng) -> _RunOutput:
     return _RunOutput(("n", "std_error"), rows, summary, {})
 
 
-_RUNNERS: dict = {
-    "interfere": _run_interfere,
-    "decay": _run_decay,
-    "uncertainty": _run_uncertainty,
-    "spectrum": _run_spectrum,
-    "paths": _run_paths,
-    "diffuse": _run_diffuse,
-    "sandpile": _run_sandpile,
-    "resonance": _run_resonance,
-    "memory": _run_memory,
-    "network": _run_network,
-    "search": _run_search,
-    "mcint": _run_mcint,
-    "clt": _run_clt,
+# --------------------------------------------------------------------------
+# the experiment registry
+
+
+EXPERIMENTS: dict[str, _Experiment] = {
+    "interfere": _Experiment(_run_interfere, {
+        "a_re": _f(1.0), "a_im": _f(0.0), "b_re": _f(1.0), "b_im": _f(0.0),
+    }),
+    "decay": _Experiment(_run_decay, {
+        "rate_lambda": _f(1.0, _positive, "must be positive"),
+        "n_atoms": _at_least(1, 10_000),
+        "t_max": _f(5.0, _positive, "must be positive"),
+        "bins": _at_least(2, 50),
+    }),
+    "uncertainty": _Experiment(_run_uncertainty, {
+        "n_states": _at_least(1, 1000),
+        "n_points": _at_least(2, 64),
+        "x_min": _f(-8.0), "x_max": _f(8.0),
+        "sigma0": _f(1.0, _positive, "must be positive (Gaussian width)"),
+    }, cross_check=_cross_uncertainty),
+    "spectrum": _Experiment(_run_spectrum, {
+        "potential": _Param(_to_str, "harmonic",
+                            _choice("harmonic", "quartic", "box"),
+                            "must be one of: harmonic, quartic, box"),
+        "n_levels": _at_least(2, 6),
+        "n_points": _at_least(2, 400),
+        "x_min": _f(-8.0), "x_max": _f(8.0),
+        "commuting": _Param(_to_bool, False, _TRUE, ""),
+    }, cross_check=_cross_spectrum),
+    "paths": _Experiment(_run_paths, {
+        "potential": _Param(_to_str, "free", _choice("free", "harmonic"),
+                            "must be one of: free, harmonic"),
+        "n_t": _at_least(3, 256),
+        "a_t": _f(0.05, _positive, "must be positive"),
+        "sweeps": _at_least(2, 10_000),
+        "thermalization": _i(1000, lambda v: v >= 0, "must be nonnegative"),
+        "chains": _at_least(1, 16),
+    }, cross_check=_cross_paths),
+    "diffuse": _Experiment(_run_diffuse, {
+        "dim": _i(1, lambda v: 1 <= v <= 3, "must be 1, 2, or 3"),
+        "a_s": _f(0.5, _positive, "must be positive"),
+        "a_t": _f(0.125, _positive, "must be positive"),
+        "n_walkers": _at_least(1, 1_000_000),
+        "n_steps": _at_least(1, 8),
+        "refinements": _at_least(2, 2),
+    }, cross_check=_cross_diffuse),
+    "sandpile": _Experiment(_run_sandpile, {
+        "width": _at_least(1, 16),
+        "height": _at_least(1, 16),
+        "warmup": _i(4000, lambda v: v >= 0, "must be nonnegative"),
+        "n_drops": _at_least(1, 20_000),
+        "site_policy": _Param(_to_str, "uniform-random",
+                              _choice("uniform-random", "center"),
+                              "must be one of: uniform-random, center"),
+    }),
+    "resonance": _Experiment(_run_resonance, {
+        "amplitude": _f(0.3),
+        "omega": _f(0.1, _positive, "must be positive"),
+        "dt": _f(0.01, _positive, "must be positive"),
+        "t_total": _f(100.0 * 2.0 * math.pi / 0.1, _positive,
+                      "must be positive"),
+        "noise_levels": _Param(
+            _to_floats, (0.02, 0.05, 0.1, 0.2, 0.4, 0.8),
+            lambda v: len(v) >= 5 and all(x > 0 for x in v),
+            "needs at least 5 positive comma-separated values"),
+        "replicas_per_level": _at_least(4, 4),
+    }, cross_check=_cross_resonance),
+    "memory": _Experiment(_run_memory, {
+        "task": _Param(_to_str, "retrieve", _choice("retrieve", "anneal"),
+                       "must be one of: retrieve, anneal"),
+        "n": _at_least(2, 50),
+        "patterns": _at_least(1, 2),
+        "corrupt_flips": _i(5, lambda v: v >= 0, "must be nonnegative"),
+        "trials": _at_least(1, 200),
+        "instances": _at_least(1, 20),
+        "t_initial": _f(2.0, _positive, "must be positive"),
+        "ratio": _f(0.95, lambda v: 0.0 < v < 1.0,
+                    "must lie strictly between 0 and 1"),
+        "levels": _at_least(1, 120),
+        "sweeps_per_level": _at_least(1, 50),
+    }, cross_check=_cross_memory),
+    "network": _Experiment(_run_network, {
+        "n": _at_least(3, 300),
+        "k": _i(8, lambda v: v >= 2 and v % 2 == 0,
+                "must be an even count >= 2"),
+        "p_values": _Param(
+            _to_floats, (0.0, 0.02, 0.1, 0.5),
+            lambda v: len(v) >= 1 and all(0.0 <= x <= 1.0 for x in v),
+            "entries must lie in [0, 1]"),
+        "seeds": _at_least(10, 10),
+        "ba_n": _at_least(2, 10_000),
+        "ba_m": _at_least(1, 2),
+    }, cross_check=_cross_network),
+    "search": _Experiment(_run_search, {
+        "sides": _Param(_to_ints, (8, 16),
+                        lambda v: len(v) >= 1 and all(s >= 1 for s in v),
+                        "needs at least one side >= 1"),
+        "target_counts": _Param(_to_ints, (1, 4),
+                                lambda v: len(v) >= 1
+                                and all(c >= 1 for c in v),
+                                "needs at least one count >= 1"),
+        "radii": _Param(_to_floats, (0.0, 1.0),
+                        lambda v: len(v) >= 1 and all(r >= 0 for r in v),
+                        "entries must be nonnegative"),
+        "replicas_per_cell": _at_least(100, 100),
+        "step_budget": _i(0, lambda v: v >= 0,
+                          "must be nonnegative (0 = 10 * side^2)"),
+    }, cross_check=_cross_search),
+    "mcint": _Experiment(_run_mcint, {
+        "integrand": _Param(_to_str, "ball", _choice("ball", "polyprod"),
+                            "must be one of: ball, polyprod"),
+        "dim": _at_least(1, 2),
+        "samples": _at_least(2, 100_000),
+    }),
+    "clt": _Experiment(_run_clt, {
+        "n_values": _Param(_to_ints, (4, 8, 16, 32, 64, 128, 256, 512, 1024),
+                           lambda v: len(v) >= 2 and all(n >= 2 for n in v),
+                           "needs at least two entries, each >= 2"),
+        "replicas": _at_least(2, 300),
+        "sampler": _Param(_to_str, "normal", _choice("normal", "uniform"),
+                          "must be one of: normal, uniform"),
+    }),
 }
 
 
@@ -808,7 +801,7 @@ def run(config: ExperimentConfig) -> RunManifest:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    runner = _RUNNERS[config.experiment]
+    runner = EXPERIMENTS[config.experiment].run
     replicas = int(config.replicas)
     base = RngStream(int(config.seed), 0)
     header: tuple = ()
@@ -870,18 +863,8 @@ def run(config: ExperimentConfig) -> RunManifest:
         environment=environment,
         path=str(manifest_path),
     )
-    payload = {
-        "experiment": manifest.experiment,
-        "parameters": manifest.parameters,
-        "seed": manifest.seed,
-        "replicas": manifest.replicas,
-        "output_dir": manifest.output_dir,
-        "artifact_version": manifest.artifact_version,
-        "started": manifest.started,
-        "finished": manifest.finished,
-        "outputs": list(manifest.outputs),
-        "environment": manifest.environment,
-    }
+    payload = asdict(manifest)
+    del payload["path"]
     _write_json(manifest_path, payload)
     return manifest
 

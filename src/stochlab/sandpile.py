@@ -223,8 +223,8 @@ def _relax(cells: list,
     ``threshold`` stays unstable; any other cell was below ``threshold`` at
     the round's start and becomes unstable when a grain lifts it to exactly
     ``threshold``, so no cell is listed twice.  The per-round toppling
-    counts are appended to ``round_log`` (nothing for an event with no
-    topplings).
+    counts are appended to ``round_log``, or a single 0 for an event with
+    no topplings.
     """
     size = duration = lost = 0
     toppled: set[int] = set()
@@ -248,21 +248,46 @@ def _relax(cells: list,
                 cells[j] = h
                 if h == threshold:
                     unstable.append(j)
+    if not duration:
+        round_log.append(0)
     return Avalanche(size=size, area=len(toppled), duration=duration,
                      dissipated=lost)
+
+
+def _drop_each(grid: SandGrid, rows, cols,
+               round_log: list[int]) -> list[Avalanche]:
+    """Drop one grain at each ``(rows[i], cols[i])`` in turn, relaxing fully
+    after each; return the events.
+
+    The grid is converted to a padded cell list once and written back once.
+    It may start unstable, so the first drop scans every cell; after it the
+    grid is stable and only the drop site can become unstable.
+    """
+    rows = np.asarray(rows)
+    cols = np.asarray(cols)
+    outside = ((rows < 0) | (rows >= grid.height)
+               | (cols < 0) | (cols >= grid.width))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise IndexError(f"site {(int(rows[i]), int(cols[i]))!r} outside "
+                         f"{grid.height}x{grid.width} grid")
+    cells, loss = _to_cells(grid.heights)
+    stride = grid.width + 2
+    threshold = grid.threshold
+    everywhere = range(len(cells))
+    events = []
+    for i, site in enumerate(((rows + 1) * stride + cols + 1).tolist()):
+        cells[site] += 1
+        events.append(_relax(cells, stride, threshold, loss,
+                             (site,) if i else everywhere, round_log))
+    _write_back(cells, grid.heights)
+    return events
 
 
 def drop_and_relax(grid: SandGrid, site: tuple[int, int]) -> Avalanche:
     """Add one grain at ``site`` and relax the grid to stability in place."""
     row, col = site
-    if not (0 <= row < grid.height and 0 <= col < grid.width):
-        raise IndexError(f"site {site!r} outside {grid.height}x{grid.width} grid")
-    cells, loss = _to_cells(grid.heights)
-    stride = grid.width + 2
-    cells[(row + 1) * stride + col + 1] += 1
-    event = _relax(cells, stride, grid.threshold, loss, range(len(cells)), [])
-    _write_back(cells, grid.heights)
-    return event
+    return _drop_each(grid, [row], [col], [])[0]
 
 
 def drive(grid: SandGrid,
@@ -288,35 +313,13 @@ def drive(grid: SandGrid,
         rows = rng.gen.integers(0, grid.height, size=n_drops)
         cols = rng.gen.integers(0, grid.width, size=n_drops)
 
-    sizes = np.empty(n_drops, dtype=np.int64)
-    areas = np.empty(n_drops, dtype=np.int64)
-    durations = np.empty(n_drops, dtype=np.int64)
-    dissipated = np.empty(n_drops, dtype=np.int64)
-    mean_heights = np.empty(n_drops, dtype=float)
-    round_log: list[int] = []
-
     grains = grid.total_grains
-    n_cells = grid.width * grid.height
-    cells, loss = _to_cells(grid.heights)
-    stride = grid.width + 2
-    threshold = grid.threshold
-    sites = ((rows + 1) * stride + cols + 1).tolist()
-    # The grid may start unstable, so the first drop scans every cell; after
-    # it the grid is stable and only the drop site can become unstable.
-    everywhere = range(len(cells))
-    for i, site in enumerate(sites):
-        cells[site] += 1
-        event = _relax(cells, stride, threshold, loss,
-                       (site,) if i else everywhere, round_log)
-        if event.duration == 0:
-            round_log.append(0)
-        sizes[i] = event.size
-        areas[i] = event.area
-        durations[i] = event.duration
-        dissipated[i] = event.dissipated
-        grains += 1 - event.dissipated
-        mean_heights[i] = grains / n_cells
-    _write_back(cells, grid.heights)
+    round_log: list[int] = []
+    events = _drop_each(grid, rows, cols, round_log)
+    sizes, areas, durations, dissipated = (
+        np.array([getattr(e, field) for e in events], dtype=np.int64)
+        for field in ("size", "area", "duration", "dissipated"))
+    mean_heights = (grains + np.cumsum(1 - dissipated)) / grid.heights.size
     return DriveRecord(sizes=sizes, areas=areas, durations=durations,
                        dissipated=dissipated, mean_heights=mean_heights,
                        round_activity=np.asarray(round_log, dtype=np.int64))
@@ -334,16 +337,12 @@ def abelian_check(grid: SandGrid,
     """
     if permutations < 2:
         raise ValueError("need at least 2 permutations to compare")
-    sites = list(drops)
+    rows, cols = np.asarray(list(drops)).reshape(-1, 2).T
     reference: np.ndarray | None = None
     for k in range(permutations):
-        if k == 0:
-            order: Iterable[int] = range(len(sites))
-        else:
-            order = rng.gen.permutation(len(sites))
+        order = rng.gen.permutation(rows.size) if k else np.arange(rows.size)
         trial = grid.copy()
-        for j in order:
-            drop_and_relax(trial, sites[j])
+        _drop_each(trial, rows[order], cols[order], [])
         if reference is None:
             reference = trial.heights
         elif not np.array_equal(trial.heights, reference):
