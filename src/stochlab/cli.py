@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .core import (RngStream, clt_scaling, fit_power_law,
@@ -842,12 +843,12 @@ def run(config: ExperimentConfig) -> RunManifest:
     )
     finished = datetime.now(timezone.utc).isoformat(timespec="microseconds")
     # numpy does not promise the same Generator streams across versions, so
-    # a digest mismatch between runs is diagnosed from this stamp.  scipy is
-    # already loaded by the experiment modules; nothing is imported here.
+    # a digest mismatch between runs is diagnosed from this stamp.  Only the
+    # top-level scipy package is imported for it; no submodule is loaded.
     environment = {
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
-        "scipy": sys.modules["scipy"].__version__,
+        "scipy": scipy.__version__,
     }
     manifest_path = out_dir / "manifest.json"
     manifest = RunManifest(

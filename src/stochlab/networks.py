@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .core import RngStream
 
@@ -246,6 +244,10 @@ def metrics(g: Graph) -> NetworkMetrics:
     clustering_defined = g.n >= 3
     clustering, transitivity = (_clustering_stats(g) if clustering_defined
                                 else (0.0, 0.0))
+
+    # Imported here: scipy.sparse is slow to load and only `network` uses it.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components, shortest_path
 
     if g.edges:
         rows = np.fromiter((u for u, _ in g.edges), dtype=np.int64,

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from stochlab.core import RngStream
 
@@ -392,6 +391,9 @@ def spectrum_gaps(potential: Callable[[np.ndarray], np.ndarray], grid: Grid1D,
         energies = np.sort(p**2 / (2.0 * mass) + np.asarray(potential(p), dtype=float))
         energies = energies[:n_levels]
         return SpectrumResult(energies=energies, gaps=np.diff(energies))
+
+    # Imported here: scipy.linalg is slow to load and only `spectrum` uses it.
+    from scipy.linalg import eigh_tridiagonal
 
     def solve(n_points: int, with_states: bool = False):
         h = (grid.x_max - grid.x_min) / (n_points + 1)

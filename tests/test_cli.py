@@ -15,6 +15,9 @@ import numpy
 import pytest
 import scipy
 
+from test_acceptance import _RERUN_CONFIGS
+from test_golden import GOLDEN_CLI, _golden_seed
+
 from stochlab import cli
 from stochlab.cli import ConfigError, ExperimentConfig
 from stochlab.networks import parse_edge_list
@@ -24,6 +27,15 @@ def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
     return rows[0], rows[1:]
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports stochlab from this checkout."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +336,38 @@ def test_main_unknown_experiment_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("module", ["stochlab", "stochlab.cli"])
 def test_python_dash_m_runs_the_command_line(module, tmp_path):
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-
-    def python_m(*args):
-        return subprocess.run([sys.executable, "-m", module, *args], env=env,
-                              capture_output=True, text=True, timeout=120)
-
-    ok = python_m("interfere", "--out", str(tmp_path))
+    ok = _python("-m", module, "interfere", "--out", str(tmp_path))
     assert ok.returncode == 0, ok.stderr
     assert ok.stdout.strip() == str(tmp_path / "manifest.json")
-    unknown = python_m("warpdrive", "--out", str(tmp_path / "unknown"))
+    unknown = _python("-m", module, "warpdrive", "--out", str(tmp_path / "unknown"))
     assert unknown.returncode == 2
     assert "supported" in unknown.stderr
+
+
+def test_importing_the_cli_leaves_deferred_scipy_submodules_unloaded():
+    # In-process the test modules have already imported scipy submodules,
+    # so only a fresh interpreter shows what ``import stochlab.cli`` loads.
+    child = _python("-c", "import sys, stochlab.cli; print(*sorted(sys.modules))")
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.split())
+    assert {"stochlab.cli", "scipy"} <= loaded
+    assert not loaded & {"scipy.sparse", "scipy.sparse.csgraph", "scipy.linalg"}
+
+
+@pytest.mark.parametrize("experiment", ["interfere", "network", "spectrum"])
+def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
+    overrides = [f"{key}={value}"
+                 for key, value in _RERUN_CONFIGS[experiment].items()]
+    child = _python("-m", "stochlab", experiment,
+                    "--seed", str(_golden_seed(experiment)), "--replicas", "2",
+                    "--out", str(tmp_path), *overrides)
+    assert child.returncode == 0, child.stderr
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["environment"]["scipy"] == scipy.__version__
+    on_disk = {entry["path"]:
+               hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest()
+               for entry in manifest["outputs"]}
+    assert on_disk == GOLDEN_CLI[experiment]
 
 
 def test_main_runtime_failure_exits_3(tmp_path, capsys):

@@ -130,10 +130,13 @@ _KERNEL_CASES = {
 }
 
 
+def _golden_seed(experiment: str) -> int:
+    return 1000 + sorted(_RERUN_CONFIGS).index(experiment)
+
+
 def _cli_digests(experiment: str, out_dir: str) -> dict:
-    index = sorted(_RERUN_CONFIGS).index(experiment)
     manifest = cli.run(cli.ExperimentConfig(
-        experiment, _RERUN_CONFIGS[experiment], seed=1000 + index,
+        experiment, _RERUN_CONFIGS[experiment], seed=_golden_seed(experiment),
         output_dir=out_dir, replicas=2))
     return {entry["path"]: entry["sha256"] for entry in manifest.outputs}
 
