@@ -42,7 +42,7 @@ from . import __version__
 from .core import (RngStream, clt_scaling, fit_power_law,
                    low_high_power_ratio, mc_integrate)
 from .diffusion import WalkSpec, convergence_scan
-from .memory import (AnnealSchedule, SpinConfig, flip_spins,
+from .memory import (_ENUM_LIMIT, AnnealSchedule, SpinConfig, flip_spins,
                      ground_state_bruteforce, hebbian_couplings, overlap,
                      simulated_annealing, sk_couplings, zero_t_dynamics)
 from .networks import (barabasi_albert, edge_list_text, small_world_scan,
@@ -178,10 +178,6 @@ def _positive(v) -> bool:
     return math.isfinite(v) and v > 0
 
 
-def _choice(*names):
-    return lambda v: v in names
-
-
 _TRUE = lambda v: True  # noqa: E731 - trivially-true check reads best inline
 
 
@@ -196,6 +192,11 @@ def _i(default, check, constraint):
 def _at_least(low, default):
     return _Param(_to_int, default, lambda v: v >= low,
                   f"must be at least {low}")
+
+
+def _one_of(default, *names):
+    return _Param(_to_str, default, lambda v: v in names,
+                  f"must be one of: {', '.join(names)}")
 
 
 def _no_cross_check(p) -> list:
@@ -257,8 +258,9 @@ def _cross_memory(p) -> list:
     out = []
     if p["corrupt_flips"] > p["n"]:
         out.append("corrupt_flips: cannot exceed n")
-    if p["task"] == "anneal" and p["n"] > 24:
-        out.append("n: anneal task needs n <= 24 (exhaustive oracle bound)")
+    if p["task"] == "anneal" and p["n"] > _ENUM_LIMIT:
+        out.append(f"n: anneal task needs n <= {_ENUM_LIMIT} "
+                   "(exhaustive oracle bound)")
     return out
 
 
@@ -648,18 +650,19 @@ EXPERIMENTS: dict[str, _Experiment] = {
         "sigma0": _f(1.0, _positive, "must be positive (Gaussian width)"),
     }, cross_check=_cross_uncertainty),
     "spectrum": _Experiment(_run_spectrum, {
-        "potential": _Param(_to_str, "harmonic",
-                            _choice("harmonic", "quartic", "box"),
-                            "must be one of: harmonic, quartic, box"),
+        "potential": _one_of("harmonic", "harmonic", "quartic", "box"),
         "n_levels": _at_least(2, 6),
         "n_points": _at_least(2, 400),
         "x_min": _f(-8.0), "x_max": _f(8.0),
         "commuting": _Param(_to_bool, False, _TRUE, ""),
     }, cross_check=_cross_spectrum),
     "paths": _Experiment(_run_paths, {
-        "potential": _Param(_to_str, "free", _choice("free", "harmonic"),
-                            "must be one of: free, harmonic"),
-        "n_t": _at_least(3, 256),
+        "potential": _one_of("free", "free", "harmonic"),
+        # resolution_ladder's 8 points run a decade down from
+        # sqrt(n_t // 8) * dx_1, and hausdorff_scan snaps each to the nearest
+        # sqrt(b) * dx_1 over block sizes b in [4, n_t // 8].  dx_1 cancels,
+        # and the scan gets its 3 distinct points only once n_t // 8 >= 9.
+        "n_t": _at_least(72, 256),
         "a_t": _f(0.05, _positive, "must be positive"),
         "sweeps": _at_least(2, 10_000),
         "thermalization": _i(1000, lambda v: v >= 0, "must be nonnegative"),
@@ -678,9 +681,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
         "height": _at_least(1, 16),
         "warmup": _i(4000, lambda v: v >= 0, "must be nonnegative"),
         "n_drops": _at_least(1, 20_000),
-        "site_policy": _Param(_to_str, "uniform-random",
-                              _choice("uniform-random", "center"),
-                              "must be one of: uniform-random, center"),
+        "site_policy": _one_of("uniform-random", "uniform-random", "center"),
     }),
     "resonance": _Experiment(_run_resonance, {
         "amplitude": _f(0.3),
@@ -695,8 +696,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
         "replicas_per_level": _at_least(4, 4),
     }, cross_check=_cross_resonance),
     "memory": _Experiment(_run_memory, {
-        "task": _Param(_to_str, "retrieve", _choice("retrieve", "anneal"),
-                       "must be one of: retrieve, anneal"),
+        "task": _one_of("retrieve", "retrieve", "anneal"),
         "n": _at_least(2, 50),
         "patterns": _at_least(1, 2),
         "corrupt_flips": _i(5, lambda v: v >= 0, "must be nonnegative"),
@@ -736,8 +736,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
                           "must be nonnegative (0 = 10 * side^2)"),
     }, cross_check=_cross_search),
     "mcint": _Experiment(_run_mcint, {
-        "integrand": _Param(_to_str, "ball", _choice("ball", "polyprod"),
-                            "must be one of: ball, polyprod"),
+        "integrand": _one_of("ball", "ball", "polyprod"),
         "dim": _at_least(1, 2),
         "samples": _at_least(2, 100_000),
     }),
@@ -746,8 +745,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
                            lambda v: len(v) >= 2 and all(n >= 2 for n in v),
                            "needs at least two entries, each >= 2"),
         "replicas": _at_least(2, 300),
-        "sampler": _Param(_to_str, "normal", _choice("normal", "uniform"),
-                          "must be one of: normal, uniform"),
+        "sampler": _one_of("normal", "normal", "uniform"),
     }),
 }
 

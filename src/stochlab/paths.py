@@ -26,9 +26,9 @@ restricted to block sizes 4 .. n_t // 8.  Alternatives (subsampling,
 smoothing kernels) exist but are not implemented.
 
 Sampling: :func:`metropolis_batch` advances many chains as one (chains, n_t)
-array, one chain per RngStream; :func:`metropolis_sample` is the one-chain
-case.  Each chain's draw order is fixed by its own stream alone, so a chain
-is bit for bit the same whichever other chains share its batch.
+array, one chain per RngStream; a single chain is a batch of one stream.
+Each chain's draw order is fixed by its own stream alone, so a chain is bit
+for bit the same whichever other chains share its batch.
 """
 
 from __future__ import annotations
@@ -215,9 +215,9 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
     Each chain keeps its own width, tuning, action trace, tau_int, stride and
     audit, and draws from its own stream in this order: the n_t - 1 bridge
     normals, then per sweep the proposal and the acceptance uniforms of the
-    odd sites, then of the even sites.  Chain c therefore equals
-    ``metropolis_sample(..., streams[c], ...)`` bit for bit.  The potential
-    must act elementwise.
+    odd sites, then of the even sites.  Chain c therefore equals the one
+    chain of ``metropolis_batch(..., [streams[c]], ...)`` bit for bit.  The
+    potential must act elementwise.
     """
     if not streams:
         raise ValueError("need at least one stream")
@@ -315,15 +315,6 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
             audit=ProposalAudit(*(a[c] for a in audit_arrays)) if audit else None,
         ))
     return ensembles
-
-
-def metropolis_sample(dynamics: EuclideanAction, lattice: Lattice,
-                      rng: RngStream, sweeps: int, thermalization: int,
-                      proposal_width: float = 1.0,
-                      audit_proposals: int = 0) -> PathEnsemble:
-    """Sample a single chain: :func:`metropolis_batch` over ``[rng]``."""
-    return metropolis_batch(dynamics, lattice, [rng], sweeps, thermalization,
-                            proposal_width, audit_proposals)[0]
 
 
 def _coarse_increments(paths: np.ndarray, block: int) -> np.ndarray:

@@ -1,0 +1,25 @@
+"""Session-wide fixtures."""
+
+import pytest
+
+from util import run_golden
+
+
+@pytest.fixture(scope="session")
+def golden_run(tmp_path_factory):
+    """``golden_run(experiment)``: that golden configuration's manifest.
+
+    Each configuration runs once, on first request, and every later request
+    in the session shares its output directory, so criterion 11 and the
+    golden-digest table check one run between them.  Callers must not write
+    into the shared directory.
+    """
+    runs = {}
+
+    def get(experiment: str):
+        if experiment not in runs:
+            runs[experiment] = run_golden(
+                experiment, tmp_path_factory.mktemp(f"golden_{experiment}"))
+        return runs[experiment]
+
+    return get

@@ -7,10 +7,11 @@ every number here is reproducible bit for bit.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 
-from util import count_local_maxima
+from util import RERUN_CONFIGS, count_local_maxima
 
 from stochlab import cli
 from stochlab.core import (RngStream, clt_scaling, fit_power_law,
@@ -243,44 +244,21 @@ def test_criterion_10_error_scaling_exponent():
              f"(-0.5+-0.05)")
 
 
-_RERUN_CONFIGS = {
-    "interfere": {},
-    "decay": {"n_atoms": "2000"},
-    "uncertainty": {"n_states": "50"},
-    "spectrum": {"n_levels": "4", "n_points": "200"},
-    "paths": {"n_t": "128", "chains": "2", "sweeps": "1500",
-              "thermalization": "300"},
-    "diffuse": {"n_walkers": "20000"},
-    "sandpile": {"width": "8", "height": "8", "warmup": "500",
-                 "n_drops": "1500"},
-    "resonance": {"noise_levels": "0.05,0.1,0.2,0.4,0.8"},
-    "memory": {"trials": "50"},
-    "network": {"n": "24", "k": "4", "ba_n": "80",
-                "p_values": "0,0.3"},
-    "search": {"sides": "6", "target_counts": "2", "radii": "0"},
-    "mcint": {"samples": "4000"},
-    "clt": {"n_values": "4,16,64", "replicas": "40"},
-}
-
-
-def test_criterion_11_manifest_reruns_are_byte_identical(tmp_path):
-    assert set(_RERUN_CONFIGS) == set(cli.EXPERIMENTS)
+def test_criterion_11_manifest_reruns_are_byte_identical(golden_run, tmp_path):
+    assert set(RERUN_CONFIGS) == set(cli.EXPERIMENTS)
     identical = 0
-    for index, (experiment, params) in enumerate(sorted(_RERUN_CONFIGS.items())):
-        first_dir = tmp_path / f"{experiment}_a"
-        first = cli.run(cli.ExperimentConfig(experiment, params,
-                                             seed=1000 + index,
-                                             output_dir=str(first_dir),
-                                             replicas=2))
-        second = cli.rerun(first.path, output_dir=str(tmp_path / f"{experiment}_b"))
+    for experiment in sorted(RERUN_CONFIGS):
+        first = golden_run(experiment)
+        first_dir, second_dir = Path(first.output_dir), tmp_path / experiment
+        second = cli.rerun(first.path, output_dir=str(second_dir))
         same = all(
-            (tmp_path / f"{experiment}_a" / entry["path"]).read_bytes()
-            == (tmp_path / f"{experiment}_b" / entry["path"]).read_bytes()
+            (first_dir / entry["path"]).read_bytes()
+            == (second_dir / entry["path"]).read_bytes()
             for entry in first.outputs)
         same = same and [e["sha256"] for e in first.outputs] \
             == [e["sha256"] for e in second.outputs]
         identical += same
-    ok = identical == len(_RERUN_CONFIGS)
+    ok = identical == len(RERUN_CONFIGS)
     _verdict(11, ok,
-             f"{identical}/{len(_RERUN_CONFIGS)} experiments rerun from "
+             f"{identical}/{len(RERUN_CONFIGS)} experiments rerun from "
              f"their manifests with byte-identical data files")

@@ -15,8 +15,8 @@ import numpy
 import pytest
 import scipy
 
-from test_acceptance import _RERUN_CONFIGS
-from test_golden import GOLDEN_CLI, _golden_seed
+from test_golden import GOLDEN_CLI
+from util import RERUN_CONFIGS, golden_seed
 
 from stochlab import cli
 from stochlab.cli import ConfigError, ExperimentConfig
@@ -97,7 +97,7 @@ _LOWER_BOUNDS = [
     ("uncertainty", "n_points", 2, {}),
     ("spectrum", "n_levels", 2, {}),
     ("spectrum", "n_points", 2, {}),
-    ("paths", "n_t", 3, {}),
+    ("paths", "n_t", 72, {}),
     ("paths", "sweeps", 2, {"thermalization": "1"}),
     ("paths", "chains", 1, {}),
     ("diffuse", "n_walkers", 1, {}),
@@ -132,6 +132,36 @@ def test_integer_lower_bound_and_its_message(experiment, name, low,
     below = {**companions, name: str(low - 1)}
     assert cli.validate(ExperimentConfig(experiment, below)) \
         == [f"{name}: must be at least {low}"]
+
+
+# Every choice parameter and its accepted names, in message order (with
+# companion overrides that keep the cross-checks quiet for every name).
+_CHOICES = [
+    ("spectrum", "potential", "harmonic, quartic, box", {}),
+    ("paths", "potential", "free, harmonic", {}),
+    ("sandpile", "site_policy", "uniform-random, center", {}),
+    ("memory", "task", "retrieve, anneal", {"n": "24"}),
+    ("mcint", "integrand", "ball, polyprod", {}),
+    ("clt", "sampler", "normal, uniform", {}),
+]
+
+
+@pytest.mark.parametrize("experiment,name,names,companions", _CHOICES)
+def test_choice_parameter_and_its_message(experiment, name, names,
+                                          companions):
+    for value in names.split(", "):
+        config = ExperimentConfig(experiment, {**companions, name: value})
+        assert cli.validate(config) == []
+    bad = ExperimentConfig(experiment, {**companions, name: "bogus"})
+    assert cli.validate(bad) == [f"{name}: must be one of: {names}"]
+
+
+def test_anneal_size_cap_is_the_enumeration_bound():
+    at_cap = ExperimentConfig("memory", {"task": "anneal", "n": "24"})
+    assert cli.validate(at_cap) == []
+    over = ExperimentConfig("memory", {"task": "anneal", "n": "25"})
+    assert cli.validate(over) \
+        == ["n: anneal task needs n <= 24 (exhaustive oracle bound)"]
 
 
 def test_bad_seed_and_replicas_are_violations():
@@ -357,9 +387,9 @@ def test_importing_the_cli_leaves_deferred_scipy_submodules_unloaded():
 @pytest.mark.parametrize("experiment", ["interfere", "network", "spectrum"])
 def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
     overrides = [f"{key}={value}"
-                 for key, value in _RERUN_CONFIGS[experiment].items()]
+                 for key, value in RERUN_CONFIGS[experiment].items()]
     child = _python("-m", "stochlab", experiment,
-                    "--seed", str(_golden_seed(experiment)), "--replicas", "2",
+                    "--seed", str(golden_seed(experiment)), "--replicas", "2",
                     "--out", str(tmp_path), *overrides)
     assert child.returncode == 0, child.stderr
     manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))

@@ -2,9 +2,11 @@
 
 Criterion 11 shows that a run equals its own rerun under the same code.  The
 tables here show that the code still computes what it computed when they were
-recorded: every data file ``cli.run`` writes for each experiment at the
-criterion-11 sizes, and the raw Metropolis kernel output (paths, action
-trace, proposal audit) of a free and a harmonic three-chain run.
+recorded: every data file ``cli.run`` writes for each golden configuration
+(``util.RERUN_CONFIGS``), and the raw Metropolis kernel output (paths, action
+trace, proposal audit) of a free and a harmonic three-chain run.  Under
+pytest each golden configuration runs once per session (the ``golden_run``
+fixture in conftest.py), and criterion 11 reruns that same run.
 
 numpy does not promise identical ``Generator`` streams across its versions
 (NEP 19), so a mismatch right after a numpy upgrade may come from the
@@ -23,7 +25,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from test_acceptance import _RERUN_CONFIGS
+from util import RERUN_CONFIGS, run_golden
 
 from stochlab import cli
 from stochlab.core import RngStream
@@ -130,14 +132,7 @@ _KERNEL_CASES = {
 }
 
 
-def _golden_seed(experiment: str) -> int:
-    return 1000 + sorted(_RERUN_CONFIGS).index(experiment)
-
-
-def _cli_digests(experiment: str, out_dir: str) -> dict:
-    manifest = cli.run(cli.ExperimentConfig(
-        experiment, _RERUN_CONFIGS[experiment], seed=_golden_seed(experiment),
-        output_dir=out_dir, replicas=2))
+def _digests(manifest: cli.RunManifest) -> dict:
     return {entry["path"]: entry["sha256"] for entry in manifest.outputs}
 
 
@@ -160,13 +155,13 @@ def _kernel_digest(case: str) -> str:
 
 
 def test_golden_tables_cover_every_experiment_and_kernel_case():
-    assert set(GOLDEN_CLI) == set(cli.EXPERIMENTS) == set(_RERUN_CONFIGS)
+    assert set(GOLDEN_CLI) == set(cli.EXPERIMENTS) == set(RERUN_CONFIGS)
     assert set(GOLDEN_KERNEL) == set(_KERNEL_CASES)
 
 
-@pytest.mark.parametrize("experiment", sorted(_RERUN_CONFIGS))
-def test_cli_data_files_match_golden_digests(experiment, tmp_path):
-    assert _cli_digests(experiment, str(tmp_path)) == GOLDEN_CLI[experiment]
+@pytest.mark.parametrize("experiment", sorted(RERUN_CONFIGS))
+def test_cli_data_files_match_golden_digests(experiment, golden_run):
+    assert _digests(golden_run(experiment)) == GOLDEN_CLI[experiment]
 
 
 @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
@@ -177,12 +172,13 @@ def test_metropolis_kernel_matches_golden_digest(case):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         print("GOLDEN_CLI = {")
-        for name in sorted(_RERUN_CONFIGS):
-            print(f"    {name!r}: {{")
-            for path, sha in _cli_digests(name, f"{scratch}/{name}").items():
-                print(f"        {path!r}:\n            {sha!r},")
+        for name in sorted(RERUN_CONFIGS):
+            print(f'    "{name}": {{')
+            manifest = run_golden(name, f"{scratch}/{name}")
+            for path, sha in _digests(manifest).items():
+                print(f'        "{path}":\n            "{sha}",')
             print("    },")
         print("}\n\nGOLDEN_KERNEL = {")
         for case in sorted(_KERNEL_CASES):
-            print(f"    {case!r}:\n        {_kernel_digest(case)!r},")
+            print(f'    "{case}":\n        "{_kernel_digest(case)}",')
         print("}")

@@ -17,7 +17,6 @@ from stochlab.paths import (
     action,
     hausdorff_scan,
     metropolis_batch,
-    metropolis_sample,
     path_distance,
     resolution_ladder,
 )
@@ -175,9 +174,9 @@ def test_distance_rejects_incompatible_lattices():
 def free_run():
     dyn = EuclideanAction(mass=1.0, potential=zero_potential, a_t=0.05)
     lattice = Lattice(n_t=64, a_t=0.05)
-    return metropolis_sample(dyn, lattice, RngStream(17, 0),
-                             sweeps=5000, thermalization=1000,
-                             audit_proposals=1000)
+    return metropolis_batch(dyn, lattice, [RngStream(17, 0)],
+                            sweeps=5000, thermalization=1000,
+                            audit_proposals=1000)[0]
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +254,7 @@ def test_batch_equals_separate_chains_and_reference_loop(case):
         if audit:
             assert run.audit.delta_s.shape == (audit,)
         single_stream, reference_stream = RngStream(61, k), RngStream(61, k)
-        single = metropolis_sample(dyn, lat, single_stream, *args)
+        single = metropolis_batch(dyn, lat, [single_stream], *args)[0]
         _assert_bitwise_equal(dataclasses.asdict(run), dataclasses.asdict(single))
         _assert_bitwise_equal(dataclasses.asdict(run), reference_metropolis(
             dyn, lat, reference_stream, *args))
@@ -291,18 +290,18 @@ def test_audit_confirms_metropolis_rule(free_run):
 def test_same_stream_reproduces_bitwise():
     dyn = EuclideanAction(1.0, zero_potential, 0.1)
     lat = Lattice(32, 0.1)
-    a = metropolis_sample(dyn, lat, RngStream(9, 1), 300, 100)
-    b = metropolis_sample(dyn, lat, RngStream(9, 1), 300, 100)
+    a = metropolis_batch(dyn, lat, [RngStream(9, 1)], 300, 100)[0]
+    b = metropolis_batch(dyn, lat, [RngStream(9, 1)], 300, 100)[0]
     np.testing.assert_array_equal(a.paths, b.paths)
     assert a.proposal_width == b.proposal_width
-    c = metropolis_sample(dyn, lat, RngStream(9, 2), 300, 100)
+    c = metropolis_batch(dyn, lat, [RngStream(9, 2)], 300, 100)[0]
     assert not np.array_equal(a.paths, c.paths)
 
 
 def test_nonzero_endpoints_are_respected():
     dyn = EuclideanAction(1.0, zero_potential, 0.1)
     lat = Lattice(32, 0.1, x_start=-1.0, x_end=2.0)
-    run = metropolis_sample(dyn, lat, RngStream(9, 3), 200, 50)
+    run = metropolis_batch(dyn, lat, [RngStream(9, 3)], 200, 50)[0]
     assert np.all(run.paths[:, 0] == -1.0)
     assert np.all(run.paths[:, -1] == 2.0)
 
@@ -311,13 +310,13 @@ def test_sampler_validates_arguments():
     dyn = EuclideanAction(1.0, zero_potential, 0.1)
     lat = Lattice(16, 0.1)
     with pytest.raises(ValueError):
-        metropolis_sample(dyn, lat, RngStream(1), sweeps=10, thermalization=10)
+        metropolis_batch(dyn, lat, [RngStream(1)], sweeps=10, thermalization=10)
     with pytest.raises(ValueError):
-        metropolis_sample(dyn, lat, RngStream(1), sweeps=10, thermalization=-1)
+        metropolis_batch(dyn, lat, [RngStream(1)], sweeps=10, thermalization=-1)
     with pytest.raises(ValueError):
-        metropolis_sample(dyn, lat, RngStream(1), 10, 0, proposal_width=0.0)
+        metropolis_batch(dyn, lat, [RngStream(1)], 10, 0, proposal_width=0.0)
     with pytest.raises(ValueError):
-        metropolis_sample(dyn, Lattice(16, 0.2), RngStream(1), 10, 0)
+        metropolis_batch(dyn, Lattice(16, 0.2), [RngStream(1)], 10, 0)
 
 
 def test_harmonic_spread_matches_eigensolver_ground_state():
@@ -396,7 +395,8 @@ def test_scan_reports_decreasing_resolutions_and_blocks():
 
 def test_scan_accepts_ensemble_object():
     dyn = EuclideanAction(1.0, zero_potential, 0.05)
-    run = metropolis_sample(dyn, Lattice(128, 0.05), RngStream(31, 9), 3000, 500)
+    run = metropolis_batch(dyn, Lattice(128, 0.05), [RngStream(31, 9)],
+                           3000, 500)[0]
     scan = hausdorff_scan(run, resolution_ladder(run))
     assert 1.7 <= scan.d_h <= 2.3
 
@@ -424,6 +424,17 @@ def test_scan_needs_enough_slices_for_three_blocks():
     paths = brownian_bridge_paths(200, 40, 0.05, RngStream(29, 4))
     with pytest.raises(FitError):
         hausdorff_scan(paths, [1.0, 0.3, 0.05])
+
+
+def test_ladder_scan_needs_72_slices():
+    # The default ladder's 8 points collapse onto 2 block sizes while
+    # n_t // 8 < 9, whatever the paths: the fine scale cancels out.
+    short = brownian_bridge_paths(50, 71, 0.05, RngStream(29, 6))
+    with pytest.raises(FitError):
+        hausdorff_scan(short, resolution_ladder(short))
+    paths = brownian_bridge_paths(50, 72, 0.05, RngStream(29, 7))
+    scan = hausdorff_scan(paths, resolution_ladder(paths))
+    assert scan.block_sizes.tolist() == [9, 5, 4]
 
 
 def test_resolution_ladder_spans_a_decade():

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: state generators and slow reference oracles."""
+"""Shared helpers for the test suite: the golden run configurations, state
+generators and slow reference oracles."""
 
 import math
 
@@ -6,12 +7,48 @@ import numpy as np
 from scipy.sparse import diags, identity
 from scipy.sparse.linalg import splu
 
+from stochlab import cli
 from stochlab.core import RngStream
 from stochlab.memory import AnnealResult, SpinConfig
 from stochlab.paths import _integrated_autocorrelation
 from stochlab.quantum import Grid1D, WaveState
 from stochlab.resonance import IntegrationError, Trajectory
 from stochlab.sandpile import Avalanche, DriveRecord
+
+# One small configuration per experiment, run with two replicas.  Criterion
+# 11 reruns these from their manifests and tests/test_golden.py pins their
+# data-file digests, so the pair proves reproducibility both within a commit
+# and across commits.
+RERUN_CONFIGS = {
+    "interfere": {},
+    "decay": {"n_atoms": "2000"},
+    "uncertainty": {"n_states": "50"},
+    "spectrum": {"n_levels": "4", "n_points": "200"},
+    "paths": {"n_t": "128", "chains": "2", "sweeps": "1500",
+              "thermalization": "300"},
+    "diffuse": {"n_walkers": "20000"},
+    "sandpile": {"width": "8", "height": "8", "warmup": "500",
+                 "n_drops": "1500"},
+    "resonance": {"noise_levels": "0.05,0.1,0.2,0.4,0.8"},
+    "memory": {"trials": "50"},
+    "network": {"n": "24", "k": "4", "ba_n": "80",
+                "p_values": "0,0.3"},
+    "search": {"sides": "6", "target_counts": "2", "radii": "0"},
+    "mcint": {"samples": "4000"},
+    "clt": {"n_values": "4,16,64", "replicas": "40"},
+}
+
+
+def golden_seed(experiment: str) -> int:
+    """The seed a golden configuration runs at: 1000 + its sorted index."""
+    return 1000 + sorted(RERUN_CONFIGS).index(experiment)
+
+
+def run_golden(experiment: str, out_dir) -> cli.RunManifest:
+    """Run one golden configuration in-process into ``out_dir``."""
+    return cli.run(cli.ExperimentConfig(
+        experiment, RERUN_CONFIGS[experiment], seed=golden_seed(experiment),
+        output_dir=str(out_dir), replicas=2))
 
 
 def count_local_maxima(values) -> int:
