@@ -3,7 +3,7 @@
 Criterion 11 shows that a run equals its own rerun under the same code.  The
 tables here show that the code still computes what it computed when they were
 recorded: every data file ``cli.run`` writes for each golden configuration
-(``util.RERUN_CONFIGS``), and the raw Metropolis kernel output (paths, action
+(``util.RERUN_CONFIGS``, plus ``util.ANNEAL_CONFIG``), and the raw Metropolis kernel output (paths, action
 trace, proposal audit) of a free and a harmonic three-chain run.  Under
 pytest each golden configuration runs once per session (the ``golden_run``
 fixture in conftest.py), and criterion 11 reruns that same run.
@@ -25,7 +25,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from util import RERUN_CONFIGS, run_golden
+from util import ANNEAL_CONFIG, RERUN_CONFIGS, run_golden
 
 from stochlab import cli
 from stochlab.core import RngStream
@@ -116,6 +116,13 @@ GOLDEN_CLI = {
     },
 }
 
+GOLDEN_ANNEAL = {
+    "memory.csv":
+        "e5e9369b0cba73ebcb97813c6d7d3a401a4480e2ec09d420463de3d46ca2e631",
+    "memory_summary.json":
+        "4f9a7b2c5790ed712cab264d624cfe93e7cfbbff284b8e165f4fc3454728d244",
+}
+
 GOLDEN_KERNEL = {
     "free":
         "8c7118db1c64acc46f1be6d92e713faae90b007bd5be59a9e18f222b579e7a7b",
@@ -164,6 +171,11 @@ def test_cli_data_files_match_golden_digests(experiment, golden_run):
     assert _digests(golden_run(experiment)) == GOLDEN_CLI[experiment]
 
 
+def test_memory_anneal_matches_golden_digests(tmp_path):
+    assert _digests(run_golden("memory", tmp_path, ANNEAL_CONFIG)) \
+        == GOLDEN_ANNEAL
+
+
 @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
 def test_metropolis_kernel_matches_golden_digest(case):
     assert _kernel_digest(case) == GOLDEN_KERNEL[case]
@@ -178,6 +190,10 @@ if __name__ == "__main__":
             for path, sha in _digests(manifest).items():
                 print(f'        "{path}":\n            "{sha}",')
             print("    },")
+        print("}\n\nGOLDEN_ANNEAL = {")
+        manifest = run_golden("memory", f"{scratch}/anneal", ANNEAL_CONFIG)
+        for path, sha in _digests(manifest).items():
+            print(f'    "{path}":\n        "{sha}",')
         print("}\n\nGOLDEN_KERNEL = {")
         for case in sorted(_KERNEL_CASES):
             print(f'    "{case}":\n        "{_kernel_digest(case)}",')

@@ -38,16 +38,26 @@ RERUN_CONFIGS = {
     "clt": {"n_values": "4,16,64", "replicas": "40"},
 }
 
+# memory's golden configuration runs task=retrieve; tests/test_golden.py
+# also pins the anneal task, run by ``run_golden("memory", ..., ANNEAL_CONFIG)``.
+ANNEAL_CONFIG = {"task": "anneal", "n": "10", "instances": "4"}
+
 
 def golden_seed(experiment: str) -> int:
     """The seed a golden configuration runs at: 1000 + its sorted index."""
     return 1000 + sorted(RERUN_CONFIGS).index(experiment)
 
 
-def run_golden(experiment: str, out_dir) -> cli.RunManifest:
-    """Run one golden configuration in-process into ``out_dir``."""
+def run_golden(experiment: str, out_dir,
+               parameters=None) -> cli.RunManifest:
+    """Run one golden configuration in-process into ``out_dir``.
+
+    ``parameters`` replaces the experiment's ``RERUN_CONFIGS`` entry.
+    """
+    if parameters is None:
+        parameters = RERUN_CONFIGS[experiment]
     return cli.run(cli.ExperimentConfig(
-        experiment, RERUN_CONFIGS[experiment], seed=golden_seed(experiment),
+        experiment, parameters, seed=golden_seed(experiment),
         output_dir=str(out_dir), replicas=2))
 
 
