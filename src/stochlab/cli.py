@@ -3,7 +3,7 @@
 Grammar::
 
     stochlab <experiment> [--config FILE] [--seed U64] [--out DIR]
-             [--replicas K] [key=value ...]
+             [--replicas K] [--jobs N] [key=value ...]
 
 Every run resolves its configuration (defaults < config-file section <
 command-line overrides), validates it, dispatches to the owning module,
@@ -20,6 +20,14 @@ failure (e.g. integrator blow-up), with a diagnostic on stderr.
 ``--replicas K`` fans the experiment out over K independent substreams of
 the seed; rows gain a leading ``replica`` column and are merged in replica
 order, and the JSON summary becomes a per-replica list.
+
+``--jobs N`` runs the heavy units of ``resonance`` (its (level, replica)
+cells), ``paths`` (one contiguous block of chains per worker) and
+``memory task=anneal`` (its anneals) on up to N worker processes through
+:func:`core.fan_out`; the default is every CPU available to the process.
+Each unit draws from its own substream and results merge in unit order, so
+the data files are bit-identical for any N.  The count is not a parameter:
+the manifest records it beside ``environment``, and :func:`rerun` ignores it.
 """
 
 from __future__ import annotations
@@ -39,8 +47,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .core import (RngStream, clt_scaling, fit_power_law,
-                   low_high_power_ratio, mc_integrate)
+from .core import (RngStream, available_cpus, clt_scaling, fan_out,
+                   fit_power_law, low_high_power_ratio, mc_integrate)
 from .diffusion import WalkSpec, convergence_scan
 from .memory import (_ENUM_LIMIT, AnnealSchedule, SpinConfig, flip_spins,
                      ground_state_bruteforce, hebbian_couplings, overlap,
@@ -78,7 +86,8 @@ class ExperimentConfig:
 
     ``parameters`` may hold raw strings (from the command line or a config
     file) or typed values (from the API or a manifest echo); resolution
-    applies the per-experiment schema either way.
+    applies the per-experiment schema either way.  ``jobs`` caps the worker
+    processes; None means every CPU available to the process.
     """
 
     experiment: str
@@ -86,6 +95,7 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "."
     replicas: int = 1
+    jobs: int | None = None
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,7 @@ class RunManifest:
     finished: str
     outputs: tuple
     environment: dict
+    jobs: int
     path: str
 
 
@@ -307,6 +318,14 @@ def _resolve(config: ExperimentConfig) -> tuple:
             raise ValueError
     except (ValueError, TypeError):
         violations.append("replicas: must be a positive integer")
+    if config.jobs is not None:
+        cpus = available_cpus()
+        try:
+            if not 1 <= _to_int(config.jobs) <= cpus:
+                raise ValueError
+        except (ValueError, TypeError):
+            violations.append(f"jobs: must be an integer in [1, {cpus}] "
+                              "(the CPUs available)")
 
     experiment = EXPERIMENTS[config.experiment]
     schema = experiment.schema
@@ -350,7 +369,7 @@ def validate(config: ExperimentConfig) -> list:
 # experiment runners
 
 
-def _run_interfere(p, rng) -> _RunOutput:
+def _run_interfere(p, rng, jobs) -> _RunOutput:
     result = superpose(ComplexAmplitude(re=p["a_re"], im=p["a_im"]),
                        ComplexAmplitude(re=p["b_re"], im=p["b_im"]))
     row = (p["a_re"], p["a_im"], p["b_re"], p["b_im"],
@@ -367,7 +386,7 @@ def _run_interfere(p, rng) -> _RunOutput:
         [row], summary, {})
 
 
-def _run_decay(p, rng) -> _RunOutput:
+def _run_decay(p, rng, jobs) -> _RunOutput:
     model = DecayModel(rate_lambda=p["rate_lambda"], n_atoms=p["n_atoms"])
     result = decay_sample(model, rng, p["t_max"], p["bins"])
     rows = list(zip(result.times.tolist(), result.survival.tolist()))
@@ -380,7 +399,7 @@ def _run_decay(p, rng) -> _RunOutput:
     return _RunOutput(("time", "survival"), rows, summary, {})
 
 
-def _run_uncertainty(p, rng) -> _RunOutput:
+def _run_uncertainty(p, rng, jobs) -> _RunOutput:
     grid = Grid1D(p["x_min"], p["x_max"], p["n_points"])
     gen = rng.gen
     rows = []
@@ -410,7 +429,7 @@ _POTENTIALS = {
 }
 
 
-def _run_spectrum(p, rng) -> _RunOutput:
+def _run_spectrum(p, rng, jobs) -> _RunOutput:
     grid = Grid1D(p["x_min"], p["x_max"], p["n_points"])
     result = spectrum_gaps(_POTENTIALS[p["potential"]], grid, p["n_levels"],
                            commuting_mode=p["commuting"])
@@ -425,15 +444,26 @@ def _run_spectrum(p, rng) -> _RunOutput:
     return _RunOutput(("level", "energy", "gap_above"), rows, summary, {})
 
 
-def _run_paths(p, rng) -> _RunOutput:
+def _paths_block(unit) -> np.ndarray:
+    """Stacked kept paths of one block of chains: ``unit`` is (p, streams)."""
+    p, streams = unit
     dynamics = EuclideanAction(mass=1.0, potential=_POTENTIALS[p["potential"]],
                                a_t=p["a_t"])
     lattice = Lattice(n_t=p["n_t"], a_t=p["a_t"])
-    streams = [rng.substream(chain) for chain in range(p["chains"])]
-    ensemble = np.vstack([
+    return np.vstack([
         chain.paths for chain in metropolis_batch(
             dynamics, lattice, streams, sweeps=p["sweeps"],
             thermalization=p["thermalization"])])
+
+
+def _run_paths(p, rng, jobs) -> _RunOutput:
+    streams = [rng.substream(chain) for chain in range(p["chains"])]
+    # One contiguous block per worker; chain c is the same in any batch.
+    blocks = min(jobs, len(streams))
+    units = [(p, streams[b * len(streams) // blocks:
+                         (b + 1) * len(streams) // blocks])
+             for b in range(blocks)]
+    ensemble = np.vstack(fan_out(_paths_block, units, jobs))
     scan = hausdorff_scan(ensemble, resolution_ladder(ensemble))
     rows = list(zip(scan.block_sizes.tolist(), scan.resolutions.tolist(),
                     scan.mean_lengths.tolist()))
@@ -446,7 +476,7 @@ def _run_paths(p, rng) -> _RunOutput:
                       rows, summary, {})
 
 
-def _run_diffuse(p, rng) -> _RunOutput:
+def _run_diffuse(p, rng, jobs) -> _RunOutput:
     base = WalkSpec(dim=p["dim"], a_s=p["a_s"], a_t=p["a_t"],
                     n_walkers=p["n_walkers"], n_steps=p["n_steps"])
     levels = convergence_scan(base, p["refinements"], rng)
@@ -465,7 +495,7 @@ def _run_diffuse(p, rng) -> _RunOutput:
                        "sampling_limited"), rows, summary, {})
 
 
-def _run_sandpile(p, rng) -> _RunOutput:
+def _run_sandpile(p, rng, jobs) -> _RunOutput:
     grid = SandGrid.zeros(p["width"], p["height"])
     if p["warmup"]:
         drive(grid, rng.substream(0), p["warmup"], p["site_policy"])
@@ -497,12 +527,12 @@ def _run_sandpile(p, rng) -> _RunOutput:
                       rows, summary, {})
 
 
-def _run_resonance(p, rng) -> _RunOutput:
+def _run_resonance(p, rng, jobs) -> _RunOutput:
     levels = sorted(p["noise_levels"])
     base = DoubleWellSpec(amplitude=p["amplitude"], omega=p["omega"],
                           noise_d=levels[0], dt=p["dt"],
                           t_total=p["t_total"])
-    curve = resonance_scan(base, levels, p["replicas_per_level"], rng)
+    curve = resonance_scan(base, levels, p["replicas_per_level"], rng, jobs)
     rows = list(zip(curve.noise_levels.tolist(), curve.snr_db.tolist(),
                     curve.snr_stderr.tolist()))
     summary = {
@@ -514,7 +544,13 @@ def _run_resonance(p, rng) -> _RunOutput:
                       rows, summary, {})
 
 
-def _run_memory(p, rng) -> _RunOutput:
+def _anneal_energy(unit) -> float:
+    """Best annealed energy: ``unit`` is (couplings, schedule, stream)."""
+    couplings, schedule, stream = unit
+    return simulated_annealing(couplings, schedule, stream).energy
+
+
+def _run_memory(p, rng, jobs) -> _RunOutput:
     if p["task"] == "retrieve":
         rows = []
         hits = 0
@@ -538,22 +574,26 @@ def _run_memory(p, rng) -> _RunOutput:
     schedule = AnnealSchedule(t_initial=p["t_initial"], ratio=p["ratio"],
                               levels=p["levels"],
                               sweeps_per_level=p["sweeps_per_level"])
+    instances = range(p["instances"])
+    couplings = [sk_couplings(p["n"], rng.substream(2 * i)) for i in instances]
+    # The exhaustive ground states stay in this process: its BLAS threads
+    # in a worker would compete with the other workers' anneals.
+    grounds = [ground_state_bruteforce(c)[1] for c in couplings]
+    annealed = fan_out(_anneal_energy,
+                       [(c, schedule, rng.substream(2 * i + 1))
+                        for i, c in zip(instances, couplings)], jobs)
     rows = []
     matches = 0
-    for instance in range(p["instances"]):
-        couplings = sk_couplings(p["n"], rng.substream(2 * instance))
-        _, ground = ground_state_bruteforce(couplings)
-        best = simulated_annealing(couplings, schedule,
-                                   rng.substream(2 * instance + 1))
-        matched = bool(best.energy <= ground + 1e-9)
+    for instance, energy, ground in zip(instances, annealed, grounds):
+        matched = bool(energy <= ground + 1e-9)
         matches += matched
-        rows.append((instance, best.energy, ground, matched))
+        rows.append((instance, energy, ground, matched))
     summary = {"match_rate": matches / p["instances"]}
     return _RunOutput(("instance", "annealed_energy", "ground_energy",
                        "matched"), rows, summary, {})
 
 
-def _run_network(p, rng) -> _RunOutput:
+def _run_network(p, rng, jobs) -> _RunOutput:
     scan = small_world_scan(p["n"], p["k"], p["p_values"], p["seeds"],
                             rng.substream(0))
     rows = [(pt.p, pt.clustering_ratio, pt.path_length_ratio)
@@ -578,7 +618,7 @@ def _run_network(p, rng) -> _RunOutput:
                       rows, summary, extras)
 
 
-def _run_search(p, rng) -> _RunOutput:
+def _run_search(p, rng, jobs) -> _RunOutput:
     budget = p["step_budget"] if p["step_budget"] > 0 else None
     table = strategy_tournament(p["sides"], p["target_counts"], p["radii"],
                                 p["replicas_per_cell"], rng,
@@ -597,7 +637,7 @@ def _run_search(p, rng) -> _RunOutput:
          "mean_steps", "median_steps", "rank"), rows, summary, {})
 
 
-def _run_mcint(p, rng) -> _RunOutput:
+def _run_mcint(p, rng, jobs) -> _RunOutput:
     dim = p["dim"]
     if p["integrand"] == "ball":
         f = lambda x: ((x**2).sum(axis=1) <= 1.0).astype(float)  # noqa: E731
@@ -618,7 +658,7 @@ def _run_mcint(p, rng) -> _RunOutput:
                       rows, summary, {})
 
 
-def _run_clt(p, rng) -> _RunOutput:
+def _run_clt(p, rng, jobs) -> _RunOutput:
     sampler = None
     if p["sampler"] == "uniform":
         sampler = lambda s, size: ((s.gen.random(size) - 0.5)  # noqa: E731
@@ -802,13 +842,14 @@ def run(config: ExperimentConfig) -> RunManifest:
 
     runner = EXPERIMENTS[config.experiment].run
     replicas = int(config.replicas)
+    jobs = available_cpus() if config.jobs is None else _to_int(config.jobs)
     base = RngStream(int(config.seed), 0)
     header: tuple = ()
     merged_rows: list = []
     summaries: list = []
     extras: dict = {}
     for replica in range(replicas):
-        result = runner(params, base.substream(replica))
+        result = runner(params, base.substream(replica), jobs)
         header = result.header
         merged_rows.extend((replica, *row) for row in result.rows)
         summaries.append(result.summary)
@@ -860,6 +901,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         finished=finished,
         outputs=outputs,
         environment=environment,
+        jobs=jobs,
         path=str(manifest_path),
     )
     payload = asdict(manifest)
@@ -872,7 +914,8 @@ def rerun(manifest_path, output_dir=None) -> RunManifest:
     """Re-execute a run from its manifest's echoed configuration.
 
     Data files (CSV, JSON summary, extras) come out byte-identical; only
-    the new manifest's timestamps differ.
+    the new manifest's timestamps differ.  The echoed ``jobs`` is ignored:
+    the rerun uses the default worker count.
     """
     payload = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
     config = ExperimentConfig(
@@ -908,6 +951,10 @@ def main(argv=None) -> int:
                              "stochlab_runs/<experiment>)")
     parser.add_argument("--replicas", type=int, default=1,
                         help="independent replicas fanned over substreams")
+    parser.add_argument("--jobs", default=None,
+                        help="worker processes for the heavy units (default: "
+                             "every available CPU); outputs are identical "
+                             "for any value")
     args, extra = parser.parse_known_args(argv)
     overrides = list(args.overrides) + list(extra)
 
@@ -934,7 +981,7 @@ def main(argv=None) -> int:
     out_dir = args.out or str(Path("stochlab_runs") / args.experiment)
     config = ExperimentConfig(experiment=args.experiment, parameters=raw,
                               seed=args.seed, output_dir=out_dir,
-                              replicas=args.replicas)
+                              replicas=args.replicas, jobs=args.jobs)
     violations = validate(config)
     if violations:
         for violation in violations:

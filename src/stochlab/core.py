@@ -6,6 +6,10 @@ sequence bit for bit, and substreams derived with :meth:`RngStream.substream`
 are statistically independent, so replicas can run in parallel and still merge
 deterministically.
 
+:func:`fan_out` runs such substream-indexed units on worker processes and
+returns their results in unit order, so a reduction over them sees the same
+operands whatever the worker count.
+
 The rest of the module is plain numerics: sample statistics, the 1/sqrt(N)
 scaling of the error of the mean, a segment-averaged periodogram, log-log
 power-law fitting, and plain Monte Carlo integration on the unit hypercube.
@@ -14,8 +18,9 @@ power-law fitting, and plain Monte Carlo integration on the unit hypercube.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -67,6 +72,50 @@ class RngStream:
             raise ValueError("substream index must be nonnegative")
         child = _splitmix64((self.stream_id * _GOLDEN + index + 1) & _MASK64)
         return RngStream(self.seed, child)
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def fan_out(fn: Callable, units: Iterable, jobs: int) -> list:
+    """``[fn(unit) for unit in units]``, on up to ``jobs`` worker processes.
+
+    With ``jobs == 1`` or fewer than two units everything runs inline, in
+    this process.  Otherwise ``fn`` and each unit are pickled to a process
+    pool of ``min(jobs, len(units))`` workers: ``fn`` must be a module-level
+    function and the units plain data (an ``RngStream`` pickles as its key
+    and position).  Results come back in unit order.
+
+    On the first failure the units not yet started are cancelled, and the
+    exception of the lowest failing unit is raised unchanged.  Units start
+    in order, so every unit below a failed one has started and runs to its
+    end: the exception is the one the inline loop would raise.
+    """
+    units = list(units)
+    if jobs == 1 or len(units) < 2:
+        return [fn(unit) for unit in units]
+    # Imported here: loading both costs about 30 ms, which runs that never
+    # fan out should not pay.
+    import multiprocessing
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+
+    # A forked worker inherits the imported modules; a spawned one (where
+    # fork does not exist) would import stochlab again first.  The pool
+    # forks every worker before it starts its own manager thread.
+    method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+              else "spawn")
+    with ProcessPoolExecutor(min(jobs, len(units)),
+                             mp_context=multiprocessing.get_context(method)
+                             ) as pool:
+        futures = [pool.submit(fn, unit) for unit in units]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:
+            future.cancel()
+        return [future.result() for future in futures]
 
 
 @dataclass(frozen=True)

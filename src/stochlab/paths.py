@@ -384,8 +384,10 @@ def hausdorff_scan(ensemble, resolutions: Sequence[float]) -> HausdorffScan:
             chosen.append(idx)
     if len(chosen) < 3:
         raise FitError(
-            f"only {len(chosen)} distinct resolution points are achievable; "
-            "request a wider or denser ladder")
+            f"only {len(chosen)} distinct resolution points are achievable: "
+            f"n_t = {n_t} allows block sizes [{_BLOCK_MIN}, "
+            f"{n_t // _BLOCK_DENOM}]; use longer paths or a ladder that "
+            "spreads over that range")
 
     sel = np.sort(np.array(chosen))[::-1]  # strictly decreasing dx
     lengths = np.array([

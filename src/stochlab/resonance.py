@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RngStream, periodogram
+from .core import RngStream, fan_out, periodogram
 
 __all__ = [
     "DoubleWellSpec",
@@ -236,16 +236,24 @@ def snr_at_drive(trajectory: Trajectory,
     return 10.0 * math.log10(line_power / background)
 
 
+def _cell_snr(unit) -> float:
+    """SNR of one (level, replica) cell: ``unit`` is (spec, stream)."""
+    spec, stream = unit
+    return snr_at_drive(integrate(spec, stream), spec.omega, spec)
+
+
 def resonance_scan(base: DoubleWellSpec,
                    noise_levels,
                    replicas: int,
-                   rng: RngStream) -> SnrCurve:
+                   rng: RngStream,
+                   jobs: int = 1) -> SnrCurve:
     """Replica-averaged SNR across noise intensities.
 
-    Levels are scanned in ascending order; each (level, replica) pair
-    integrates on its own substream, so the scan parallelizes trivially and
-    reruns bit-identically.  Requires >= 5 levels spanning at least a decade
-    and >= 4 replicas.
+    Levels are scanned in ascending order; the (level i, replica j) cell
+    integrates on ``rng.substream(i * replicas + j)`` alone, so the cells
+    run on up to ``jobs`` worker processes (:func:`core.fan_out`) and the
+    curve is bit-identical for any ``jobs``.  Requires >= 5 levels spanning
+    at least a decade and >= 4 replicas.
     """
     levels = np.sort(np.asarray(noise_levels, dtype=float))
     if levels.size < 5:
@@ -257,12 +265,11 @@ def resonance_scan(base: DoubleWellSpec,
     if replicas < 4:
         raise ValueError("need at least 4 replicas")
 
-    snr = np.empty((levels.size, replicas))
-    for i, level in enumerate(levels):
-        spec = replace(base, noise_d=float(level))
-        for j in range(replicas):
-            trajectory = integrate(spec, rng.substream(i * replicas + j))
-            snr[i, j] = snr_at_drive(trajectory, base.omega, spec)
+    cells = [(replace(base, noise_d=float(level)),
+              rng.substream(i * replicas + j))
+             for i, level in enumerate(levels) for j in range(replicas)]
+    snr = np.array(fan_out(_cell_snr, cells, jobs)).reshape(levels.size,
+                                                            replicas)
     mean_db = snr.mean(axis=1)
     stderr = snr.std(axis=1, ddof=1) / math.sqrt(replicas)
 

@@ -1,5 +1,7 @@
 """Session-wide fixtures."""
 
+import concurrent.futures
+
 import pytest
 
 from util import run_golden
@@ -12,14 +14,21 @@ def golden_run(tmp_path_factory):
     Each configuration runs once, on first request, and every later request
     in the session shares its output directory, so criterion 11 and the
     golden-digest table check one run between them.  Callers must not write
-    into the shared directory.
+    into the shared directory.  The runs are at ``jobs=1``, and fail if
+    anything in them starts a process pool.
     """
     runs = {}
 
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a jobs=1 run started a process pool")
+
     def get(experiment: str):
         if experiment not in runs:
-            runs[experiment] = run_golden(
-                experiment, tmp_path_factory.mktemp(f"golden_{experiment}"))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                              no_pool)
+                runs[experiment] = run_golden(
+                    experiment, tmp_path_factory.mktemp(f"golden_{experiment}"))
         return runs[experiment]
 
     return get

@@ -16,10 +16,11 @@ import pytest
 import scipy
 
 from test_golden import GOLDEN_CLI
-from util import RERUN_CONFIGS, golden_seed
+from util import RERUN_CONFIGS, golden_seed, needs_two_cpus
 
 from stochlab import cli
 from stochlab.cli import ConfigError, ExperimentConfig
+from stochlab.core import available_cpus
 from stochlab.networks import parse_edge_list
 
 
@@ -171,6 +172,16 @@ def test_bad_seed_and_replicas_are_violations():
         == ["replicas: must be a positive integer"]
 
 
+@pytest.mark.parametrize("jobs", ["0", "two", str(available_cpus() + 1)])
+def test_bad_jobs_exits_2_before_any_work(jobs, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["resonance", "--jobs", jobs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"invalid config: jobs: must be an integer in [1, {available_cpus()}]"
+        " (the CPUs available)\n")
+    assert not out.exists()  # run() never started, so no worker did
+
+
 def test_run_raises_config_error_on_invalid_config(tmp_path):
     with pytest.raises(ConfigError, match="sigma0"):
         cli.run(ExperimentConfig("uncertainty", {"sigma0": "-1"},
@@ -273,7 +284,7 @@ def test_manifest_payload_echoes_the_returned_manifest(tmp_path):
                                         {"n": "20", "k": "4", "seeds": "10",
                                          "ba_n": "50"},
                                         output_dir=str(tmp_path), seed=4,
-                                        replicas=2))
+                                        replicas=2, jobs=1))
     echoed = json.loads((tmp_path / "manifest.json").read_text())
     fields = {field.name for field in dataclasses.fields(cli.RunManifest)}
     assert set(echoed) == fields - {"path"}
@@ -282,6 +293,14 @@ def test_manifest_payload_echoes_the_returned_manifest(tmp_path):
     assert echoed["environment"] == manifest.environment
     assert echoed["seed"] == manifest.seed == 4
     assert echoed["replicas"] == manifest.replicas == 2
+    assert echoed["jobs"] == manifest.jobs == 1
+    assert "jobs" not in echoed["parameters"]
+
+
+def test_manifest_jobs_defaults_to_the_available_cpus(tmp_path):
+    manifest = cli.run(ExperimentConfig("interfere", {},
+                                        output_dir=str(tmp_path)))
+    assert manifest.jobs == available_cpus()
 
 
 def test_manifest_stamps_python_numpy_and_scipy_versions(tmp_path):
@@ -381,16 +400,20 @@ def test_importing_the_cli_leaves_deferred_scipy_submodules_unloaded():
     assert child.returncode == 0, child.stderr
     loaded = set(child.stdout.split())
     assert {"stochlab.cli", "scipy"} <= loaded
-    assert not loaded & {"scipy.sparse", "scipy.sparse.csgraph", "scipy.linalg"}
+    assert not loaded & {"scipy.sparse", "scipy.sparse.csgraph", "scipy.linalg",
+                         "multiprocessing", "concurrent.futures.process"}
 
 
-@pytest.mark.parametrize("experiment", ["interfere", "network", "spectrum"])
+@needs_two_cpus
+@pytest.mark.parametrize("experiment",
+                         ["interfere", "network", "paths", "spectrum"])
 def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
+    # The tables were recorded at --jobs 1; paths splits its chains here.
     overrides = [f"{key}={value}"
                  for key, value in RERUN_CONFIGS[experiment].items()]
     child = _python("-m", "stochlab", experiment,
                     "--seed", str(golden_seed(experiment)), "--replicas", "2",
-                    "--out", str(tmp_path), *overrides)
+                    "--jobs", "2", "--out", str(tmp_path), *overrides)
     assert child.returncode == 0, child.stderr
     manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["environment"]["scipy"] == scipy.__version__
@@ -400,13 +423,15 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
     assert on_disk == GOLDEN_CLI[experiment]
 
 
-def test_main_runtime_failure_exits_3(tmp_path, capsys):
-    code = cli.main(["resonance", "--out", str(tmp_path), "dt=0.9",
-                     "t_total=7000", "noise_levels=0.1,0.2,0.4,0.8,1.6"])
+@pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=needs_two_cpus)])
+def test_main_runtime_failure_exits_3(jobs, tmp_path, capsys):
+    code = cli.main(["resonance", "--jobs", jobs, "--out", str(tmp_path),
+                     "dt=0.9", "t_total=7000",
+                     "noise_levels=0.1,0.2,0.4,0.8,1.6"])
     assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("runtime failure:")
-    assert "reduce dt" in err
+    assert capsys.readouterr().err == ("runtime failure: IntegrationError: "
+                                       "|x| exceeded 1000 at t = 3.6; "
+                                       "reduce dt\n")
 
 
 def test_main_bad_override_and_missing_config_exit_2(tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Tests for the shared random-stream and statistics utilities."""
 
+import concurrent.futures
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -12,12 +15,64 @@ from stochlab.core import (
     RngStream,
     SampleStats,
     clt_scaling,
+    fan_out,
     fit_power_law,
     gaussian,
     low_high_power_ratio,
     mc_integrate,
     periodogram,
 )
+
+
+# fan_out units must be module-level functions, so a worker can unpickle them.
+def _pid(unit):
+    return os.getpid()
+
+
+def _sleep_reversed(unit):
+    """Later units sleep less, so workers finish them first."""
+    index, count = unit
+    time.sleep(0.05 * (count - index))
+    return index, os.getpid()
+
+
+def _fail_or_mark(unit):
+    index, failing, marks = unit
+    if index in failing:
+        raise ValueError(f"unit {index}")
+    time.sleep(0.2)
+    (marks / str(index)).touch()
+    return index
+
+
+class TestFanOut:
+    def test_results_keep_unit_order_when_workers_finish_out_of_order(self):
+        results = fan_out(_sleep_reversed, [(i, 6) for i in range(6)], 2)
+        assert [index for index, _ in results] == list(range(6))
+        assert os.getpid() not in {pid for _, pid in results}
+
+    def test_one_job_or_one_unit_runs_inline_without_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert fan_out(_pid, range(3), 1) == [os.getpid()] * 3
+        assert fan_out(_pid, [0], 2) == [os.getpid()]
+        assert fan_out(_pid, [], 2) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lowest_failing_unit_raises_and_pending_units_never_run(
+            self, jobs, tmp_path):
+        units = [(i, {1, 3}, tmp_path) for i in range(12)]
+        with pytest.raises(ValueError, match="^unit 1$"):
+            fan_out(_fail_or_mark, units, jobs)
+        ran = {int(path.name) for path in tmp_path.iterdir()}
+        if jobs == 1:
+            assert ran == {0}
+        else:
+            # Units already handed to a worker run; of the ten that pass,
+            # about four do (0, 2, 4, 5) and the rest are cancelled.
+            assert 0 in ran and len(ran) < 8
 
 
 class TestRngStream:

@@ -6,7 +6,9 @@ recorded: every data file ``cli.run`` writes for each golden configuration
 (``util.RERUN_CONFIGS``, plus ``util.ANNEAL_CONFIG``), and the raw Metropolis kernel output (paths, action
 trace, proposal audit) of a free and a harmonic three-chain run.  Under
 pytest each golden configuration runs once per session (the ``golden_run``
-fixture in conftest.py), and criterion 11 reruns that same run.
+fixture in conftest.py), and criterion 11 reruns that same run.  The tables
+were recorded at ``jobs=1``; criterion 11 reruns at the default worker
+count, and the anneal pin runs at one and two workers.
 
 numpy does not promise identical ``Generator`` streams across its versions
 (NEP 19), so a mismatch right after a numpy upgrade may come from the
@@ -25,7 +27,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from util import ANNEAL_CONFIG, RERUN_CONFIGS, run_golden
+from util import ANNEAL_CONFIG, RERUN_CONFIGS, needs_two_cpus, run_golden
 
 from stochlab import cli
 from stochlab.core import RngStream
@@ -171,9 +173,11 @@ def test_cli_data_files_match_golden_digests(experiment, golden_run):
     assert _digests(golden_run(experiment)) == GOLDEN_CLI[experiment]
 
 
-def test_memory_anneal_matches_golden_digests(tmp_path):
-    assert _digests(run_golden("memory", tmp_path, ANNEAL_CONFIG)) \
-        == GOLDEN_ANNEAL
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_two_cpus)])
+def test_memory_anneal_matches_golden_digests(jobs, tmp_path):
+    manifest = run_golden("memory", tmp_path, ANNEAL_CONFIG, jobs=jobs)
+    assert manifest.jobs == jobs
+    assert _digests(manifest) == GOLDEN_ANNEAL
 
 
 @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))

@@ -430,7 +430,8 @@ def test_ladder_scan_needs_72_slices():
     # The default ladder's 8 points collapse onto 2 block sizes while
     # n_t // 8 < 9, whatever the paths: the fine scale cancels out.
     short = brownian_bridge_paths(50, 71, 0.05, RngStream(29, 6))
-    with pytest.raises(FitError):
+    with pytest.raises(FitError, match=r"^only 2 .* n_t = 71 allows block "
+                                       r"sizes \[4, 8\]; use longer paths"):
         hausdorff_scan(short, resolution_ladder(short))
     paths = brownian_bridge_paths(50, 72, 0.05, RngStream(29, 7))
     scan = hausdorff_scan(paths, resolution_ladder(paths))

@@ -4,11 +4,12 @@ generators and slow reference oracles."""
 import math
 
 import numpy as np
+import pytest
 from scipy.sparse import diags, identity
 from scipy.sparse.linalg import splu
 
 from stochlab import cli
-from stochlab.core import RngStream
+from stochlab.core import RngStream, available_cpus
 from stochlab.memory import AnnealResult, SpinConfig
 from stochlab.paths import _integrated_autocorrelation
 from stochlab.quantum import Grid1D, WaveState
@@ -43,22 +44,28 @@ RERUN_CONFIGS = {
 ANNEAL_CONFIG = {"task": "anneal", "n": "10", "instances": "4"}
 
 
+# ``--jobs 2`` is a valid configuration only where two CPUs are available.
+needs_two_cpus = pytest.mark.skipif(available_cpus() < 2,
+                                    reason="--jobs 2 needs two CPUs")
+
+
 def golden_seed(experiment: str) -> int:
     """The seed a golden configuration runs at: 1000 + its sorted index."""
     return 1000 + sorted(RERUN_CONFIGS).index(experiment)
 
 
-def run_golden(experiment: str, out_dir,
-               parameters=None) -> cli.RunManifest:
+def run_golden(experiment: str, out_dir, parameters=None,
+               jobs: int = 1) -> cli.RunManifest:
     """Run one golden configuration in-process into ``out_dir``.
 
-    ``parameters`` replaces the experiment's ``RERUN_CONFIGS`` entry.
+    ``parameters`` replaces the experiment's ``RERUN_CONFIGS`` entry.  The
+    digest tables were recorded at ``jobs=1``.
     """
     if parameters is None:
         parameters = RERUN_CONFIGS[experiment]
     return cli.run(cli.ExperimentConfig(
         experiment, parameters, seed=golden_seed(experiment),
-        output_dir=str(out_dir), replicas=2))
+        output_dir=str(out_dir), replicas=2, jobs=jobs))
 
 
 def count_local_maxima(values) -> int:
