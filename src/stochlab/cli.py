@@ -444,16 +444,15 @@ def _run_spectrum(p, rng, jobs) -> _RunOutput:
     return _RunOutput(("level", "energy", "gap_above"), rows, summary, {})
 
 
-def _paths_block(unit) -> np.ndarray:
-    """Stacked kept paths of one block of chains: ``unit`` is (p, streams)."""
+def _paths_block(unit) -> list:
+    """Kept paths of each chain in one block: ``unit`` is (p, streams)."""
     p, streams = unit
     dynamics = EuclideanAction(mass=1.0, potential=_POTENTIALS[p["potential"]],
                                a_t=p["a_t"])
     lattice = Lattice(n_t=p["n_t"], a_t=p["a_t"])
-    return np.vstack([
-        chain.paths for chain in metropolis_batch(
-            dynamics, lattice, streams, sweeps=p["sweeps"],
-            thermalization=p["thermalization"])])
+    return [chain.paths for chain in metropolis_batch(
+        dynamics, lattice, streams, sweeps=p["sweeps"],
+        thermalization=p["thermalization"])]
 
 
 def _run_paths(p, rng, jobs) -> _RunOutput:
@@ -463,7 +462,8 @@ def _run_paths(p, rng, jobs) -> _RunOutput:
     units = [(p, streams[b * len(streams) // blocks:
                          (b + 1) * len(streams) // blocks])
              for b in range(blocks)]
-    ensemble = np.vstack(fan_out(_paths_block, units, jobs))
+    ensemble = np.vstack([paths for block in fan_out(_paths_block, units, jobs)
+                          for paths in block])
     scan = hausdorff_scan(ensemble, resolution_ladder(ensemble))
     rows = list(zip(scan.block_sizes.tolist(), scan.resolutions.tolist(),
                     scan.mean_lengths.tolist()))
@@ -574,17 +574,18 @@ def _run_memory(p, rng, jobs) -> _RunOutput:
     schedule = AnnealSchedule(t_initial=p["t_initial"], ratio=p["ratio"],
                               levels=p["levels"],
                               sweeps_per_level=p["sweeps_per_level"])
-    instances = range(p["instances"])
-    couplings = [sk_couplings(p["n"], rng.substream(2 * i)) for i in instances]
-    # The exhaustive ground states stay in this process: its BLAS threads
-    # in a worker would compete with the other workers' anneals.
+    couplings = [sk_couplings(p["n"], rng.substream(2 * i))
+                 for i in range(p["instances"])]
+    # The exhaustive ground states stay in this process: their BLAS
+    # threads, started in a worker, would compete with the other workers'
+    # anneals.
     grounds = [ground_state_bruteforce(c)[1] for c in couplings]
     annealed = fan_out(_anneal_energy,
                        [(c, schedule, rng.substream(2 * i + 1))
-                        for i, c in zip(instances, couplings)], jobs)
+                        for i, c in enumerate(couplings)], jobs)
     rows = []
     matches = 0
-    for instance, energy, ground in zip(instances, annealed, grounds):
+    for instance, (energy, ground) in enumerate(zip(annealed, grounds)):
         matched = bool(energy <= ground + 1e-9)
         matches += matched
         rows.append((instance, energy, ground, matched))
