@@ -4,7 +4,7 @@ import concurrent.futures
 
 import pytest
 
-from util import run_golden
+from util import no_pool, run_golden
 
 
 @pytest.fixture(scope="session")
@@ -18,9 +18,6 @@ def golden_run(tmp_path_factory):
     anything in them starts a process pool.
     """
     runs = {}
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a jobs=1 run started a process pool")
 
     def get(experiment: str):
         if experiment not in runs:

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats as sps
 
+from util import no_pool
+
 from stochlab.core import (
     CltPoint,
     RngStream,
@@ -52,9 +54,6 @@ class TestFanOut:
         assert os.getpid() not in {pid for _, pid in results}
 
     def test_one_job_or_one_unit_runs_inline_without_a_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("started a process pool")
-
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert fan_out(_pid, range(3), 1) == [os.getpid()] * 3
         assert fan_out(_pid, [0], 2) == [os.getpid()]

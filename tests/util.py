@@ -49,6 +49,12 @@ needs_two_cpus = pytest.mark.skipif(available_cpus() < 2,
                                     reason="--jobs 2 needs two CPUs")
 
 
+def no_pool(*args, **kwargs):
+    """Stand-in for ``concurrent.futures.ProcessPoolExecutor`` where a run
+    must start no worker process."""
+    raise AssertionError("started a process pool")
+
+
 def golden_seed(experiment: str) -> int:
     """The seed a golden configuration runs at: 1000 + its sorted index."""
     return 1000 + sorted(RERUN_CONFIGS).index(experiment)
