@@ -90,10 +90,9 @@ def fan_out(fn: Callable, units: Iterable, jobs: int) -> list:
     function and the units plain data (an ``RngStream`` pickles as its key
     and position).  Results come back in unit order.
 
-    On the first failure the units not yet started are cancelled, and the
-    exception of the lowest failing unit is raised unchanged.  Units start
-    in order, so every unit below a failed one has started and runs to its
-    end: the exception is the one the inline loop would raise.
+    Results are read in unit order, so the first exception met is that of
+    the lowest failing unit, the one the inline loop would raise; it is
+    raised unchanged, and the units not yet started are cancelled.
     """
     units = list(units)
     if jobs == 1 or len(units) < 2:
@@ -101,7 +100,7 @@ def fan_out(fn: Callable, units: Iterable, jobs: int) -> list:
     # Imported here: loading both costs 16-19 ms after numpy (2-vCPU
     # Xeon), which runs that never fan out should not pay.
     import multiprocessing
-    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor
 
     # A forked worker inherits the imported modules; a spawned one (where
     # fork does not exist) would import stochlab again first.  The pool
@@ -111,11 +110,7 @@ def fan_out(fn: Callable, units: Iterable, jobs: int) -> list:
     with ProcessPoolExecutor(min(jobs, len(units)),
                              mp_context=multiprocessing.get_context(method)
                              ) as pool:
-        futures = [pool.submit(fn, unit) for unit in units]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        for future in futures:
-            future.cancel()
-        return [future.result() for future in futures]
+        return list(pool.map(fn, units))
 
 
 @dataclass(frozen=True)

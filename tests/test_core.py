@@ -62,16 +62,17 @@ class TestFanOut:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_lowest_failing_unit_raises_and_pending_units_never_run(
             self, jobs, tmp_path):
-        units = [(i, {1, 3}, tmp_path) for i in range(12)]
+        units = [(i, {1, 3}, tmp_path) for i in range(16)]
         with pytest.raises(ValueError, match="^unit 1$"):
             fan_out(_fail_or_mark, units, jobs)
         ran = {int(path.name) for path in tmp_path.iterdir()}
         if jobs == 1:
             assert ran == {0}
         else:
-            # Units already handed to a worker run; of the ten that pass,
-            # about four do (0, 2, 4, 5) and the rest are cancelled.
-            assert 0 in ran and len(ran) < 8
+            # Units already handed to a worker run; of the fourteen that
+            # pass, four to six do (0, 2, 4, 5, 6, 7) and the rest are
+            # cancelled.
+            assert 0 in ran and len(ran) < 10
 
 
 class TestRngStream:
