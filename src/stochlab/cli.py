@@ -49,20 +49,6 @@ import scipy
 from . import __version__
 from .core import (RngStream, available_cpus, clt_scaling, fan_out,
                    fit_power_law, low_high_power_ratio, mc_integrate)
-from .diffusion import WalkSpec, convergence_scan
-from .memory import (_ENUM_LIMIT, AnnealSchedule, SpinConfig, flip_spins,
-                     ground_state_bruteforce, hebbian_couplings, overlap,
-                     simulated_annealing, sk_couplings, zero_t_dynamics)
-from .networks import (barabasi_albert, edge_list_text, small_world_scan,
-                       watts_strogatz)
-from .paths import (EuclideanAction, Lattice, hausdorff_scan,
-                    metropolis_batch, resolution_ladder)
-from .quantum import (ComplexAmplitude, DecayModel, Grid1D, WaveState,
-                      decay_sample, spectrum_gaps, superpose,
-                      uncertainty_product)
-from .resonance import DoubleWellSpec, resonance_scan
-from .sandpile import SandGrid, abelian_check, avalanche_ccdf, drive
-from .search import strategy_tournament
 
 __all__ = [
     "ConfigError",
@@ -86,8 +72,10 @@ class ExperimentConfig:
 
     ``parameters`` may hold raw strings (from the command line or a config
     file) or typed values (from the API or a manifest echo); resolution
-    applies the per-experiment schema either way.  ``jobs`` caps the worker
-    processes; None means every CPU available to the process.
+    applies the per-experiment schema either way.  ``seed``, ``replicas``
+    and ``jobs`` may be raw strings too: :func:`validate` names a bad one
+    and :func:`run` converts them.  ``jobs`` caps the worker processes;
+    None means every CPU available to the process.
     """
 
     experiment: str
@@ -250,6 +238,8 @@ def _cross_diffuse(p) -> list:
 
 
 def _cross_resonance(p) -> list:
+    from .resonance import DoubleWellSpec
+
     out = []
     levels = sorted(p["noise_levels"])
     if levels and levels[0] > 0 and levels[-1] / levels[0] < 10.0 * (1 - 1e-12):
@@ -266,6 +256,8 @@ def _cross_resonance(p) -> list:
 
 
 def _cross_memory(p) -> list:
+    from .memory import _ENUM_LIMIT
+
     out = []
     if p["corrupt_flips"] > p["n"]:
         out.append("corrupt_flips: cannot exceed n")
@@ -367,9 +359,14 @@ def validate(config: ExperimentConfig) -> list:
 
 # --------------------------------------------------------------------------
 # experiment runners
+#
+# Each runner (and each cross-check that needs one) imports its experiment
+# module itself, so a run loads only the module it uses.
 
 
 def _run_interfere(p, rng, jobs) -> _RunOutput:
+    from .quantum import ComplexAmplitude, superpose
+
     result = superpose(ComplexAmplitude(re=p["a_re"], im=p["a_im"]),
                        ComplexAmplitude(re=p["b_re"], im=p["b_im"]))
     row = (p["a_re"], p["a_im"], p["b_re"], p["b_im"],
@@ -387,6 +384,8 @@ def _run_interfere(p, rng, jobs) -> _RunOutput:
 
 
 def _run_decay(p, rng, jobs) -> _RunOutput:
+    from .quantum import DecayModel, decay_sample
+
     model = DecayModel(rate_lambda=p["rate_lambda"], n_atoms=p["n_atoms"])
     result = decay_sample(model, rng, p["t_max"], p["bins"])
     rows = list(zip(result.times.tolist(), result.survival.tolist()))
@@ -400,6 +399,8 @@ def _run_decay(p, rng, jobs) -> _RunOutput:
 
 
 def _run_uncertainty(p, rng, jobs) -> _RunOutput:
+    from .quantum import Grid1D, WaveState, uncertainty_product
+
     grid = Grid1D(p["x_min"], p["x_max"], p["n_points"])
     gen = rng.gen
     rows = []
@@ -430,6 +431,8 @@ _POTENTIALS = {
 
 
 def _run_spectrum(p, rng, jobs) -> _RunOutput:
+    from .quantum import Grid1D, spectrum_gaps
+
     grid = Grid1D(p["x_min"], p["x_max"], p["n_points"])
     result = spectrum_gaps(_POTENTIALS[p["potential"]], grid, p["n_levels"],
                            commuting_mode=p["commuting"])
@@ -446,6 +449,8 @@ def _run_spectrum(p, rng, jobs) -> _RunOutput:
 
 def _paths_block(unit) -> list:
     """Kept paths of each chain in one block: ``unit`` is (p, streams)."""
+    from .paths import EuclideanAction, Lattice, metropolis_batch
+
     p, streams = unit
     dynamics = EuclideanAction(mass=1.0, potential=_POTENTIALS[p["potential"]],
                                a_t=p["a_t"])
@@ -456,6 +461,8 @@ def _paths_block(unit) -> list:
 
 
 def _run_paths(p, rng, jobs) -> _RunOutput:
+    from .paths import hausdorff_scan, resolution_ladder
+
     streams = [rng.substream(chain) for chain in range(p["chains"])]
     # One contiguous block per worker; chain c is the same in any batch.
     blocks = min(jobs, len(streams))
@@ -477,6 +484,8 @@ def _run_paths(p, rng, jobs) -> _RunOutput:
 
 
 def _run_diffuse(p, rng, jobs) -> _RunOutput:
+    from .diffusion import WalkSpec, convergence_scan
+
     base = WalkSpec(dim=p["dim"], a_s=p["a_s"], a_t=p["a_t"],
                     n_walkers=p["n_walkers"], n_steps=p["n_steps"])
     levels = convergence_scan(base, p["refinements"], rng)
@@ -496,6 +505,8 @@ def _run_diffuse(p, rng, jobs) -> _RunOutput:
 
 
 def _run_sandpile(p, rng, jobs) -> _RunOutput:
+    from .sandpile import SandGrid, abelian_check, avalanche_ccdf, drive
+
     grid = SandGrid.zeros(p["width"], p["height"])
     if p["warmup"]:
         drive(grid, rng.substream(0), p["warmup"], p["site_policy"])
@@ -528,6 +539,8 @@ def _run_sandpile(p, rng, jobs) -> _RunOutput:
 
 
 def _run_resonance(p, rng, jobs) -> _RunOutput:
+    from .resonance import DoubleWellSpec, resonance_scan
+
     levels = sorted(p["noise_levels"])
     base = DoubleWellSpec(amplitude=p["amplitude"], omega=p["omega"],
                           noise_d=levels[0], dt=p["dt"],
@@ -546,11 +559,17 @@ def _run_resonance(p, rng, jobs) -> _RunOutput:
 
 def _anneal_energy(unit) -> float:
     """Best annealed energy: ``unit`` is (couplings, schedule, stream)."""
+    from .memory import simulated_annealing
+
     couplings, schedule, stream = unit
     return simulated_annealing(couplings, schedule, stream).energy
 
 
 def _run_memory(p, rng, jobs) -> _RunOutput:
+    from .memory import (AnnealSchedule, SpinConfig, flip_spins,
+                         ground_state_bruteforce, hebbian_couplings, overlap,
+                         sk_couplings, zero_t_dynamics)
+
     if p["task"] == "retrieve":
         rows = []
         hits = 0
@@ -595,6 +614,9 @@ def _run_memory(p, rng, jobs) -> _RunOutput:
 
 
 def _run_network(p, rng, jobs) -> _RunOutput:
+    from .networks import (barabasi_albert, edge_list_text, small_world_scan,
+                           watts_strogatz)
+
     scan = small_world_scan(p["n"], p["k"], p["p_values"], p["seeds"],
                             rng.substream(0))
     rows = [(pt.p, pt.clustering_ratio, pt.path_length_ratio)
@@ -620,6 +642,8 @@ def _run_network(p, rng, jobs) -> _RunOutput:
 
 
 def _run_search(p, rng, jobs) -> _RunOutput:
+    from .search import strategy_tournament
+
     budget = p["step_budget"] if p["step_budget"] > 0 else None
     table = strategy_tournament(p["sides"], p["target_counts"], p["radii"],
                                 p["replicas_per_cell"], rng,
@@ -842,9 +866,10 @@ def run(config: ExperimentConfig) -> RunManifest:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     runner = EXPERIMENTS[config.experiment].run
-    replicas = int(config.replicas)
+    seed = _to_int(config.seed)
+    replicas = _to_int(config.replicas)
     jobs = available_cpus() if config.jobs is None else _to_int(config.jobs)
-    base = RngStream(int(config.seed), 0)
+    base = RngStream(seed, 0)
     header: tuple = ()
     merged_rows: list = []
     summaries: list = []
@@ -894,7 +919,7 @@ def run(config: ExperimentConfig) -> RunManifest:
     manifest = RunManifest(
         experiment=config.experiment,
         parameters=_jsonable(params),
-        seed=int(config.seed),
+        seed=seed,
         replicas=replicas,
         output_dir=str(out_dir),
         artifact_version=__version__,
@@ -945,12 +970,12 @@ def main(argv=None) -> int:
                         help="parameter overrides")
     parser.add_argument("--config", help="INI file with a section per "
                                          "experiment")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", default=0,
                         help="64-bit master seed (default 0)")
     parser.add_argument("--out", default=None,
                         help="output directory (default "
                              "stochlab_runs/<experiment>)")
-    parser.add_argument("--replicas", type=int, default=1,
+    parser.add_argument("--replicas", default=1,
                         help="independent replicas fanned over substreams")
     parser.add_argument("--jobs", default=None,
                         help="worker processes for the heavy units (default: "

@@ -172,6 +172,23 @@ def test_bad_seed_and_replicas_are_violations():
         == ["replicas: must be a positive integer"]
 
 
+def test_bad_seed_and_replicas_flags_exit_2_naming_both(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["mcint", "--replicas", "two", "--seed", "x",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "invalid config: seed: must be an integer in [0, 2^64)\n"
+        "invalid config: replicas: must be a positive integer\n")
+    assert not out.exists()
+
+
+def test_seed_and_replicas_flags_are_converted_to_integers(tmp_path):
+    assert cli.main(["mcint", "--seed", "21", "--replicas", "2",
+                     "--out", str(tmp_path), "samples=1000"]) == 0
+    echoed = json.loads((tmp_path / "manifest.json").read_text())
+    assert echoed["seed"] == 21 and echoed["replicas"] == 2
+
+
 @pytest.mark.parametrize("jobs", ["0", "two", str(available_cpus() + 1)])
 def test_bad_jobs_exits_2_before_any_work(jobs, tmp_path, capsys):
     out = tmp_path / "out"
@@ -393,15 +410,36 @@ def test_python_dash_m_runs_the_command_line(module, tmp_path):
     assert "supported" in unknown.stderr
 
 
+_EXPERIMENT_MODULES = {f"stochlab.{name}" for name in (
+    "quantum", "paths", "diffusion", "sandpile", "resonance", "memory",
+    "networks", "search")}
+
+
 def test_importing_the_cli_leaves_deferred_scipy_submodules_unloaded():
     # In-process the test modules have already imported scipy submodules,
     # so only a fresh interpreter shows what ``import stochlab.cli`` loads.
     child = _python("-c", "import sys, stochlab.cli; print(*sorted(sys.modules))")
     assert child.returncode == 0, child.stderr
     loaded = set(child.stdout.split())
-    assert {"stochlab.cli", "scipy"} <= loaded
+    assert {"stochlab.cli", "stochlab.core", "scipy"} <= loaded
     assert not loaded & {"scipy.sparse", "scipy.sparse.csgraph", "scipy.linalg",
                          "multiprocessing", "concurrent.futures.process"}
+    assert not loaded & _EXPERIMENT_MODULES
+
+
+def test_network_run_loads_no_scipy_submodule_and_no_other_experiment(tmp_path):
+    script = ("import sys\n"
+              "from stochlab.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(*sorted(sys.modules))\n"
+              "sys.exit(code)\n")
+    child = _python("-c", script, "network", "--jobs", "1", "--out",
+                    str(tmp_path), "n=24", "k=4", "ba_n=80", "p_values=0,0.3")
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.split())
+    assert "stochlab.networks" in loaded
+    assert not loaded & (_EXPERIMENT_MODULES - {"stochlab.networks"})
+    assert not {name for name in loaded if name.startswith("scipy.sparse")}
 
 
 @pytest.mark.parametrize("experiment",

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import spearmanr
 
+from util import reference_metrics
+
 from stochlab.core import RngStream, fit_power_law
 from stochlab.networks import (
     Graph,
@@ -282,6 +284,57 @@ def test_metrics_match_the_exhaustive_oracle_on_small_graphs(n, p, seed):
     assert m.clustering == pytest.approx(clustering, abs=1e-12)
     assert m.path_length == pytest.approx(path_length, abs=1e-12)
     assert m.connected == connected
+
+
+def _random_graph(n, p, rng):
+    """G(n, p): each of the n(n-1)/2 pairs is an edge with probability p."""
+    u, v = np.triu_indices(n, k=1)
+    keep = rng.gen.random(u.size) < p
+    return Graph.from_edges(n, zip(u[keep].tolist(), v[keep].tolist()))
+
+
+def _oracle_cases():
+    rng = RngStream(105, 0)
+    cases = {}
+    for i, (n, p) in enumerate([(n, p) for n in (10, 40, 100)
+                                for p in (0.02, 0.05, 0.2)]):
+        cases[f"random-{n}-{p}"] = _random_graph(n, p, rng.substream(i))
+    for n in (1, 2, 63, 64, 65, 128, 129):
+        cases[f"edgeless-{n}"] = Graph(n=n, edges=frozenset())
+        cases[f"sparse-{n}"] = _random_graph(n, 2.5 / n, rng.substream(100 + n))
+        cases[f"path-{n}"] = Graph.from_edges(
+            n, [(u, u + 1) for u in range(n - 1)])
+    # Two largest components of equal size with different path lengths:
+    # the one holding the lowest node index is measured.
+    cases["tie-path-first"] = Graph.from_edges(
+        7, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
+    cases["tie-triangle-first"] = Graph.from_edges(
+        7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+    cases["tie-interleaved"] = Graph.from_edges(
+        6, [(1, 3), (3, 5), (1, 5), (0, 2), (2, 4)])
+    cases["larger-component-later"] = Graph.from_edges(
+        9, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6), (6, 2)])
+    # The forty graphs of the default `network` scan at seed 0.
+    scan_rng = RngStream(0, 0).substream(0).substream(0)
+    for i, p in enumerate((0.0, 0.02, 0.1, 0.5)):
+        for s in range(10):
+            cases[f"scan-{p}-{s}"] = watts_strogatz(
+                300, 8, p, scan_rng.substream(i * 10 + s))
+    return cases
+
+
+_ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CASES))
+def test_metrics_match_the_scipy_reference_exactly(name):
+    g = _ORACLE_CASES[name]
+    m, ref = metrics(g), reference_metrics(g)
+    assert m.path_length == ref.path_length
+    assert m.connected == ref.connected
+    assert m.clustering == ref.clustering
+    assert m.transitivity == ref.transitivity
+    assert np.array_equal(m.degree_histogram, ref.degree_histogram)
 
 
 # ---------------------------------------------------------------- scan

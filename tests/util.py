@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import diags, identity
+from scipy.sparse import csr_matrix, diags, identity
+from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.sparse.linalg import splu
 
 from stochlab import cli
 from stochlab.core import RngStream, available_cpus
 from stochlab.memory import AnnealResult, SpinConfig
+from stochlab.networks import NetworkMetrics, _clustering_stats
 from stochlab.paths import _integrated_autocorrelation
 from stochlab.quantum import Grid1D, WaveState
 from stochlab.resonance import IntegrationError, Trajectory
@@ -218,6 +220,51 @@ def reference_metropolis(dynamics, lattice, rng: RngStream, sweeps: int,
                            map(np.concatenate, audit)))
                   if audit_proposals > 0 else None),
     }
+
+
+def reference_metrics(g) -> NetworkMetrics:
+    """``networks.metrics`` with path lengths from ``scipy.sparse.csgraph``.
+
+    A slow oracle: components from ``connected_components`` (the largest
+    by ``bincount(labels).argmax()``, so ties go to the lowest label) and
+    the distance matrix from unweighted Dijkstra over the members.
+    """
+    degrees = g.degrees
+    histogram = np.bincount(degrees, minlength=1)
+    clustering_defined = g.n >= 3
+    clustering, transitivity = (_clustering_stats(g) if clustering_defined
+                                else (0.0, 0.0))
+    if g.edges:
+        rows = np.fromiter((u for u, _ in g.edges), dtype=np.int64,
+                           count=g.edge_count)
+        cols = np.fromiter((v for _, v in g.edges), dtype=np.int64,
+                           count=g.edge_count)
+        data = np.ones(g.edge_count, dtype=np.int8)
+        sparse = csr_matrix(
+            (np.concatenate([data, data]),
+             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+            shape=(g.n, g.n),
+        )
+    else:
+        sparse = csr_matrix((g.n, g.n), dtype=np.int8)
+    n_components, labels = connected_components(sparse, directed=False)
+    connected = n_components == 1
+    members = (np.arange(g.n) if connected
+               else np.flatnonzero(labels == np.bincount(labels).argmax()))
+    if members.size < 2:
+        path_length = 0.0
+    else:
+        dist = shortest_path(sparse, method="D", unweighted=True,
+                             indices=members)[:, members]
+        path_length = float(dist.sum() / (members.size * (members.size - 1)))
+    return NetworkMetrics(
+        clustering=clustering,
+        path_length=path_length,
+        degree_histogram=histogram,
+        transitivity=transitivity,
+        connected=connected,
+        clustering_defined=clustering_defined,
+    )
 
 
 def reference_integrate(spec, rng: RngStream, sample_stride: int = 1):
