@@ -626,15 +626,18 @@ def _run_network(p, rng, jobs) -> _RunOutput:
     ds = np.arange(4, 101)
     ccdf = np.array([(degrees >= d).mean() for d in ds])
     keep = ccdf > 0
-    fit = fit_power_law(ds[keep], ccdf[keep])
+    slope = stderr = float("nan")
+    if keep.sum() >= 3:
+        fit = fit_power_law(ds[keep], ccdf[keep])
+        slope, stderr = fit.exponent, fit.stderr
     sample_p = sorted(p["p_values"])[len(p["p_values"]) // 2]
     sample = watts_strogatz(p["n"], p["k"], sample_p, rng.substream(2))
     summary = {
         "has_window": bool(scan.has_window),
         "clustering_base": scan.clustering_base,
         "path_length_base": scan.path_length_base,
-        "ba_ccdf_slope": fit.exponent,
-        "ba_ccdf_stderr": fit.stderr,
+        "ba_ccdf_slope": slope,
+        "ba_ccdf_stderr": stderr,
     }
     extras = {"network_sample.edges": edge_list_text(sample)}
     return _RunOutput(("p", "clustering_ratio", "path_length_ratio"),
@@ -807,8 +810,9 @@ EXPERIMENTS: dict[str, _Experiment] = {
     }),
     "clt": _Experiment(_run_clt, {
         "n_values": _Param(_to_ints, (4, 8, 16, 32, 64, 128, 256, 512, 1024),
-                           lambda v: len(v) >= 2 and all(n >= 2 for n in v),
-                           "needs at least two entries, each >= 2"),
+                           lambda v: len(set(v)) >= 2
+                           and all(n >= 2 for n in v),
+                           "needs at least two distinct entries, each >= 2"),
         "replicas": _at_least(2, 300),
         "sampler": _one_of("normal", "normal", "uniform"),
     }),

@@ -191,8 +191,8 @@ def clt_scaling(
     the empirical standard deviation of those means.  The default sampler is
     standard normal; pass ``sampler(rng, size)`` to use another unit-variance
     law.  The returned slope is the least-squares fit of log std_error against
-    log n (nan when fewer than two positive points are available, e.g. for a
-    constant sampler).
+    log n (nan when fewer than two distinct n or a nonpositive error leave
+    nothing to fit, e.g. for a constant sampler).
     """
     if len(n_values) == 0:
         raise ValueError("n_values must be nonempty")
@@ -211,7 +211,7 @@ def clt_scaling(
 
     ns = np.array([p.n for p in points], dtype=float)
     errs = np.array([p.std_error for p in points], dtype=float)
-    if len(points) >= 2 and np.all(errs > 0):
+    if len(set(n_values)) >= 2 and np.all(errs > 0):
         slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
     else:
         slope = float("nan")

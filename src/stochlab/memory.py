@@ -264,12 +264,7 @@ def zero_t_dynamics(config: SpinConfig,
 
 
 def _enumerate_half_space(n: int, chunk: int = 1 << 18):
-    """Yield (spins, keys) chunks over all configs with spin 0 fixed to +1.
-
-    ``keys`` encode each configuration for lexicographic comparison: bit
-    (N-1-i) is set when spin i is +1, so a smaller key is lexicographically
-    earlier under the ordering -1 < +1 with spin 0 most significant.
-    """
+    """Yield chunks of spins over all configs with spin 0 fixed to +1."""
     total = 1 << (n - 1)
     bits = np.arange(n - 1)
     for lo in range(0, total, chunk):
@@ -279,10 +274,7 @@ def _enumerate_half_space(n: int, chunk: int = 1 << 18):
         spins = np.empty((idx.size, n), dtype=np.int8)
         spins[:, 0] = 1
         spins[:, 1:] = 1 - 2 * tail  # bit 1 -> spin -1
-        keys = np.ones(idx.size, dtype=np.int64)  # spin 0 = +1
-        for i in range(1, n):
-            keys = (keys << 1) | (1 - ((idx >> (i - 1)) & 1))
-        yield spins, keys
+        yield spins
 
 
 def _chunk_energies(s: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -311,7 +303,7 @@ def exact_thermo(couplings: CouplingMatrix, temperature: float) -> ThermoState:
     # First collect the energies (ground-state shift keeps the exponentials
     # in range), then sum the Boltzmann weights under that common shift.
     chunks = []
-    for spins, _ in _enumerate_half_space(couplings.n):
+    for spins in _enumerate_half_space(couplings.n):
         s = spins.astype(float)
         chunks.append(_chunk_energies(s, j))
     h_min = min(float(h.min()) for h in chunks)
@@ -347,18 +339,22 @@ def ground_state_bruteforce(couplings: CouplingMatrix) -> tuple[SpinConfig, floa
     n = couplings.n
     j = couplings.j
     full_mask = (1 << n) - 1
+    # A configuration's key has bit (N-1-i) set when spin i is +1, so a
+    # smaller key is lexicographically earlier under the ordering -1 < +1
+    # with spin 0 most significant.
+    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
     best_energy = math.inf
     best_key = None
-    for spins, keys in _enumerate_half_space(n):
+    for spins in _enumerate_half_space(n):
         s = spins.astype(float)
         h = _chunk_energies(s, j)
-        # Each enumerated config stands for the pair {s, -s}; the pair's
-        # lexicographic representative is the smaller of the two keys.
-        pair_keys = np.minimum(keys, full_mask - keys)
         chunk_min = float(h.min())
         if chunk_min > best_energy:
             continue
-        candidate = int(pair_keys[h == chunk_min].min())
+        keys = (spins[h == chunk_min] > 0) @ weights
+        # Each enumerated config stands for the pair {s, -s}; the pair's
+        # lexicographic representative is the smaller of the two keys.
+        candidate = int(np.minimum(keys, full_mask - keys).min())
         if chunk_min < best_energy:
             best_energy = chunk_min
             best_key = candidate

@@ -3,10 +3,11 @@
 Two classic random-graph constructions: ring lattices whose edges are
 rewired with probability p (interpolating between regular order at p = 0
 and near-random wiring at p = 1), and preferential-attachment growth
-yielding power-law degree tails.  Metrics are exact — local clustering by
-triangle counting, characteristic path length by an all-sources BFS that
-advances every source at once on bit-packed reach sets, in numpy alone —
-so the generators carry all the randomness.
+yielding power-law degree tails.  Metrics are exact and come from one
+all-sources BFS that advances every source at once on bit-packed reach
+sets, in numpy alone: its first level counts the triangles behind the
+clustering coefficients, its levels give the characteristic path length.
+So the generators carry all the randomness.
 
 The scan over rewiring probability exposes the small-world window: a range
 of p where the path length has already collapsed while clustering is still
@@ -83,15 +84,11 @@ class Graph:
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.bincount(self._edge_array().ravel(),
-                           minlength=self.n).astype(np.int64, copy=False)
+        return _degrees(self.n, self._edge_array())
 
-    def neighbor_sets(self) -> list[set]:
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+
+def _degrees(n: int, ends: np.ndarray) -> np.ndarray:
+    return np.bincount(ends.ravel(), minlength=n).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -210,34 +207,10 @@ def barabasi_albert(n: int, m: int, rng: RngStream) -> Graph:
     return Graph(n=n, edges=frozenset(edges))
 
 
-def _clustering_stats(g: Graph) -> tuple[float, float]:
-    """(mean local coefficient, global transitivity) by triangle counting."""
-    adj = g.neighbor_sets()
-    local_sum = 0.0
-    wedge_ends = 0  # 2 * number of triangles, summed over nodes
-    triads = 0
-    for u in range(g.n):
-        neighbors = sorted(adj[u])
-        d = len(neighbors)
-        if d < 2:
-            continue
-        links = 0
-        for a in range(d):
-            na = adj[neighbors[a]]
-            for b in range(a + 1, d):
-                if neighbors[b] in na:
-                    links += 1
-        pairs = d * (d - 1) // 2
-        local_sum += links / pairs
-        wedge_ends += links
-        triads += pairs
-    mean_local = local_sum / g.n
-    transitivity = wedge_ends / triads if triads else 0.0
-    return mean_local, transitivity
-
-
-def _path_stats(g: Graph, degrees: np.ndarray) -> tuple[float, bool]:
-    """(mean shortest-path length on the largest component, connected).
+def _bfs_stats(n: int, ends: np.ndarray,
+               degrees: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """(links among each node's neighbours, mean shortest-path length on the
+    largest component, connected) from one bit-packed pass.
 
     An exact all-sources BFS run for every source at once on bit-packed
     reach sets (the multi-source BFS of Then et al., PVLDB 8(4), 2014):
@@ -245,12 +218,14 @@ def _path_stats(g: Graph, degrees: np.ndarray) -> tuple[float, bool]:
     source s.  Each level ORs every node's neighbours' rows into its own,
     one ``bitwise_or.reduceat`` over the directed edges sorted by source,
     and the newly set bits of a row are the sources first reached at that
-    level.  At the fixed point each row is its node's component, so the
-    largest component is read off the rows: among the largest, the one
-    holding the lowest node index.  Distances are integers, so the sum is
-    exact in int64.
+    level.  After the first level ``reach[v]`` is v and its neighbours, so
+    ``popcount(reach[u] & reach[v]) - 2`` counts the common neighbours of
+    an edge (u, v); summed over u's edges and halved, that is the number of
+    links among u's neighbours.  At the fixed point each row is its node's
+    component, so the largest component is read off the rows: among the
+    largest, the one holding the lowest node index.  Link counts and
+    distances are integers, so both are exact in int64.
     """
-    n = g.n
     words = -(-n // 64)
     word, bit = np.divmod(np.arange(n), 64)
     masks = np.left_shift(np.uint64(1), bit.astype(np.uint64))
@@ -258,11 +233,11 @@ def _path_stats(g: Graph, degrees: np.ndarray) -> tuple[float, bool]:
     reach[np.arange(n), word] = masks
     count = np.ones(n, dtype=np.int64)
     dist_sum = np.zeros(n, dtype=np.int64)
-    if g.edges:
-        ends = g._edge_array()
+    links = np.zeros(n, dtype=np.int64)
+    if ends.size:
         sources = np.concatenate([ends[:, 0], ends[:, 1]])
-        targets = np.concatenate([ends[:, 1], ends[:, 0]])[
-            np.argsort(sources, kind="stable")]
+        order = np.argsort(sources, kind="stable")
+        targets = np.concatenate([ends[:, 1], ends[:, 0]])[order]
         has_edges = degrees > 0
         starts = (np.cumsum(degrees) - degrees)[has_edges]
         level = 0
@@ -270,6 +245,13 @@ def _path_stats(g: Graph, degrees: np.ndarray) -> tuple[float, bool]:
             level += 1
             reach[has_edges] |= np.bitwise_or.reduceat(reach[targets], starts,
                                                        axis=0)
+            if level == 1:
+                shared = reach[ends[:, 0]]
+                shared &= reach[ends[:, 1]]
+                common = np.bitwise_count(shared).sum(axis=1,
+                                                      dtype=np.int64) - 2
+                links[has_edges] = np.add.reduceat(
+                    np.concatenate([common, common])[order], starts) // 2
             reached = np.bitwise_count(reach).sum(axis=1, dtype=np.int64)
             if np.array_equal(reached, count):
                 break
@@ -278,34 +260,40 @@ def _path_stats(g: Graph, degrees: np.ndarray) -> tuple[float, bool]:
     size = int(count.max())
     connected = size == n
     if size < 2:
-        return 0.0, connected
+        return links, 0.0, connected
     first = int(np.argmax(count == size))
     members = np.flatnonzero(reach[first, word] & masks)
     total = int(dist_sum[members].sum())
-    return float(total / (size * (size - 1))), connected
+    return links, float(total / (size * (size - 1))), connected
 
 
 def metrics(g: Graph) -> NetworkMetrics:
     """Exact clustering, characteristic path length, and degree histogram.
 
-    Path length averages shortest-path distances (a bit-parallel
-    all-sources BFS, :func:`_path_stats`) over all connected node pairs; on
-    a disconnected graph the largest component is used and the result is
-    flagged via ``connected=False``.
+    Both come from one bit-packed all-sources BFS (:func:`_bfs_stats`):
+    the triangle count from its first level, the path lengths from all of
+    it.  Path length averages shortest-path distances over all connected
+    node pairs; on a disconnected graph the largest component is used and
+    the result is flagged via ``connected=False``.  The local coefficients
+    are summed in node order, one division each, so the mean does not
+    depend on a summation order chosen by numpy.
     """
-    degrees = g.degrees
-    histogram = np.bincount(degrees, minlength=1)
-    clustering_defined = g.n >= 3
-    clustering, transitivity = (_clustering_stats(g) if clustering_defined
-                                else (0.0, 0.0))
-    path_length, connected = _path_stats(g, degrees)
+    ends = g._edge_array()
+    degrees = _degrees(g.n, ends)
+    links, path_length, connected = _bfs_stats(g.n, ends, degrees)
+    pairs = degrees * (degrees - 1) // 2
+    local_sum = 0.0
+    for node_links, node_pairs in zip(links.tolist(), pairs.tolist()):
+        if node_pairs:
+            local_sum += node_links / node_pairs
+    triads = int(pairs.sum())
     return NetworkMetrics(
-        clustering=clustering,
+        clustering=local_sum / g.n,
         path_length=path_length,
-        degree_histogram=histogram,
-        transitivity=transitivity,
+        degree_histogram=np.bincount(degrees, minlength=1),
+        transitivity=int(links.sum()) / triads if triads else 0.0,
         connected=connected,
-        clustering_defined=clustering_defined,
+        clustering_defined=g.n >= 3,
     )
 
 

@@ -157,6 +157,13 @@ def test_choice_parameter_and_its_message(experiment, name, names,
     assert cli.validate(bad) == [f"{name}: must be one of: {names}"]
 
 
+def test_clt_n_values_need_two_distinct_entries():
+    repeated = ExperimentConfig("clt", {"n_values": "4,4"})
+    assert cli.validate(repeated) \
+        == ["n_values: needs at least two distinct entries, each >= 2"]
+    assert cli.validate(ExperimentConfig("clt", {"n_values": "4,4,8"})) == []
+
+
 def test_anneal_size_cap_is_the_enumeration_bound():
     at_cap = ExperimentConfig("memory", {"task": "anneal", "n": "24"})
     assert cli.validate(at_cap) == []
@@ -257,6 +264,16 @@ def test_network_run_emits_parseable_edge_list(tmp_path):
     header, rows = _read_csv(tmp_path / "network.csv")
     assert [r[1] for r in rows] == ["0.0", "0.3"]
     assert rows[0][2] == "1.0" and rows[0][3] == "1.0"
+
+
+def test_small_ba_graph_gives_a_nan_ccdf_slope(tmp_path):
+    # ba_n <= 6 leaves fewer than three CCDF points to fit.
+    assert cli.main(["network", "--jobs", "1", "--out", str(tmp_path),
+                     "n=5", "k=4", "seeds=10", "ba_n=5", "ba_m=4",
+                     "p_values=0,1"]) == 0
+    summary = json.loads((tmp_path / "network_summary.json").read_text())
+    assert math.isnan(summary["ba_ccdf_slope"])
+    assert math.isnan(summary["ba_ccdf_stderr"])
 
 
 def test_search_table_has_both_strategies_per_cell(tmp_path):

@@ -4,6 +4,7 @@ import concurrent.futures
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,12 @@ class TestCltScaling:
             sampler=lambda s, size: np.full(size, 2.5),
         )
         assert result.points == (CltPoint(4, 0.0),)
+        assert math.isnan(result.slope)
+
+    def test_repeated_n_gives_nan_slope_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = clt_scaling(RngStream(0), (4, 4), 10)
         assert math.isnan(result.slope)
 
     def test_uniform_mean_of_two_matches_analytic_error(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import spearmanr
 
-from util import reference_metrics
+from util import reference_clustering, reference_metrics
 
 from stochlab.core import RngStream, fit_power_law
 from stochlab.networks import (
@@ -22,26 +22,11 @@ from stochlab.networks import (
 
 def _oracle_metrics(g):
     """Literal re-computation of clustering and path length from the edge set."""
+    clustering, _ = reference_clustering(g)
     adj = {u: set() for u in range(g.n)}
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
-
-    locals_ = []
-    for u in range(g.n):
-        neigh = sorted(adj[u])
-        d = len(neigh)
-        if d < 2:
-            locals_.append(0.0)
-            continue
-        links = sum(
-            1
-            for i in range(d)
-            for j in range(i + 1, d)
-            if neigh[j] in adj[neigh[i]]
-        )
-        locals_.append(2.0 * links / (d * (d - 1)))
-    clustering = sum(locals_) / g.n
 
     def bfs(source):
         dist = {source: 0}
@@ -314,6 +299,14 @@ def _oracle_cases():
         6, [(1, 3), (3, 5), (1, 5), (0, 2), (2, 4)])
     cases["larger-component-later"] = Graph.from_edges(
         9, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6), (6, 2)])
+    # Full neighbour rows, up to and across a 64-bit word boundary.
+    for n in (3, 64, 65):
+        cases[f"complete-{n}"] = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    # The centre has neighbour pairs but no links among them.
+    cases["star"] = Graph.from_edges(9, [(0, v) for v in range(1, 9)])
+    cases["two-triangles-and-isolated"] = Graph.from_edges(
+        10, [(1, 2), (2, 3), (1, 3), (5, 7), (7, 8), (5, 8)])
     # The forty graphs of the default `network` scan at seed 0.
     scan_rng = RngStream(0, 0).substream(0).substream(0)
     for i, p in enumerate((0.0, 0.02, 0.1, 0.5)):
