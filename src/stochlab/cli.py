@@ -230,28 +230,34 @@ def _cross_paths(p) -> list:
 
 
 def _cross_diffuse(p) -> list:
+    from .diffusion import WalkSpec, _level_specs
+
     if not math.isclose(p["a_s"] ** 2 / p["a_t"], 2.0 * p["dim"],
                         rel_tol=1e-12):
         return ["a_t: must satisfy a_s^2 / a_t = 2 * dim "
                 "(diffusion-constant pinning)"]
+    try:
+        _level_specs(WalkSpec(p["dim"], p["a_s"], p["a_t"], p["n_walkers"],
+                              p["n_steps"]), p["refinements"])
+    except ValueError as exc:
+        return [f"refinements: {exc}"]
     return []
 
 
 def _cross_resonance(p) -> list:
-    from .resonance import DoubleWellSpec
+    from .resonance import DoubleWellSpec, _segment_length
 
     out = []
     levels = sorted(p["noise_levels"])
-    if levels and levels[0] > 0 and levels[-1] / levels[0] < 10.0 * (1 - 1e-12):
+    if levels[-1] / levels[0] < 10.0 * (1 - 1e-12):
         out.append("noise_levels: must span at least a decade")
-    if p["t_total"] * p["omega"] < 100.0 * 2.0 * math.pi:
-        out.append("t_total: must cover at least 100 drive periods")
     try:
-        DoubleWellSpec(amplitude=p["amplitude"], omega=p["omega"],
-                       noise_d=levels[0] if levels else 0.0, dt=p["dt"],
-                       t_total=p["t_total"])
+        spec = DoubleWellSpec(amplitude=p["amplitude"], omega=p["omega"],
+                              noise_d=levels[0], dt=p["dt"],
+                              t_total=p["t_total"])
+        _segment_length(spec.n_steps + 1, spec.dt, spec.omega)
     except ValueError as exc:
-        out.append(f"dt: {exc}")
+        out.append(f"t_total: {exc}")
     return out
 
 

@@ -60,6 +60,8 @@ class WalkSpec:
             raise ValueError("need at least one walker")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
+        if float(2 * self.n_steps + 1) ** self.dim >= 2**62:
+            raise ValueError("n_steps too large for packed site keys")
         origin = tuple(int(c) for c in self.origin)
         if origin == ():
             origin = (0,) * self.dim
@@ -124,8 +126,6 @@ class DiffusionField:
 def _encode(coords: np.ndarray, n_steps: int, dim: int) -> np.ndarray:
     """Pack shifted integer coordinates into single int64 keys."""
     base = 2 * n_steps + 1
-    if float(base) ** dim >= 2**62:
-        raise ValueError("n_steps too large for packed site keys")
     keys = np.zeros(coords.shape[0], dtype=np.int64)
     for axis in range(dim):
         keys = keys * base + (coords[:, axis] + n_steps)
@@ -212,6 +212,14 @@ class ConvergenceLevel(NamedTuple):
     sampling_limited: bool
 
 
+def _level_specs(base: WalkSpec, refinements: int) -> list[WalkSpec]:
+    """The base level and ``refinements`` halvings of a_s at D = 1."""
+    return [WalkSpec(base.dim, base.a_s / 2**k,
+                     (base.a_s / 2**k) ** 2 / (2.0 * base.dim),
+                     base.n_walkers, base.n_steps * 4**k, base.origin)
+            for k in range(refinements + 1)]
+
+
 def convergence_scan(base_spec: WalkSpec, refinements: int,
                      rng: RngStream) -> list[ConvergenceLevel]:
     """Walk-vs-kernel sup-norm error while halving a_s at fixed physical time.
@@ -233,11 +241,8 @@ def convergence_scan(base_spec: WalkSpec, refinements: int,
         raise ValueError("base spec must take at least one step")
 
     levels = []
-    for k in range(refinements + 1):
-        a_s = base_spec.a_s / 2**k
-        a_t = a_s**2 / (2.0 * base_spec.dim)
-        spec = WalkSpec(base_spec.dim, a_s, a_t, base_spec.n_walkers,
-                        base_spec.n_steps * 4**k, base_spec.origin)
+    for k, spec in enumerate(_level_specs(base_spec, refinements)):
+        a_s = spec.a_s
         field = simulate_walk(spec, rng.substream(k))
         kernel = analytic_kernel(spec.dim, 1.0, field.time, field.points,
                                  np.asarray(spec.origin) * a_s)
@@ -249,6 +254,6 @@ def convergence_scan(base_spec: WalkSpec, refinements: int,
         bias_estimate = ((2.0 * a_s) ** 2 / 24.0) * spec.dim * peak_kernel / (
             2.0 * field.time)
         levels.append(ConvergenceLevel(
-            a_s=a_s, a_t=a_t, n_steps=spec.n_steps, sup_error=sup_error,
+            a_s=a_s, a_t=spec.a_t, n_steps=spec.n_steps, sup_error=sup_error,
             sampling_limited=peak_se > bias_estimate))
     return levels

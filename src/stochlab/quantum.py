@@ -68,9 +68,6 @@ class ComplexAmplitude:
     def __add__(self, other: "ComplexAmplitude") -> "ComplexAmplitude":
         return ComplexAmplitude(self.re + other.re, self.im + other.im)
 
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
 
 @dataclass(frozen=True)
 class SuperposeResult:

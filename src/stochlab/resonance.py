@@ -53,9 +53,9 @@ _MIN_PERIODS = 100  # drive periods required before a spectral estimate
 class DoubleWellSpec:
     """Drive, noise, and integration parameters for one double-well run.
 
-    ``t_total`` needs to cover at least 100 drive periods before
-    :func:`snr_at_drive` will accept the run -- shorter records cannot
-    resolve the line against its local background.
+    The integrated record ``n_steps * dt`` must cover at least 100 drive
+    periods before :func:`snr_at_drive` accepts the run (the CLI checks it
+    at validation) -- shorter records cannot resolve the line.
     """
 
     amplitude: float
@@ -74,6 +74,8 @@ class DoubleWellSpec:
             raise ValueError("noise_d must be non-negative")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
+        if not math.isfinite(self.t_total / self.dt):
+            raise ValueError("t_total / dt overflows; raise dt")
         if self.n_steps < 1:
             raise ValueError("t_total shorter than one step")
 
@@ -94,21 +96,23 @@ class DoubleWellSpec:
 class Trajectory:
     """Uniformly sampled scalar path: ``positions[k]`` at ``times[k]``."""
 
-    times: np.ndarray
     positions: np.ndarray
     sample_step: float
 
     def __post_init__(self) -> None:
-        if self.times.shape != self.positions.shape or self.times.ndim != 1:
-            raise ValueError("times and positions must be matching 1-d arrays")
+        if self.positions.ndim != 1 or self.positions.size == 0:
+            raise ValueError("positions must be a non-empty 1-d array")
         if self.sample_step <= 0:
             raise ValueError("sample_step must be positive")
-        self.times.setflags(write=False)
         self.positions.setflags(write=False)
 
     @property
+    def times(self) -> np.ndarray:
+        return self.sample_step * np.arange(self.positions.size)
+
+    @property
     def duration(self) -> float:
-        return float(self.times[-1])
+        return self.sample_step * (self.positions.size - 1)
 
 
 @dataclass(frozen=True)
@@ -173,43 +177,25 @@ def integrate(spec: DoubleWellSpec,
         )
     # A thinned record is copied out, so the full path is not kept alive.
     positions = np.ascontiguousarray(path[::sample_stride])
-    step = dt * sample_stride
-    return Trajectory(times=step * np.arange(positions.size),
-                      positions=positions, sample_step=step)
+    return Trajectory(positions, dt * sample_stride)
 
 
-def snr_at_drive(trajectory: Trajectory,
-                 omega: float,
-                 spec: DoubleWellSpec) -> float:
-    """Line-to-background power ratio at the drive frequency, in dB.
-
-    The trajectory is cut into 8 equal segments, each trimmed to a whole
-    number of drive periods, and the segment-averaged periodogram power in
-    the line bin is divided by the median power over the surrounding +-20
-    bins (the line bin and its immediate neighbours excluded).
-    """
+def _segment_length(n_samples: int, step: float, omega: float) -> int:
+    """Samples per periodogram segment, or ValueError naming a broken rule."""
     if omega <= 0:
         raise ValueError("omega must be positive")
     period = 2.0 * math.pi / omega
-    min_span = _MIN_PERIODS * period * (1.0 - 1e-9)
-    if spec.t_total < min_span:
-        raise ValueError(
-            f"spec.t_total = {spec.t_total:g} covers fewer than "
-            f"{_MIN_PERIODS} drive periods"
-        )
-    if trajectory.duration < min_span:
-        raise ValueError(
-            f"trajectory covers {trajectory.duration / period:.1f} drive "
-            f"periods; need >= {_MIN_PERIODS} for the spectral estimate"
-        )
-
-    step = trajectory.sample_step
+    duration = step * (n_samples - 1)
+    if duration < _MIN_PERIODS * period * (1.0 - 1e-9):
+        raise ValueError(f"record covers {duration / period:.10g} drive "
+                         f"periods; need >= {_MIN_PERIODS} for the "
+                         "spectral estimate")
     samples_per_period = period / step
     period_samples = int(round(samples_per_period))
     if period_samples < 4:
         raise ValueError("drive period spans fewer than 4 samples; "
                          "sample more finely")
-    periods_per_segment = trajectory.positions.size // (_SEGMENTS * period_samples)
+    periods_per_segment = n_samples // (_SEGMENTS * period_samples)
     if periods_per_segment < 1:
         raise ValueError("fewer than one drive period per segment")
     # Whole-period mismatch accumulated over a segment must stay well below
@@ -219,8 +205,21 @@ def snr_at_drive(trajectory: Trajectory,
     if bin_offset > 0.25:
         raise ValueError("drive frequency is not resolvable on the sampling "
                          "grid; adjust dt or omega")
+    return periods_per_segment * period_samples
 
-    segment_len = periods_per_segment * period_samples
+
+def snr_at_drive(trajectory: Trajectory, omega: float) -> float:
+    """Line-to-background power ratio at the drive frequency, in dB.
+
+    Record rules (a ValueError names the broken one): >= 100 drive periods,
+    >= 4 samples per period, a whole period in each of 8 equal segments,
+    and the line within a quarter bin of its bin across a segment.  Each
+    segment is trimmed to a whole number of periods; the averaged
+    periodogram power in the line bin is divided by the median power over
+    the surrounding +-20 bins (the line bin and its neighbours excluded).
+    """
+    step = trajectory.sample_step
+    segment_len = _segment_length(trajectory.positions.size, step, omega)
     used = trajectory.positions[:_SEGMENTS * segment_len]
     spectrum = periodogram(used, step, _SEGMENTS)
     f_drive = omega / (2.0 * math.pi)
@@ -239,7 +238,7 @@ def snr_at_drive(trajectory: Trajectory,
 def _cell_snr(unit) -> float:
     """SNR of one (level, replica) cell: ``unit`` is (spec, stream)."""
     spec, stream = unit
-    return snr_at_drive(integrate(spec, stream), spec.omega, spec)
+    return snr_at_drive(integrate(spec, stream), spec.omega)
 
 
 def resonance_scan(base: DoubleWellSpec,

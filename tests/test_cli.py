@@ -480,6 +480,29 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
     assert on_disk == GOLDEN_CLI[experiment]
 
 
+@pytest.mark.parametrize("argv, key", [
+    # 6283.2 at dt = 0.5 integrates 6283.0: 99.997 drive periods.
+    (["resonance", "t_total=6283.2", "dt=0.5",
+      "noise_levels=0.01,0.02,0.04,0.08,0.1"], "t_total"),
+    # 12.57 samples per period round to 13: the line drifts off its bin.
+    (["resonance", "omega=1", "dt=0.5", "t_total=700",
+      "noise_levels=0.01,0.02,0.04,0.08,0.1"], "t_total"),
+    # The ninth halving of a_s takes 8 * 4**9 steps: 3-d keys overflow.
+    (["diffuse", "dim=3", "a_s=0.5", "a_t=0.041666666666666664",
+      "refinements=9", "n_walkers=1000"], "refinements"),
+    # t_total / dt overflows to inf, which has no step count.
+    (["resonance", "dt=1e-320"], "t_total"),
+], ids=["short-record", "line-off-its-bin", "diffuse-key-range",
+        "overflowing-step-count"])
+def test_faults_known_from_the_config_exit_2(argv, key, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--jobs", "1", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"invalid config: {key}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=needs_two_cpus)])
 def test_main_runtime_failure_exits_3(jobs, tmp_path, capsys):
     code = cli.main(["resonance", "--jobs", jobs, "--out", str(tmp_path),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stochlab import diffusion
 from stochlab.core import RngStream
 from stochlab.diffusion import (
     ConvergenceLevel,
@@ -34,6 +35,10 @@ def test_spec_validates_dimension_and_spacings():
     with pytest.raises(ValueError):
         WalkSpec(dim=2, a_s=0.1, a_t=0.01, n_walkers=10, n_steps=5,
                  origin=(1,))
+    # 3-d site keys fit int64 up to 8 * 4**8 steps, not at 8 * 4**9.
+    WalkSpec(dim=3, a_s=0.1, a_t=0.01, n_walkers=1, n_steps=8 * 4**8)
+    with pytest.raises(ValueError, match="packed site keys"):
+        WalkSpec(dim=3, a_s=0.1, a_t=0.01, n_walkers=1, n_steps=8 * 4**9)
 
 
 def test_spec_records_scaling_ratio_and_d():
@@ -241,6 +246,17 @@ def test_scan_validates_arguments():
     bad_ratio = WalkSpec(dim=1, a_s=0.5, a_t=0.1, n_walkers=100, n_steps=8)
     with pytest.raises(ValueError):
         convergence_scan(bad_ratio, refinements=2, rng=RngStream(1))
+
+
+def test_packed_key_range_is_checked_before_any_level_runs(monkeypatch):
+    # The ninth halving of a_s takes 8 * 4**9 steps: its keys overflow.
+    def unexpected(spec, rng):
+        raise AssertionError("a level was simulated")
+
+    monkeypatch.setattr(diffusion, "simulate_walk", unexpected)
+    base = WalkSpec(dim=3, a_s=0.5, a_t=0.5**2 / 6, n_walkers=10, n_steps=8)
+    with pytest.raises(ValueError, match="packed site keys"):
+        convergence_scan(base, refinements=9, rng=RngStream(1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,9 @@
-import math
-from collections import deque
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import spearmanr
 
-from util import reference_clustering, reference_metrics
+from util import reference_metrics
 
 from stochlab.core import RngStream, fit_power_law
 from stochlab.networks import (
@@ -18,47 +15,6 @@ from stochlab.networks import (
     small_world_scan,
     watts_strogatz,
 )
-
-
-def _oracle_metrics(g):
-    """Literal re-computation of clustering and path length from the edge set."""
-    clustering, _ = reference_clustering(g)
-    adj = {u: set() for u in range(g.n)}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-
-    def bfs(source):
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            for other in adj[node]:
-                if other not in dist:
-                    dist[other] = dist[node] + 1
-                    queue.append(other)
-        return dist
-
-    # components, largest first by size with ties to the smallest label order
-    seen = set()
-    components = []
-    for u in range(g.n):
-        if u in seen:
-            continue
-        comp = set(bfs(u))
-        seen |= comp
-        components.append(comp)
-    largest = max(components, key=len)
-    total = 0
-    pairs = 0
-    for u in sorted(largest):
-        dist = bfs(u)
-        for v in sorted(largest):
-            if v != u:
-                total += dist[v]
-                pairs += 1
-    path_length = total / pairs if pairs else 0.0
-    return clustering, path_length, len(components) == 1
 
 
 def _ring(n, k):
@@ -121,11 +77,9 @@ def test_ring_clustering_is_exactly_one_half_for_four_neighbors():
 
 def test_ring_metrics_match_the_oracle_exactly():
     g = _ring(10, 4)
-    m = metrics(g)
-    clustering, path_length, connected = _oracle_metrics(g)
-    assert m.clustering == pytest.approx(clustering, abs=1e-12)
-    assert m.path_length == pytest.approx(path_length, abs=1e-12)
-    assert m.connected == connected
+    m, ref = metrics(g), reference_metrics(g)
+    assert (m.clustering, m.path_length, m.connected) == (
+        ref.clustering, ref.path_length, ref.connected)
 
 
 def test_full_rewiring_reaches_the_random_graph_clustering_level():
@@ -264,11 +218,9 @@ def test_disconnected_graph_uses_the_largest_component_and_flags_it():
 )
 def test_metrics_match_the_exhaustive_oracle_on_small_graphs(n, p, seed):
     g = watts_strogatz(n, 4, p, RngStream(104, seed % 991))
-    m = metrics(g)
-    clustering, path_length, connected = _oracle_metrics(g)
-    assert m.clustering == pytest.approx(clustering, abs=1e-12)
-    assert m.path_length == pytest.approx(path_length, abs=1e-12)
-    assert m.connected == connected
+    m, ref = metrics(g), reference_metrics(g)
+    assert (m.clustering, m.path_length, m.connected) == (
+        ref.clustering, ref.path_length, ref.connected)
 
 
 def _random_graph(n, p, rng):

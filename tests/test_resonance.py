@@ -22,9 +22,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def make_trajectory(values, step=0.01):
-    values = np.asarray(values, dtype=float)
-    return Trajectory(times=step * np.arange(values.size),
-                      positions=values, sample_step=step)
+    return Trajectory(np.asarray(values, dtype=float), step)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +124,8 @@ def test_spec_validation():
         DoubleWellSpec(0.3, 1.0, -0.1, dt=0.01, t_total=10.0)
     with pytest.raises(ValueError):
         DoubleWellSpec(0.3, 0.0, 0.1, dt=0.01, t_total=10.0)
+    with pytest.raises(ValueError, match="overflows"):
+        DoubleWellSpec(0.3, 1.0, 0.1, dt=1e-320, t_total=10.0)
     with pytest.raises(ValueError):
         integrate(DoubleWellSpec(0.0, 1.0, 0.0, 0.01, 1.0), RngStream(1),
                   sample_stride=0)
@@ -141,11 +141,11 @@ def test_spec_derived_quantities():
 
 def test_trajectory_validation():
     with pytest.raises(ValueError):
-        Trajectory(times=np.arange(3.0), positions=np.zeros(4),
-                   sample_step=0.1)
+        Trajectory(np.zeros((2, 3)), 0.1)
     with pytest.raises(ValueError):
-        Trajectory(times=np.arange(3.0), positions=np.zeros(3),
-                   sample_step=0.0)
+        Trajectory(np.zeros(0), 0.1)
+    with pytest.raises(ValueError):
+        Trajectory(np.zeros(3), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,53 +163,51 @@ def test_pure_sinusoid_scores_far_above_background(probe_spec):
     n = probe_spec.n_steps + 1
     t = 0.01 * np.arange(n)
     traj = make_trajectory(np.sin(t))
-    assert snr_at_drive(traj, 1.0, probe_spec) > 40.0
+    assert snr_at_drive(traj, 1.0) > 40.0
 
 
 def test_white_noise_scores_near_zero_db(probe_spec):
     n = probe_spec.n_steps + 1
     values = [
         snr_at_drive(
-            make_trajectory(RngStream(71, k).gen.standard_normal(n)),
-            1.0, probe_spec)
+            make_trajectory(RngStream(71, k).gen.standard_normal(n)), 1.0)
         for k in range(4)
     ]
     assert abs(np.mean(values)) < 3.0
 
 
-def test_short_record_is_rejected(probe_spec):
+def test_short_record_is_rejected():
     short = make_trajectory(np.sin(0.01 * np.arange(1000)))
     with pytest.raises(ValueError, match="periods"):
-        snr_at_drive(short, 1.0, probe_spec)
-    brief_spec = DoubleWellSpec(amplitude=0.0, omega=1.0, noise_d=0.0,
-                                dt=0.01, t_total=10 * TWO_PI)
-    long_traj = make_trajectory(np.sin(0.01 * np.arange(probe_spec.n_steps)))
-    with pytest.raises(ValueError, match="periods"):
-        snr_at_drive(long_traj, 1.0, brief_spec)
+        snr_at_drive(short, 1.0)
+    # 6283.0 time units at omega = 0.1 is 99.997 periods, not "100.0".
+    nearly = make_trajectory(np.zeros(12567), step=0.5)
+    with pytest.raises(ValueError, match=r"covers 99\.99\d* drive periods"):
+        snr_at_drive(nearly, 0.1)
 
 
-def test_coarsely_sampled_drive_is_rejected(probe_spec):
+def test_coarsely_sampled_drive_is_rejected():
     # Three samples per period cannot hold the line.
     step = TWO_PI / 3.0
     n = 400
     traj = make_trajectory(np.zeros(n), step=step)
     with pytest.raises(ValueError, match="resolvable|samples"):
-        snr_at_drive(traj, 1.0, probe_spec)
+        snr_at_drive(traj, 1.0)
 
 
-def test_half_integer_period_sampling_is_rejected(probe_spec):
+def test_half_integer_period_sampling_is_rejected():
     # 6.5 samples per period: the line drifts off its bin within a segment.
     step = TWO_PI / 6.5
     n = 800
     traj = make_trajectory(np.zeros(n), step=step)
     with pytest.raises(ValueError, match="resolvable"):
-        snr_at_drive(traj, 1.0, probe_spec)
+        snr_at_drive(traj, 1.0)
 
 
-def test_nonpositive_probe_frequency_rejected(probe_spec):
+def test_nonpositive_probe_frequency_rejected():
     traj = make_trajectory(np.zeros(100))
     with pytest.raises(ValueError):
-        snr_at_drive(traj, 0.0, probe_spec)
+        snr_at_drive(traj, 0.0)
 
 
 def test_snr_grows_with_drive_amplitude():
@@ -218,8 +216,7 @@ def test_snr_grows_with_drive_amplitude():
     for ai, amplitude in enumerate((0.1, 0.2, 0.4)):
         spec = DoubleWellSpec(amplitude=amplitude, omega=1.0, noise_d=0.3,
                               dt=0.01, t_total=100 * TWO_PI)
-        reps = [snr_at_drive(integrate(spec, RngStream(76, 10 * ai + k)),
-                             1.0, spec)
+        reps = [snr_at_drive(integrate(spec, RngStream(76, 10 * ai + k)), 1.0)
                 for k in range(3)]
         means.append(np.mean(reps))
     assert means[0] < means[1] < means[2]

@@ -319,9 +319,7 @@ def reference_integrate(spec, rng: RngStream, sample_stride: int = 1):
         if (i + 1) % sample_stride == 0:
             out.append(x)
     positions = np.asarray(out)
-    step = dt * sample_stride
-    return Trajectory(times=step * np.arange(positions.size),
-                      positions=positions, sample_step=step)
+    return Trajectory(positions, dt * sample_stride)
 
 
 def _reference_relax(heights: np.ndarray, threshold: int,
