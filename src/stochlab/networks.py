@@ -16,6 +16,7 @@ close to the lattice value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
@@ -323,8 +324,11 @@ def small_world_scan(n: int, k: int, p_values: Sequence[float], seeds: int,
             l_total += m.path_length
         means.append((c_total / seeds, l_total / seeds))
     c_base, l_base = means[0]
+    # A k = 2 ring has no triangles, so its clustering ratios are undefined
+    # (NaN), and NaN > 0.7 is false: no small-world window.
     points = tuple(
-        SmallWorldPoint(p=p, clustering_ratio=c / c_base,
+        SmallWorldPoint(p=p,
+                        clustering_ratio=c / c_base if c_base else math.nan,
                         path_length_ratio=length / l_base)
         for p, (c, length) in zip(p_sorted, means)
     )

@@ -93,10 +93,12 @@ class EuclideanAction:
     """Mass, potential, and slice spacing defining the Euclidean action.
 
     The Boltzmann weight of a path is exp(-S/hbar); hbar defaults to 1.
+    A ``None`` potential is the free particle (V = 0): the sampler and the
+    action skip its term, which for an evaluated zero would add only +0.0.
     """
 
     mass: float
-    potential: Callable[[np.ndarray], np.ndarray]
+    potential: Callable[[np.ndarray], np.ndarray] | None
     a_t: float
     hbar: float = 1.0
 
@@ -142,6 +144,8 @@ def _action_of(positions: np.ndarray, dynamics: EuclideanAction):
     """Action of each path along the last axis (a scalar for a single path)."""
     kinetic = (dynamics.mass / (2.0 * dynamics.a_t)) * (
         np.diff(positions) ** 2).sum(axis=-1)
+    if dynamics.potential is None:
+        return kinetic
     v = np.asarray(dynamics.potential(positions), dtype=float)
     # Trapezoidal weighting: endpoints count half.
     potential = dynamics.a_t * (v.sum(axis=-1) - 0.5 * (v[..., 0] + v[..., -1]))
@@ -217,7 +221,7 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
     normals, then per sweep the proposal and the acceptance uniforms of the
     odd sites, then of the even sites.  Chain c therefore equals the one
     chain of ``metropolis_batch(..., [streams[c]], ...)`` bit for bit.  The
-    potential must act elementwise.
+    potential must act elementwise, or be ``None``.
     """
     if not streams:
         raise ValueError("need at least one stream")
@@ -243,20 +247,26 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
                              for gen in gens], axis=1)
     bridge = walk - walk[:, -1:] * (np.arange(n_t) / (n_t - 1))
     x = np.linspace(lattice.x_start, lattice.x_end, n_t) + bridge
-    # Per checkerboard group: its first site, where its draws start within a
-    # sweep's (proposals, then acceptance uniforms), and its site count.
+    # Per checkerboard group: views of its sites and of their left and right
+    # neighbours, and the columns of a sweep's draws holding its proposals
+    # and then its acceptance uniforms.
     groups, per_sweep = [], 0
     for first in (1, 2):
         size = len(range(first, n_t - 1, 2))
         if size:
-            groups.append((first, per_sweep, size))
+            groups.append((x[:, first:n_t - 1:2], x[:, first - 1:n_t - 2:2],
+                           x[:, first + 1:n_t:2],
+                           slice(per_sweep, per_sweep + size),
+                           slice(per_sweep + size, per_sweep + 2 * size)))
             per_sweep += 2 * size
+    # Accepted proposals per site since the last reset, one contiguous array
+    # per group: each tuning block's total, then the measured total.
+    tallies = [np.zeros(old.shape, dtype=np.int64) for old, *_ in groups]
 
     coef = dynamics.mass / (2.0 * dynamics.a_t)
     width = np.full((chains, 1, 1), float(proposal_width))
     trace = np.empty((chains, sweeps))
     kept = np.empty((chains, sweeps - thermalization, n_t))
-    accepts = np.zeros((chains, sweeps), dtype=np.int64)
     draws = np.empty((chains, _TUNE_INTERVAL, per_sweep))
     snapshots = np.empty((chains, _TUNE_INTERVAL, n_t))
     audit: list[list[np.ndarray]] = []
@@ -267,31 +277,39 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
         for gen, out in zip(gens, draws):
             gen.random(out=out[:k])
         # gen.uniform(-w, w) is bitwise -w + 2w * gen.random().
-        steps = -width + 2.0 * width * draws[:, :k]
+        steps = [-width + 2.0 * width * draws[:, :k, proposals]
+                 for _, _, _, proposals, _ in groups]
         for sweep in range(start, start + k):
-            for first, offset, size in groups:
-                old = x[:, first:n_t - 1:2]
-                new = old + steps[:, sweep - start, offset:offset + size]
-                left, right = x[:, first - 1:n_t - 2:2], x[:, first + 1:n_t:2]
+            if sweep == thermalization:
+                for hits in tallies:
+                    hits.fill(0)
+            j = sweep - start
+            for (old, left, right, _, uniforms), step, hits in zip(
+                    groups, steps, tallies):
+                new = old + step[:, j]
                 delta_s = coef * ((new - left) ** 2 + (right - new) ** 2
                                   - (old - left) ** 2 - (right - old) ** 2)
-                delta_s += dynamics.a_t * (
-                    np.asarray(dynamics.potential(new), dtype=float)
-                    - np.asarray(dynamics.potential(old), dtype=float))
-                u = draws[:, sweep - start, offset + size:offset + 2 * size]
-                accept = u < np.exp(np.minimum(-delta_s / dynamics.hbar, 0.0))
-                x[:, first:n_t - 1:2] = np.where(accept, new, old)
-                accepts[:, sweep] += accept.sum(axis=1)
+                if dynamics.potential is not None:
+                    delta_s += dynamics.a_t * (
+                        np.asarray(dynamics.potential(new), dtype=float)
+                        - np.asarray(dynamics.potential(old), dtype=float))
+                u = draws[:, j, uniforms]
+                # (-a) / b and a / (-b) are the same IEEE double.
+                accept = u < np.exp(np.minimum(delta_s / -dynamics.hbar, 0.0))
+                np.copyto(old, new, where=accept)
+                np.add(hits, accept, out=hits)
                 if audit_left > 0 and sweep >= thermalization:
-                    take = min(audit_left, size)
+                    take = min(audit_left, u.shape[1])
                     audit.append([a[:, :take].copy() for a in (delta_s, u, accept)])
                     audit_left -= take
-            snapshots[:, sweep - start] = x
+            snapshots[:, j] = x
             if sweep >= thermalization:
                 kept[:, sweep - thermalization] = x
         trace[:, start:start + k] = _action_of(snapshots[:, :k], dynamics)
         if start + k <= thermalization:
-            rate = accepts[:, start:start + k].sum(axis=1) / (k * (n_t - 2))
+            rate = sum(hits.sum(axis=1) for hits in tallies) / (k * (n_t - 2))
+            for hits in tallies:
+                hits.fill(0)
             width = np.clip(width * np.clip(rate / 0.5, 0.5, 2.0)[:, None, None],
                             1e-9, 1e9)
 
@@ -306,7 +324,7 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
             paths=kept[c, ::stride].copy(),
             sample_actions=measured_trace[::stride],
             action_trace=trace[c],
-            acceptance_rate=int(accepts[c, thermalization:].sum())
+            acceptance_rate=int(sum(hits[c].sum() for hits in tallies))
             / ((sweeps - thermalization) * (n_t - 2)),
             proposal_width=float(width[c, 0, 0]),
             stride=stride,

@@ -87,10 +87,6 @@ class DoubleWellSpec:
     def drive_period(self) -> float:
         return 2.0 * math.pi / self.omega
 
-    @property
-    def n_periods(self) -> float:
-        return self.t_total / self.drive_period
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -109,10 +105,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return self.sample_step * np.arange(self.positions.size)
-
-    @property
-    def duration(self) -> float:
-        return self.sample_step * (self.positions.size - 1)
 
 
 @dataclass(frozen=True)

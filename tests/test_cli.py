@@ -97,7 +97,7 @@ _LOWER_BOUNDS = [
     ("uncertainty", "n_states", 1, {}),
     ("uncertainty", "n_points", 2, {}),
     ("spectrum", "n_levels", 2, {}),
-    ("spectrum", "n_points", 2, {}),
+    ("spectrum", "n_points", 2, {"n_levels": "2"}),
     ("paths", "n_t", 72, {}),
     ("paths", "sweeps", 2, {"thermalization": "1"}),
     ("paths", "chains", 1, {}),
@@ -274,6 +274,17 @@ def test_small_ba_graph_gives_a_nan_ccdf_slope(tmp_path):
     summary = json.loads((tmp_path / "network_summary.json").read_text())
     assert math.isnan(summary["ba_ccdf_slope"])
     assert math.isnan(summary["ba_ccdf_stderr"])
+
+
+def test_triangle_free_ring_gives_nan_clustering_ratios(tmp_path):
+    # A k = 2 ring has zero clustering, so C(p) / C(0) is undefined.
+    assert cli.main(["network", "--jobs", "1", "--out", str(tmp_path),
+                     "n=9", "k=2", "p_values=0,1"]) == 0
+    header, rows = _read_csv(tmp_path / "network.csv")
+    assert [r[2] for r in rows] == ["nan", "nan"]
+    summary = json.loads((tmp_path / "network_summary.json").read_text())
+    assert summary["clustering_base"] == 0.0
+    assert summary["has_window"] is False
 
 
 def test_search_table_has_both_strategies_per_cell(tmp_path):
@@ -492,8 +503,13 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
       "refinements=9", "n_walkers=1000"], "refinements"),
     # t_total / dt overflows to inf, which has no step count.
     (["resonance", "dt=1e-320"], "t_total"),
+    # The eigensolver's level bound holds in both modes, not only commuting.
+    (["spectrum", "potential=box", "n_levels=6", "n_points=2"], "n_levels"),
+    # Gamma(342 / 2 + 1) overflows a double.
+    (["mcint", "dim=342"], "dim"),
 ], ids=["short-record", "line-off-its-bin", "diffuse-key-range",
-        "overflowing-step-count"])
+        "overflowing-step-count", "spectrum-levels-past-grid",
+        "mcint-ball-gamma-overflow"])
 def test_faults_known_from_the_config_exit_2(argv, key, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main([*argv, "--jobs", "1", "--out", str(out)]) == 2

@@ -226,6 +226,7 @@ _BATCH_CASES = {
     "harmonic": (harmonic_potential, 33, 0.1, 3, 260, 60, 0),
     "free-audit": (zero_potential, 18, 0.05, 2, 130, 75, 40),
     "single-chain": (harmonic_potential, 3, 0.1, 1, 90, 30, 5),
+    "none-audit": (None, 17, 0.05, 3, 140, 50, 30),
 }
 
 
@@ -261,6 +262,29 @@ def test_batch_equals_separate_chains_and_reference_loop(case):
         # Block draws never run ahead: each stream ends where the loop's does.
         assert (streams[k].gen.random() == single_stream.gen.random()
                 == reference_stream.gen.random())
+
+
+@pytest.mark.parametrize("thermalization", [50, 37])
+def test_none_potential_equals_zeros_potential_bitwise(thermalization):
+    # The kernel skips V = None; V = 0 adds +0.0 to a delta S and an action
+    # that are never -0.0.  Byte equality includes every sign bit.
+    lat = Lattice(20, 0.05, x_start=0.3)
+    runs = [metropolis_batch(EuclideanAction(1.0, potential, 0.05), lat,
+                             [RngStream(83, k) for k in range(2)], 120,
+                             thermalization, 0.7, 25)
+            for potential in (None, zero_potential)]
+    for skipped, evaluated in zip(*runs):
+        _assert_bitwise_equal(dataclasses.asdict(skipped),
+                              dataclasses.asdict(evaluated))
+
+
+def test_action_with_none_potential_equals_zeros_potential_bitwise():
+    rng = np.random.default_rng(5)
+    for n_t in (2, 3, 64):
+        path = LatticePath(rng.normal(size=n_t), 0.05)
+        skipped = action(path, EuclideanAction(1.0, None, 0.05))
+        evaluated = action(path, EuclideanAction(1.0, zero_potential, 0.05))
+        assert np.float64(skipped).tobytes() == np.float64(evaluated).tobytes()
 
 
 def test_batch_needs_a_stream():

@@ -136,7 +136,6 @@ def test_spec_derived_quantities():
                           dt=0.01, t_total=100 * TWO_PI / 0.1)
     assert spec.n_steps == round(spec.t_total / 0.01)
     assert spec.drive_period == pytest.approx(TWO_PI / 0.1)
-    assert spec.n_periods == pytest.approx(100.0)
 
 
 def test_trajectory_validation():

@@ -151,12 +151,16 @@ def reference_metropolis(dynamics, lattice, rng: RngStream, sweeps: int,
     A slow oracle with the batch kernel's draw order and arithmetic: bridge
     normals, then per sweep ``gen.uniform`` proposals and ``gen.random``
     acceptance draws for the odd sites, then the even sites; the width is
-    retuned every 25 thermalization sweeps.  Returns the ensemble's fields.
+    retuned every 25 thermalization sweeps.  A ``None`` potential is
+    evaluated as ``np.zeros_like``.  Returns the ensemble's fields.
     """
+    potential = (np.zeros_like if dynamics.potential is None
+                 else dynamics.potential)
+
     def action_of(positions):
         kinetic = (dynamics.mass / (2.0 * dynamics.a_t)) * float(
             (np.diff(positions) ** 2).sum())
-        v = np.asarray(dynamics.potential(positions), dtype=float)
+        v = np.asarray(potential(positions), dtype=float)
         return kinetic + dynamics.a_t * float(v.sum() - 0.5 * (v[0] + v[-1]))
 
     n_t, gen = lattice.n_t, rng.gen
@@ -184,8 +188,8 @@ def reference_metropolis(dynamics, lattice, rng: RngStream, sweeps: int,
             delta_s = coef * ((new - left) ** 2 + (right - new) ** 2
                               - (old - left) ** 2 - (right - old) ** 2)
             delta_s += dynamics.a_t * (
-                np.asarray(dynamics.potential(new), dtype=float)
-                - np.asarray(dynamics.potential(old), dtype=float))
+                np.asarray(potential(new), dtype=float)
+                - np.asarray(potential(old), dtype=float))
             u = gen.random(sites.size)
             accept = u < np.exp(np.minimum(-delta_s / dynamics.hbar, 0.0))
             x[sites] = np.where(accept, new, old)
