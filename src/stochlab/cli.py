@@ -48,7 +48,7 @@ import scipy
 
 from . import __version__
 from .core import (RngStream, available_cpus, clt_scaling, fan_out,
-                   fit_power_law, low_high_power_ratio, mc_integrate)
+                   low_high_power_ratio, mc_integrate)
 
 __all__ = [
     "ConfigError",
@@ -165,22 +165,11 @@ def _to_ints(value) -> tuple:
     return tuple(_to_int(v) for v in value)
 
 
-def _to_str(value) -> str:
-    return str(value)
-
-
-def _finite(v) -> bool:
-    return math.isfinite(v)
-
-
 def _positive(v) -> bool:
     return math.isfinite(v) and v > 0
 
 
-_TRUE = lambda v: True  # noqa: E731 - trivially-true check reads best inline
-
-
-def _f(default, check=_finite, constraint="must be a finite number"):
+def _f(default, check=math.isfinite, constraint="must be a finite number"):
     return _Param(_to_float, default, check, constraint)
 
 
@@ -194,12 +183,8 @@ def _at_least(low, default):
 
 
 def _one_of(default, *names):
-    return _Param(_to_str, default, lambda v: v in names,
+    return _Param(str, default, lambda v: v in names,
                   f"must be one of: {', '.join(names)}")
-
-
-def _no_cross_check(p) -> list:
-    return []
 
 
 @dataclass(frozen=True)
@@ -209,64 +194,64 @@ class _Experiment:
 
     run: Callable
     schema: dict
-    cross_check: Callable = _no_cross_check
+    cross_check: Callable = lambda p: []
+
+
+def _rule(key: str, check: Callable, *args) -> list:
+    """``["<key>: <message>"]`` if the library rule ``check(*args)`` raises:
+    each rule's text lives once, in the module that enforces it."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return [f"{key}: {exc}"]
+    return []
 
 
 def _cross_uncertainty(p) -> list:
-    return (["x_max: must exceed x_min"] if p["x_max"] <= p["x_min"] else [])
+    from .quantum import Grid1D
+
+    return _rule("x_max", Grid1D, p["x_min"], p["x_max"], p["n_points"])
 
 
 def _cross_spectrum(p) -> list:
-    out = _cross_uncertainty(p)
-    if p["n_levels"] > p["n_points"]:
-        out.append("n_levels: cannot exceed n_points")
-    return out
+    from .quantum import _check_levels
+
+    return _cross_uncertainty(p) + _rule("n_levels", _check_levels,
+                                         p["n_levels"], p["n_points"])
 
 
 def _cross_paths(p) -> list:
-    if p["sweeps"] <= p["thermalization"]:
-        return ["sweeps: must exceed thermalization"]
-    return []
+    from .paths import _check_sweeps
+
+    return _rule("sweeps", _check_sweeps, p["sweeps"], p["thermalization"])
 
 
 def _cross_diffuse(p) -> list:
-    from .diffusion import WalkSpec, _level_specs
+    from .diffusion import WalkSpec, _check_pinning, _level_specs
 
-    if not math.isclose(p["a_s"] ** 2 / p["a_t"], 2.0 * p["dim"],
-                        rel_tol=1e-12):
-        return ["a_t: must satisfy a_s^2 / a_t = 2 * dim "
-                "(diffusion-constant pinning)"]
-    try:
-        _level_specs(WalkSpec(p["dim"], p["a_s"], p["a_t"], p["n_walkers"],
-                              p["n_steps"]), p["refinements"])
-    except ValueError as exc:
-        return [f"refinements: {exc}"]
-    return []
+    return (_rule("a_t", _check_pinning, p["dim"], p["a_s"], p["a_t"])
+            or _rule("refinements", lambda: _level_specs(
+                WalkSpec(p["dim"], p["a_s"], p["a_t"], p["n_walkers"],
+                         p["n_steps"]), p["refinements"])))
 
 
 def _cross_resonance(p) -> list:
-    from .resonance import DoubleWellSpec, _segment_length
+    from .resonance import DoubleWellSpec, _segment_length, _sorted_levels
 
-    out = []
-    levels = sorted(p["noise_levels"])
-    if levels[-1] / levels[0] < 10.0 * (1 - 1e-12):
-        out.append("noise_levels: must span at least a decade")
-    try:
+    def record():
         spec = DoubleWellSpec(amplitude=p["amplitude"], omega=p["omega"],
-                              noise_d=levels[0], dt=p["dt"],
+                              noise_d=min(p["noise_levels"]), dt=p["dt"],
                               t_total=p["t_total"])
         _segment_length(spec.n_steps + 1, spec.dt, spec.omega)
-    except ValueError as exc:
-        out.append(f"t_total: {exc}")
-    return out
+
+    return (_rule("noise_levels", _sorted_levels, p["noise_levels"])
+            + _rule("t_total", record))
 
 
 def _cross_memory(p) -> list:
-    from .memory import _ENUM_LIMIT
+    from .memory import _ENUM_LIMIT, _check_flips
 
-    out = []
-    if p["corrupt_flips"] > p["n"]:
-        out.append("corrupt_flips: cannot exceed n")
+    out = _rule("corrupt_flips", _check_flips, p["corrupt_flips"], p["n"])
     if p["task"] == "anneal" and p["n"] > _ENUM_LIMIT:
         out.append(f"n: anneal task needs n <= {_ENUM_LIMIT} "
                    "(exhaustive oracle bound)")
@@ -274,17 +259,11 @@ def _cross_memory(p) -> list:
 
 
 def _cross_network(p) -> list:
-    out = []
-    if p["k"] >= p["n"]:
-        out.append("k: must be smaller than n")
-    values = tuple(p["p_values"])
-    if 0.0 not in values:
-        out.append("p_values: must include 0 (the lattice baseline)")
-    if len(set(values)) != len(values):
-        out.append("p_values: must be distinct")
-    if p["ba_m"] >= p["ba_n"]:
-        out.append("ba_m: must be smaller than ba_n")
-    return out
+    from .networks import _check_growth, _check_ring, _sorted_p_values
+
+    return (_rule("k", _check_ring, p["n"], p["k"])
+            + _rule("p_values", _sorted_p_values, p["p_values"])
+            + _rule("ba_m", _check_growth, p["ba_n"], p["ba_m"]))
 
 
 # Gamma(dim / 2 + 1) in the ball's exact volume overflows a double beyond this.
@@ -298,11 +277,10 @@ def _cross_mcint(p) -> list:
 
 
 def _cross_search(p) -> list:
-    limit = min(p["sides"]) ** 2
-    if any(c > limit for c in p["target_counts"]):
-        return [f"target_counts: each entry must fit the smallest torus "
-                f"({limit} cells)"]
-    return []
+    from .search import _check_cells
+
+    return _rule("target_counts", _check_cells, p["sides"],
+                 p["target_counts"])
 
 
 def _resolve(config: ExperimentConfig) -> tuple:
@@ -477,7 +455,7 @@ def _paths_block(unit) -> list:
 
 
 def _run_paths(p, rng, jobs) -> _RunOutput:
-    from .paths import hausdorff_scan, resolution_ladder
+    from .paths import hausdorff_scan
 
     streams = [rng.substream(chain) for chain in range(p["chains"])]
     # One contiguous block per worker; chain c is the same in any batch.
@@ -487,7 +465,7 @@ def _run_paths(p, rng, jobs) -> _RunOutput:
              for b in range(blocks)]
     ensemble = np.vstack([paths for block in fan_out(_paths_block, units, jobs)
                           for paths in block])
-    scan = hausdorff_scan(ensemble, resolution_ladder(ensemble))
+    scan = hausdorff_scan(ensemble)
     rows = list(zip(scan.block_sizes.tolist(), scan.resolutions.tolist(),
                     scan.mean_lengths.tolist()))
     summary = {
@@ -521,7 +499,7 @@ def _run_diffuse(p, rng, jobs) -> _RunOutput:
 
 
 def _run_sandpile(p, rng, jobs) -> _RunOutput:
-    from .sandpile import SandGrid, abelian_check, avalanche_ccdf, drive
+    from .sandpile import SandGrid, abelian_check, ccdf_fit, drive
 
     grid = SandGrid.zeros(p["width"], p["height"])
     if p["warmup"]:
@@ -530,21 +508,14 @@ def _run_sandpile(p, rng, jobs) -> _RunOutput:
     rows = list(zip(range(record.n_drops), record.sizes.tolist(),
                     record.areas.tolist(), record.durations.tolist(),
                     record.dissipated.tolist()))
-    slope = stderr = float("nan")
-    positive = record.sizes[record.sizes > 0]
-    if positive.size:
-        values, tail = avalanche_ccdf(positive)
-        window = (values >= 10) & (values <= 1000)
-        if window.sum() >= 3:
-            fit = fit_power_law(values[window], tail[window])
-            slope, stderr = fit.exponent, fit.stderr
+    fit = ccdf_fit(record.sizes)
     sites = [(int(a), int(b)) for a, b in
              rng.substream(2).gen.integers(0, [p["height"], p["width"]],
                                            size=(10, 2))]
     summary = {
         "mean_height": grid.mean_height,
-        "ccdf_slope": slope,
-        "ccdf_stderr": stderr,
+        "ccdf_slope": fit.exponent,
+        "ccdf_stderr": fit.stderr,
         "round_activity_low_high_ratio":
             low_high_power_ratio(record.round_activity),
         "abelian_ok": bool(abelian_check(grid, sites, rng.substream(3),
@@ -630,30 +601,23 @@ def _run_memory(p, rng, jobs) -> _RunOutput:
 
 
 def _run_network(p, rng, jobs) -> _RunOutput:
-    from .networks import (barabasi_albert, edge_list_text, small_world_scan,
-                           watts_strogatz)
+    from .networks import (barabasi_albert, degree_ccdf_fit, edge_list_text,
+                           small_world_scan, watts_strogatz)
 
     scan = small_world_scan(p["n"], p["k"], p["p_values"], p["seeds"],
                             rng.substream(0))
     rows = [(pt.p, pt.clustering_ratio, pt.path_length_ratio)
             for pt in scan.points]
-    ba = barabasi_albert(p["ba_n"], p["ba_m"], rng.substream(1))
-    degrees = ba.degrees
-    ds = np.arange(4, 101)
-    ccdf = np.array([(degrees >= d).mean() for d in ds])
-    keep = ccdf > 0
-    slope = stderr = float("nan")
-    if keep.sum() >= 3:
-        fit = fit_power_law(ds[keep], ccdf[keep])
-        slope, stderr = fit.exponent, fit.stderr
+    fit = degree_ccdf_fit(barabasi_albert(p["ba_n"], p["ba_m"],
+                                          rng.substream(1)))
     sample_p = sorted(p["p_values"])[len(p["p_values"]) // 2]
     sample = watts_strogatz(p["n"], p["k"], sample_p, rng.substream(2))
     summary = {
         "has_window": bool(scan.has_window),
         "clustering_base": scan.clustering_base,
         "path_length_base": scan.path_length_base,
-        "ba_ccdf_slope": slope,
-        "ba_ccdf_stderr": stderr,
+        "ba_ccdf_slope": fit.exponent,
+        "ba_ccdf_stderr": fit.stderr,
     }
     extras = {"network_sample.edges": edge_list_text(sample)}
     return _RunOutput(("p", "clustering_ratio", "path_length_ratio"),
@@ -738,14 +702,12 @@ EXPERIMENTS: dict[str, _Experiment] = {
         "n_levels": _at_least(2, 6),
         "n_points": _at_least(2, 400),
         "x_min": _f(-8.0), "x_max": _f(8.0),
-        "commuting": _Param(_to_bool, False, _TRUE, ""),
+        "commuting": _Param(_to_bool, False, lambda v: True, ""),
     }, cross_check=_cross_spectrum),
     "paths": _Experiment(_run_paths, {
         "potential": _one_of("free", "free", "harmonic"),
-        # resolution_ladder's 8 points run a decade down from
-        # sqrt(n_t // 8) * dx_1, and hausdorff_scan snaps each to the nearest
-        # sqrt(b) * dx_1 over block sizes b in [4, n_t // 8].  dx_1 cancels,
-        # and the scan gets its 3 distinct points only once n_t // 8 >= 9.
+        # hausdorff_scan gets its 3 distinct resolution points only once
+        # n_t // 8 >= 9.
         "n_t": _at_least(72, 256),
         "a_t": _f(0.05, _positive, "must be positive"),
         "sweeps": _at_least(2, 10_000),

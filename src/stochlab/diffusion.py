@@ -220,6 +220,12 @@ def _level_specs(base: WalkSpec, refinements: int) -> list[WalkSpec]:
             for k in range(refinements + 1)]
 
 
+def _check_pinning(dim: int, a_s: float, a_t: float) -> None:
+    if not math.isclose(a_s**2 / a_t, 2.0 * dim, rel_tol=1e-12):
+        raise ValueError("a_s**2 / a_t must equal 2 * dim "
+                         "(diffusion-constant pinning)")
+
+
 def convergence_scan(base_spec: WalkSpec, refinements: int,
                      rng: RngStream) -> list[ConvergenceLevel]:
     """Walk-vs-kernel sup-norm error while halving a_s at fixed physical time.
@@ -234,9 +240,7 @@ def convergence_scan(base_spec: WalkSpec, refinements: int,
     """
     if refinements < 2:
         raise ValueError("need at least 2 refinements")
-    if not math.isclose(base_spec.scaling_ratio, 2.0 * base_spec.dim,
-                        rel_tol=1e-12):
-        raise ValueError("base spec must satisfy a_s**2 / a_t = 2 * dim")
+    _check_pinning(base_spec.dim, base_spec.a_s, base_spec.a_t)
     if base_spec.n_steps < 1:
         raise ValueError("base spec must take at least one step")
 

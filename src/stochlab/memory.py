@@ -204,10 +204,14 @@ def overlap(a: SpinConfig, b: SpinConfig) -> float:
     return float(np.mean(a.spins * b.spins, dtype=float))
 
 
+def _check_flips(n_flips: int, n: int) -> None:
+    if not 0 <= n_flips <= n:
+        raise ValueError("n_flips must lie in [0, N]")
+
+
 def flip_spins(config: SpinConfig, n_flips: int, rng: RngStream) -> SpinConfig:
     """Corrupt a configuration by flipping ``n_flips`` distinct random spins."""
-    if not 0 <= n_flips <= config.n:
-        raise ValueError("n_flips must lie in [0, N]")
+    _check_flips(n_flips, config.n)
     spins = config.spins.copy()
     where = rng.gen.choice(config.n, size=n_flips, replace=False)
     spins[where] = -spins[where]

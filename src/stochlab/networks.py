@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import RngStream
+from .core import PowerLawFit, RngStream, fit_power_law
 
 __all__ = [
     "Graph",
@@ -32,6 +32,7 @@ __all__ = [
     "SmallWorldScan",
     "watts_strogatz",
     "barabasi_albert",
+    "degree_ccdf_fit",
     "metrics",
     "small_world_scan",
     "edge_list_text",
@@ -135,6 +136,13 @@ class SmallWorldScan:
     has_window: bool
 
 
+def _check_ring(n: int, k: int) -> None:
+    if k < 2 or k % 2 != 0:
+        raise ValueError("k must be an even count >= 2")
+    if n <= k:
+        raise ValueError("need n > k nodes")
+
+
 def watts_strogatz(n: int, k: int, p: float, rng: RngStream) -> Graph:
     """Ring lattice over n nodes, k nearest neighbors, rewired with prob p.
 
@@ -143,10 +151,7 @@ def watts_strogatz(n: int, k: int, p: float, rng: RngStream) -> Graph:
     is neither the near endpoint nor already adjacent to it.  A rewire with
     no feasible target (near endpoint saturated) is skipped and counted.
     """
-    if k < 2 or k % 2 != 0:
-        raise ValueError("k must be an even count >= 2")
-    if n <= k:
-        raise ValueError("need n > k nodes")
+    _check_ring(n, k)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     gen = rng.gen
@@ -177,16 +182,20 @@ def watts_strogatz(n: int, k: int, p: float, rng: RngStream) -> Graph:
     return Graph(n=n, edges=edges, skipped_rewires=skipped)
 
 
+def _check_growth(n: int, m: int) -> None:
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if n <= m:
+        raise ValueError("need n > m nodes")
+
+
 def barabasi_albert(n: int, m: int, rng: RngStream) -> Graph:
     """Preferential-attachment growth from an (m+1)-clique.
 
     Each arriving node attaches m edges to distinct existing nodes chosen
     with probability proportional to current degree (redraws on collision).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if n <= m:
-        raise ValueError("need n > m nodes")
+    _check_growth(n, m)
     gen = rng.gen
     edges = set()
     # each node appears in `attachment` once per unit of degree
@@ -206,6 +215,18 @@ def barabasi_albert(n: int, m: int, rng: RngStream) -> Graph:
             attachment.append(old)
         attachment.extend([new] * m)
     return Graph(n=n, edges=frozenset(edges))
+
+
+def degree_ccdf_fit(g: Graph) -> PowerLawFit:
+    """Power-law fit of the degree CCDF over d = 4..100, empty tails left
+    out; a NaN fit when fewer than three points remain."""
+    degrees = g.degrees
+    ds = np.arange(4, 101)
+    ccdf = np.array([(degrees >= d).mean() for d in ds])
+    keep = ccdf > 0
+    if keep.sum() < 3:
+        return PowerLawFit(math.nan, math.nan)
+    return fit_power_law(ds[keep], ccdf[keep])
 
 
 def _bfs_stats(n: int, ends: np.ndarray,
@@ -298,6 +319,15 @@ def metrics(g: Graph) -> NetworkMetrics:
     )
 
 
+def _sorted_p_values(p_values: Sequence[float]) -> list[float]:
+    p_sorted = sorted(float(p) for p in p_values)
+    if not p_sorted or p_sorted[0] != 0.0:
+        raise ValueError("p_values must include 0 (the lattice baseline)")
+    if len(set(p_sorted)) != len(p_sorted):
+        raise ValueError("p_values must be distinct")
+    return p_sorted
+
+
 def small_world_scan(n: int, k: int, p_values: Sequence[float], seeds: int,
                      rng: RngStream) -> SmallWorldScan:
     """Ensemble means of C(p)/C(0) and L(p)/L(0) over rewiring probability.
@@ -305,11 +335,7 @@ def small_world_scan(n: int, k: int, p_values: Sequence[float], seeds: int,
     Each (p, seed) pair draws its graph from an independent substream, so
     the table is reproducible row by row.  Rows come out in ascending p.
     """
-    p_sorted = sorted(float(p) for p in p_values)
-    if not p_sorted or p_sorted[0] != 0.0:
-        raise ValueError("p_values must include 0 (the lattice baseline)")
-    if len(set(p_sorted)) != len(p_sorted):
-        raise ValueError("p_values must be distinct")
+    p_sorted = _sorted_p_values(p_values)
     if seeds < 10:
         raise ValueError("need at least 10 seeds per p")
 

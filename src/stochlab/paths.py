@@ -175,6 +175,8 @@ def _integrated_autocorrelation(series: np.ndarray) -> float:
         return 0.5
     x = x - x.mean()
     var = float(x @ x) / n
+    if not math.isfinite(var):
+        raise ValueError("the action trace overflows a double; reduce a_t")
     if var == 0.0:
         return 0.5
     # Autocovariance by FFT, biased normalization.
@@ -193,6 +195,11 @@ def _integrated_autocorrelation(series: np.ndarray) -> float:
 # Widths are retuned every _TUNE_INTERVAL thermalization sweeps, and uniforms
 # are drawn in blocks of that many sweeps, so a width is fixed within a block.
 _TUNE_INTERVAL = 25
+
+
+def _check_sweeps(sweeps: int, thermalization: int) -> None:
+    if thermalization < 0 or sweeps <= thermalization:
+        raise ValueError("need sweeps > thermalization >= 0")
 
 
 def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
@@ -221,12 +228,12 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
     normals, then per sweep the proposal and the acceptance uniforms of the
     odd sites, then of the even sites.  Chain c therefore equals the one
     chain of ``metropolis_batch(..., [streams[c]], ...)`` bit for bit.  The
-    potential must act elementwise, or be ``None``.
+    potential must act elementwise, or be ``None``.  Too large an a_t makes
+    the action trace overflow a double, which raises a ValueError.
     """
     if not streams:
         raise ValueError("need at least one stream")
-    if thermalization < 0 or sweeps <= thermalization:
-        raise ValueError("need sweeps > thermalization >= 0")
+    _check_sweeps(sweeps, thermalization)
     if proposal_width <= 0:
         raise ValueError("proposal_width must be positive")
     if not math.isclose(lattice.a_t, dynamics.a_t, rel_tol=1e-12):
@@ -356,33 +363,23 @@ _BLOCK_MIN = 4
 _BLOCK_DENOM = 8
 
 
-def _fine_scale(paths: np.ndarray) -> float:
-    """Pooled RMS of the raw slice-to-slice increments."""
-    return math.sqrt(float((np.diff(paths, axis=1) ** 2).mean()))
-
-
-def hausdorff_scan(ensemble, resolutions: Sequence[float]) -> HausdorffScan:
+def hausdorff_scan(ensemble) -> HausdorffScan:
     """Length-versus-resolution scan over an ensemble of sampled paths.
 
     ``ensemble`` is a PathEnsemble or an (n_paths, n_t) array.  Meaningful
     statistics want >= 100 decorrelated paths; a single deterministic path is
-    accepted for smooth-curve controls.  ``resolutions`` are requested dx
-    values spanning at least a decade; each is mapped to the achievable block
-    size b in [4, n_t // 8] whose resolution dx(b) = sqrt(b) * dx_1 is
-    nearest in log space, duplicates collapse, and the power law is fitted on
-    the achieved (dx, mean L) points.
+    accepted for smooth-curve controls.  The scan requests 8 log-spaced dx
+    values running a decade down from the coarsest achievable resolution
+    sqrt(n_t // 8) * dx_1.  Each is mapped to the achievable block size b in
+    [4, n_t // 8] whose resolution dx(b) = sqrt(b) * dx_1 is nearest in log
+    space, duplicates collapse, and the power law is fitted on the achieved
+    (dx, mean L) points.  dx_1 cancels, so the block sizes depend on n_t
+    alone, and 3 distinct points need n_t // 8 >= 9.
     """
     paths = getattr(ensemble, "paths", ensemble)
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 2 or paths.shape[0] < 1:
         raise ValueError("ensemble must be a non-empty 2-d array of paths")
-    requested = np.asarray(resolutions, dtype=float)
-    if requested.size < 3:
-        raise FitError("need at least 3 requested resolutions")
-    if np.any(requested <= 0):
-        raise ValueError("resolutions must be positive")
-    if requested.max() / requested.min() < 10.0 * (1.0 - 1e-12):
-        raise ValueError("resolutions must span at least a decade")
 
     n_t = paths.shape[1]
     blocks = np.arange(_BLOCK_MIN, n_t // _BLOCK_DENOM + 1)
@@ -390,13 +387,14 @@ def hausdorff_scan(ensemble, resolutions: Sequence[float]) -> HausdorffScan:
         raise FitError(
             f"n_t = {n_t} leaves fewer than 3 usable block sizes; "
             f"need n_t >= {(_BLOCK_MIN + 2) * _BLOCK_DENOM}")
-    dx_1 = _fine_scale(paths)
+    dx_1 = math.sqrt(float((np.diff(paths, axis=1) ** 2).mean()))
     if dx_1 <= 0:
         raise FitError("ensemble has no fluctuation scale (constant paths?)")
     achievable_dx = np.sqrt(blocks) * dx_1
+    top = math.sqrt(n_t // _BLOCK_DENOM) * dx_1
 
     chosen: list[int] = []
-    for r in requested:
+    for r in np.geomspace(top, top / 10.0, 8):
         idx = int(np.argmin(np.abs(np.log(achievable_dx) - math.log(r))))
         if idx not in chosen:
             chosen.append(idx)
@@ -404,8 +402,7 @@ def hausdorff_scan(ensemble, resolutions: Sequence[float]) -> HausdorffScan:
         raise FitError(
             f"only {len(chosen)} distinct resolution points are achievable: "
             f"n_t = {n_t} allows block sizes [{_BLOCK_MIN}, "
-            f"{n_t // _BLOCK_DENOM}]; use longer paths or a ladder that "
-            "spreads over that range")
+            f"{n_t // _BLOCK_DENOM}]; use longer paths")
 
     sel = np.sort(np.array(chosen))[::-1]  # strictly decreasing dx
     lengths = np.array([
@@ -422,21 +419,3 @@ def hausdorff_scan(ensemble, resolutions: Sequence[float]) -> HausdorffScan:
         block_sizes=blocks[sel],
     )
 
-
-def resolution_ladder(ensemble, points: int = 8) -> np.ndarray:
-    """A decade-spanning resolution request matched to an ensemble's scales.
-
-    Returns ``points`` log-spaced dx values from the coarsest achievable
-    resolution down a decade — a convenient argument for
-    :func:`hausdorff_scan`.
-    """
-    paths = getattr(ensemble, "paths", ensemble)
-    paths = np.asarray(paths, dtype=float)
-    if points < 3:
-        raise ValueError("need at least 3 points")
-    n_t = paths.shape[1]
-    b_max = max(n_t // _BLOCK_DENOM, _BLOCK_MIN)
-    top = math.sqrt(b_max) * _fine_scale(paths)
-    if top <= 0:
-        raise FitError("ensemble has no fluctuation scale (constant paths?)")
-    return np.geomspace(top, top / 10.0, points)

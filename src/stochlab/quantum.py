@@ -358,6 +358,11 @@ def wick_rotate_check(sigma0: float, d_coeff: float, t: float) -> WickRotation:
                         identity_residual=residual)
 
 
+def _check_levels(n_levels: int, n_points: int) -> None:
+    if not 2 <= n_levels <= n_points:
+        raise ValueError("n_levels must lie in [2, n_points]")
+
+
 def spectrum_gaps(potential: Callable[[np.ndarray], np.ndarray], grid: Grid1D,
                   n_levels: int, commuting_mode: bool = False,
                   hbar: float = 1.0, mass: float = 1.0,
@@ -378,12 +383,8 @@ def spectrum_gaps(potential: Callable[[np.ndarray], np.ndarray], grid: Grid1D,
     shrinks like 1/n — there is no resolution-independent gap to converge
     to, so no refinement check is performed.
     """
-    if n_levels < 2:
-        raise ValueError("n_levels must be at least 2")
-
+    _check_levels(n_levels, grid.n_points)
     if commuting_mode:
-        if n_levels > grid.n_points:
-            raise ValueError("n_levels cannot exceed the number of momentum points")
         p = np.sort(hbar * grid.wavenumbers)
         energies = np.sort(p**2 / (2.0 * mass) + np.asarray(potential(p), dtype=float))
         energies = energies[:n_levels]
@@ -406,8 +407,6 @@ def spectrum_gaps(potential: Callable[[np.ndarray], np.ndarray], grid: Grid1D,
             return values, vectors / math.sqrt(h), xs  # normalize sum |psi|^2 h = 1
         return out
 
-    if n_levels > grid.n_points:
-        raise ValueError("n_levels cannot exceed the number of grid points")
     states = grid_points = None
     if return_states:
         energies, states, grid_points = solve(grid.n_points, with_states=True)

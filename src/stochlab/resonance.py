@@ -233,6 +233,17 @@ def _cell_snr(unit) -> float:
     return snr_at_drive(integrate(spec, stream), spec.omega)
 
 
+def _sorted_levels(noise_levels) -> np.ndarray:
+    levels = np.sort(np.asarray(noise_levels, dtype=float))
+    if levels.size < 5:
+        raise ValueError("need at least 5 noise levels")
+    if np.any(levels <= 0):
+        raise ValueError("noise levels must be positive")
+    if levels[-1] / levels[0] < 10.0 * (1.0 - 1e-12):
+        raise ValueError("noise levels must span at least one decade")
+    return levels
+
+
 def resonance_scan(base: DoubleWellSpec,
                    noise_levels,
                    replicas: int,
@@ -246,13 +257,7 @@ def resonance_scan(base: DoubleWellSpec,
     curve is bit-identical for any ``jobs``.  Requires >= 5 levels spanning
     at least a decade and >= 4 replicas.
     """
-    levels = np.sort(np.asarray(noise_levels, dtype=float))
-    if levels.size < 5:
-        raise ValueError("need at least 5 noise levels")
-    if np.any(levels <= 0):
-        raise ValueError("noise levels must be positive")
-    if levels[-1] / levels[0] < 10.0 * (1.0 - 1e-12):
-        raise ValueError("noise levels must span at least one decade")
+    levels = _sorted_levels(noise_levels)
     if replicas < 4:
         raise ValueError("need at least 4 replicas")
 

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import RngStream
+from .core import PowerLawFit, RngStream, fit_power_law
 
 __all__ = [
     "SandGrid",
@@ -45,6 +45,7 @@ __all__ = [
     "drive",
     "abelian_check",
     "avalanche_ccdf",
+    "ccdf_fit",
 ]
 
 # Grains shed per toppling: one to each von Neumann neighbour.  The threshold
@@ -363,3 +364,16 @@ def avalanche_ccdf(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values, counts = np.unique(arr, return_counts=True)
     tail = np.cumsum(counts[::-1])[::-1] / arr.size
     return values.astype(float), tail
+
+
+def ccdf_fit(sizes: np.ndarray) -> PowerLawFit:
+    """Power-law fit of the avalanche-size CCDF over sizes 10..1000; a NaN
+    fit when fewer than three distinct sizes fall in that window."""
+    nan = PowerLawFit(float("nan"), float("nan"))
+    if not np.any(np.asarray(sizes) > 0):
+        return nan
+    values, tail = avalanche_ccdf(sizes)
+    window = (values >= 10) & (values <= 1000)
+    if window.sum() < 3:
+        return nan
+    return fit_power_law(values[window], tail[window])

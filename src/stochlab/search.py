@@ -154,6 +154,14 @@ def sweep_search(arena: SearchArena, start) -> SearchOutcome:
     return _outcome(positions, arena)
 
 
+def _check_cells(sides: Sequence[int], target_counts: Sequence[int]) -> None:
+    for side in sides:
+        for n_targets in target_counts:
+            if not 1 <= n_targets <= side * side:
+                raise ValueError(f"target count {n_targets} does not fit a "
+                                 f"side-{side} torus")
+
+
 def strategy_tournament(sides: Sequence[int], target_counts: Sequence[int],
                         radii: Sequence[float], replicas: int,
                         rng: RngStream,
@@ -171,14 +179,11 @@ def strategy_tournament(sides: Sequence[int], target_counts: Sequence[int],
         raise ValueError("need at least 100 replicas per cell")
     if not sides or not target_counts or not radii:
         raise ValueError("sides, target_counts, and radii must be nonempty")
+    _check_cells(sides, target_counts)
     rows = []
     cell_index = 0
     for side in sides:
         for n_targets in target_counts:
-            if not 1 <= n_targets <= side * side:
-                raise ValueError(
-                    f"target count {n_targets} does not fit a side-{side} torus"
-                )
             for radius in radii:
                 budget = 10 * side * side if step_budget is None else step_budget
                 results = {"random-walk": [], "sweep": []}

@@ -14,20 +14,20 @@ import numpy as np
 from util import RERUN_CONFIGS, count_local_maxima
 
 from stochlab import cli
-from stochlab.core import (RngStream, clt_scaling, fit_power_law,
-                           low_high_power_ratio)
+from stochlab.core import RngStream, clt_scaling, low_high_power_ratio
 from stochlab.diffusion import WalkSpec, convergence_scan
 from stochlab.memory import (AnnealSchedule, SpinConfig, exact_thermo,
                              flip_spins, ground_state_bruteforce,
                              hebbian_couplings, overlap, simulated_annealing,
                              sk_couplings, zero_t_dynamics)
-from stochlab.networks import barabasi_albert, small_world_scan
+from stochlab.networks import (barabasi_albert, degree_ccdf_fit,
+                               small_world_scan)
 from stochlab.paths import (EuclideanAction, Lattice, hausdorff_scan,
-                            metropolis_batch, resolution_ladder)
+                            metropolis_batch)
 from stochlab.quantum import (Grid1D, WaveState, double_slit_pattern,
                               uncertainty_product)
 from stochlab.resonance import DoubleWellSpec, resonance_scan
-from stochlab.sandpile import SandGrid, abelian_check, avalanche_ccdf, drive
+from stochlab.sandpile import SandGrid, abelian_check, ccdf_fit, drive
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:
@@ -44,7 +44,7 @@ def _pooled_roughness(potential, a_t, stream_id, chains=16):
         run.paths for run in metropolis_batch(
             dynamics, lattice, [base.substream(c) for c in range(chains)],
             sweeps=10_000, thermalization=1000)])
-    return hausdorff_scan(pooled, resolution_ladder(pooled)).d_h
+    return hausdorff_scan(pooled).d_h
 
 
 def test_criterion_01_path_roughness_dimension():
@@ -52,7 +52,7 @@ def test_criterion_01_path_roughness_dimension():
     free = _pooled_roughness(lambda x: np.zeros_like(x), 0.05, 0)
     harmonic = _pooled_roughness(lambda x: 0.5 * x**2, 1.0 / 320.0, 1)
     line = np.linspace(0.0, 1.0, 256).reshape(1, -1)
-    control = hausdorff_scan(line, resolution_ladder(line)).d_h
+    control = hausdorff_scan(line).d_h
     elapsed = time.monotonic() - start
     ok = (abs(free - 2.0) <= 0.1 and abs(harmonic - 2.0) <= 0.1
           and abs(control - 1.0) <= 0.05 and elapsed <= 120.0)
@@ -171,9 +171,7 @@ def test_criterion_07_sandpile_criticality():
     drive(grid, base.substream(0), 10_000)
     record = drive(grid, base.substream(1), 100_000)
 
-    values, tail = avalanche_ccdf(record.sizes)
-    window = (values >= 10) & (values <= 1000)
-    fit = fit_power_law(values[window], tail[window])
+    fit = ccdf_fit(record.sizes)
 
     ratio = low_high_power_ratio(record.round_activity)
 
@@ -221,12 +219,7 @@ def test_criterion_09_small_world_window_and_scale_free_tail():
         for pt in scan.points)
     elapsed = time.monotonic() - start
 
-    graph = barabasi_albert(10_000, 2, RngStream(103, 1))
-    degrees = graph.degrees
-    ds = np.arange(4, 101)
-    ccdf = np.array([(degrees >= d).mean() for d in ds])
-    keep = ccdf > 0
-    fit = fit_power_law(ds[keep], ccdf[keep])
+    fit = degree_ccdf_fit(barabasi_albert(10_000, 2, RngStream(103, 1)))
     ok = (window and scan.has_window and -2.2 <= fit.exponent <= -1.6
           and elapsed <= 60.0)
     _verdict(9, ok,

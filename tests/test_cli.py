@@ -73,20 +73,69 @@ def test_every_default_config_validates_clean():
         assert cli.validate(ExperimentConfig(name, {})) == []
 
 
+def _library_message(call) -> str:
+    with pytest.raises(ValueError) as raised:
+        call()
+    return str(raised.value)
+
+
 def test_cross_checks_catch_inconsistent_combinations():
+    from stochlab.core import RngStream
+    from stochlab.diffusion import WalkSpec, convergence_scan
+    from stochlab.memory import SpinConfig, flip_spins
+    from stochlab.networks import (barabasi_albert, small_world_scan,
+                                   watts_strogatz)
+    from stochlab.paths import EuclideanAction, Lattice, metropolis_batch
+    from stochlab.quantum import Grid1D, spectrum_gaps
+    from stochlab.resonance import (DoubleWellSpec, Trajectory,
+                                    resonance_scan, snr_at_drive)
+    from stochlab.search import strategy_tournament
+
+    rng = RngStream(0)
+    levels = (0.1, 0.2, 0.3, 0.4, 0.5)
+    # Each violation is the key and then the message of the library entry
+    # point called with the same values, so the rule's text lives once.
     cases = [
-        ("diffuse", {"a_t": "0.2"}, "a_t"),
-        ("paths", {"sweeps": "100", "thermalization": "100"}, "sweeps"),
-        ("memory", {"task": "anneal", "n": "30"}, "n"),
-        ("network", {"p_values": "0.1,0.5"}, "p_values"),
-        ("resonance", {"t_total": "60.0"}, "t_total"),
-        ("spectrum", {"x_min": "2.0", "x_max": "-2.0"}, "x_max"),
-        ("search", {"sides": "2", "target_counts": "9"}, "target_counts"),
+        ("uncertainty", {"x_min": "2.0", "x_max": "-2.0"},
+         [("x_max", lambda: Grid1D(2.0, -2.0, 64))]),
+        ("spectrum", {"x_min": "2.0", "x_max": "-2.0"},
+         [("x_max", lambda: Grid1D(2.0, -2.0, 400))]),
+        *[("spectrum", {"potential": "box", "n_levels": "6", "n_points": "2",
+                        "commuting": str(mode)},
+           [("n_levels", lambda mode=mode: spectrum_gaps(
+               numpy.zeros_like, Grid1D(-8.0, 8.0, 2), 6,
+               commuting_mode=mode))])
+          for mode in (False, True)],
+        ("paths", {"sweeps": "100", "thermalization": "100"},
+         [("sweeps", lambda: metropolis_batch(
+             EuclideanAction(1.0, None, 0.05), Lattice(256, 0.05), [rng],
+             sweeps=100, thermalization=100))]),
+        ("diffuse", {"a_t": "0.2"},
+         [("a_t", lambda: convergence_scan(WalkSpec(1, 0.5, 0.2, 10**6, 8),
+                                           2, rng))]),
+        ("resonance", {"noise_levels": ",".join(map(str, levels))},
+         [("noise_levels", lambda: resonance_scan(
+             DoubleWellSpec(amplitude=0.3, omega=0.1, noise_d=0.1, dt=0.01,
+                            t_total=2000 * math.pi), levels, 4, rng))]),
+        ("resonance", {"t_total": "60.0"},
+         [("t_total", lambda: snr_at_drive(
+             Trajectory(numpy.zeros(6001), 0.01), 0.1))]),
+        ("memory", {"n": "4", "corrupt_flips": "5"},
+         [("corrupt_flips", lambda: flip_spins(SpinConfig.random(4, rng), 5,
+                                               rng))]),
+        # One config breaking three network rules names all three keys.
+        ("network", {"n": "8", "k": "8", "p_values": "0.1,0.1",
+                     "ba_n": "2", "ba_m": "2"},
+         [("k", lambda: watts_strogatz(8, 8, 0.0, rng)),
+          ("p_values", lambda: small_world_scan(8, 8, (0.1, 0.1), 10, rng)),
+          ("ba_m", lambda: barabasi_albert(2, 2, rng))]),
+        ("search", {"sides": "2", "target_counts": "9"},
+         [("target_counts", lambda: strategy_tournament(
+             (2,), (9,), (0.0, 1.0), 100, rng))]),
     ]
-    for experiment, params, key in cases:
-        violations = cli.validate(ExperimentConfig(experiment, params))
-        assert violations, (experiment, params)
-        assert any(v.startswith(key + ":") for v in violations), violations
+    for experiment, params, rules in cases:
+        assert cli.validate(ExperimentConfig(experiment, params)) == [
+            f"{key}: {_library_message(call)}" for key, call in rules]
 
 
 # Every integer parameter with an "at least N" bound: (experiment, name, N,
@@ -266,14 +315,18 @@ def test_network_run_emits_parseable_edge_list(tmp_path):
     assert rows[0][2] == "1.0" and rows[0][3] == "1.0"
 
 
-def test_small_ba_graph_gives_a_nan_ccdf_slope(tmp_path):
+@pytest.mark.parametrize("argv, prefix", [
     # ba_n <= 6 leaves fewer than three CCDF points to fit.
-    assert cli.main(["network", "--jobs", "1", "--out", str(tmp_path),
-                     "n=5", "k=4", "seeds=10", "ba_n=5", "ba_m=4",
-                     "p_values=0,1"]) == 0
-    summary = json.loads((tmp_path / "network_summary.json").read_text())
-    assert math.isnan(summary["ba_ccdf_slope"])
-    assert math.isnan(summary["ba_ccdf_stderr"])
+    (["network", "n=5", "k=4", "seeds=10", "ba_n=5", "ba_m=4", "p_values=0,1"],
+     "ba_"),
+    # A 1 x 1 pile sheds every grain of a toppling: no avalanche reaches 10.
+    (["sandpile", "width=1", "height=1", "n_drops=5", "warmup=0"], ""),
+], ids=["network", "sandpile"])
+def test_small_ba_graph_gives_a_nan_ccdf_slope(argv, prefix, tmp_path):
+    assert cli.main([*argv, "--jobs", "1", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / f"{argv[0]}_summary.json").read_text())
+    assert math.isnan(summary[f"{prefix}ccdf_slope"])
+    assert math.isnan(summary[f"{prefix}ccdf_stderr"])
 
 
 def test_triangle_free_ring_gives_nan_clustering_ratios(tmp_path):
@@ -517,6 +570,20 @@ def test_faults_known_from_the_config_exit_2(argv, key, tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith(f"invalid config: {key}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("a_t", ["1e300", "1e150"])
+def test_overflowing_action_exits_3_naming_a_t(a_t, tmp_path):
+    # At 1e300 the action trace itself overflows; at 1e150 only its variance
+    # does.  numpy warns on the way, and tier-1 makes warnings errors, so the
+    # run goes through a fresh interpreter.
+    child = _python("-m", "stochlab", "paths", f"a_t={a_t}",
+                    "potential=harmonic", "sweeps=60", "thermalization=1",
+                    "chains=1", "--jobs", "1", "--out", str(tmp_path))
+    assert child.returncode == 3
+    assert child.stderr.splitlines()[-1] == (
+        "runtime failure: ValueError: the action trace overflows a double; "
+        "reduce a_t")
 
 
 @pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=needs_two_cpus)])

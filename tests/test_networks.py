@@ -5,10 +5,11 @@ from scipy.stats import spearmanr
 
 from util import reference_metrics
 
-from stochlab.core import RngStream, fit_power_law
+from stochlab.core import RngStream
 from stochlab.networks import (
     Graph,
     barabasi_albert,
+    degree_ccdf_fit,
     edge_list_text,
     metrics,
     parse_edge_list,
@@ -145,12 +146,7 @@ def test_growth_bookkeeping_gives_the_exact_edge_count():
 
 
 def test_degree_tail_follows_the_expected_power_law():
-    g = barabasi_albert(10**4, 2, RngStream(103, 1))
-    degrees = g.degrees
-    ds = np.arange(4, 101)
-    ccdf = np.array([(degrees >= d).mean() for d in ds])
-    keep = ccdf > 0
-    fit = fit_power_law(ds[keep], ccdf[keep])
+    fit = degree_ccdf_fit(barabasi_albert(10**4, 2, RngStream(103, 1)))
     assert -2.2 <= fit.exponent <= -1.6
     assert fit.stderr < 0.05
 

@@ -18,7 +18,6 @@ from stochlab.paths import (
     hausdorff_scan,
     metropolis_batch,
     path_distance,
-    resolution_ladder,
 )
 from stochlab.quantum import Grid1D, spectrum_gaps
 from util import brownian_bridge_paths, reference_metropolis
@@ -376,7 +375,7 @@ def test_harmonic_spread_matches_eigensolver_ground_state():
 
 def test_exact_bridge_ensemble_scans_to_dimension_two():
     paths = brownian_bridge_paths(4000, 256, step_var=0.05, rng=RngStream(29, 0))
-    scan = hausdorff_scan(paths, resolution_ladder(paths))
+    scan = hausdorff_scan(paths)
     assert 1.9 <= scan.d_h <= 2.1
     assert scan.alpha == pytest.approx(1.0 - scan.d_h)
     # Coarse length must grow as resolution is refined (wiggly path).
@@ -385,14 +384,14 @@ def test_exact_bridge_ensemble_scans_to_dimension_two():
 
 def test_straight_line_scans_to_dimension_one_exactly():
     line = np.linspace(0.0, 3.0, 256)[None, :]
-    scan = hausdorff_scan(line, resolution_ladder(line))
+    scan = hausdorff_scan(line)
     assert scan.d_h == pytest.approx(1.0, abs=1e-9)
     np.testing.assert_allclose(scan.mean_lengths, 3.0, rtol=1e-12)
 
 
 def test_metropolis_free_ensemble_scans_to_dimension_two(pooled_free_chains):
     pooled = np.concatenate([r.paths for r in pooled_free_chains])
-    scan = hausdorff_scan(pooled, resolution_ladder(pooled))
+    scan = hausdorff_scan(pooled)
     assert 1.9 <= scan.d_h <= 2.1
 
 
@@ -405,13 +404,13 @@ def test_dimension_is_stable_under_slice_doubling():
         pooled = np.concatenate([
             run.paths for run in metropolis_batch(
                 dyn, lat, [RngStream(47, k) for k in range(10)], 5000, 1000)])
-        estimates.append(hausdorff_scan(pooled, resolution_ladder(pooled)).d_h)
+        estimates.append(hausdorff_scan(pooled).d_h)
     assert abs(estimates[1] - estimates[0]) < 0.1
 
 
 def test_scan_reports_decreasing_resolutions_and_blocks():
     paths = brownian_bridge_paths(500, 256, 0.05, RngStream(29, 1))
-    scan = hausdorff_scan(paths, resolution_ladder(paths))
+    scan = hausdorff_scan(paths)
     assert np.all(np.diff(scan.resolutions) < 0)
     assert np.all(np.diff(scan.block_sizes) < 0)
     assert len(scan.resolutions) >= 3
@@ -421,51 +420,28 @@ def test_scan_accepts_ensemble_object():
     dyn = EuclideanAction(1.0, zero_potential, 0.05)
     run = metropolis_batch(dyn, Lattice(128, 0.05), [RngStream(31, 9)],
                            3000, 500)[0]
-    scan = hausdorff_scan(run, resolution_ladder(run))
+    scan = hausdorff_scan(run)
     assert 1.7 <= scan.d_h <= 2.3
-
-
-def test_scan_requires_a_decade_of_resolutions():
-    paths = brownian_bridge_paths(200, 256, 0.05, RngStream(29, 2))
-    with pytest.raises(ValueError):
-        hausdorff_scan(paths, np.geomspace(1.0, 0.2, 8))
-    with pytest.raises(ValueError):
-        hausdorff_scan(paths, [1.0, -0.5, 0.05])
-
-
-def test_scan_requires_three_requested_points():
-    paths = brownian_bridge_paths(200, 256, 0.05, RngStream(29, 3))
-    with pytest.raises(FitError):
-        hausdorff_scan(paths, [1.0, 0.05])
 
 
 def test_scan_rejects_constant_ensemble():
     with pytest.raises(FitError):
-        hausdorff_scan(np.ones((200, 256)), [1.0, 0.3, 0.05])
+        hausdorff_scan(np.ones((200, 256)))
 
 
 def test_scan_needs_enough_slices_for_three_blocks():
     paths = brownian_bridge_paths(200, 40, 0.05, RngStream(29, 4))
     with pytest.raises(FitError):
-        hausdorff_scan(paths, [1.0, 0.3, 0.05])
+        hausdorff_scan(paths)
 
 
 def test_ladder_scan_needs_72_slices():
-    # The default ladder's 8 points collapse onto 2 block sizes while
+    # The scan's 8 requested resolutions collapse onto 2 block sizes while
     # n_t // 8 < 9, whatever the paths: the fine scale cancels out.
     short = brownian_bridge_paths(50, 71, 0.05, RngStream(29, 6))
     with pytest.raises(FitError, match=r"^only 2 .* n_t = 71 allows block "
                                        r"sizes \[4, 8\]; use longer paths"):
-        hausdorff_scan(short, resolution_ladder(short))
+        hausdorff_scan(short)
     paths = brownian_bridge_paths(50, 72, 0.05, RngStream(29, 7))
-    scan = hausdorff_scan(paths, resolution_ladder(paths))
+    scan = hausdorff_scan(paths)
     assert scan.block_sizes.tolist() == [9, 5, 4]
-
-
-def test_resolution_ladder_spans_a_decade():
-    paths = brownian_bridge_paths(50, 128, 0.05, RngStream(29, 5))
-    ladder = resolution_ladder(paths, points=9)
-    assert ladder.shape == (9,)
-    assert ladder[0] / ladder[-1] == pytest.approx(10.0)
-    with pytest.raises(ValueError):
-        resolution_ladder(paths, points=2)
