@@ -177,6 +177,12 @@ def _i(default, check, constraint):
     return _Param(_to_int, default, check, constraint)
 
 
+def _amplitude(default):
+    # Four squared components, summed in superpose, stay finite below this.
+    return _f(default, lambda v: abs(v) <= 1e150,
+              "must be a number of magnitude at most 1e150")
+
+
 def _at_least(low, default):
     return _Param(_to_int, default, lambda v: v >= low,
                   f"must be at least {low}")
@@ -207,17 +213,29 @@ def _rule(key: str, check: Callable, *args) -> list:
     return []
 
 
-def _cross_uncertainty(p) -> list:
+def _cross_decay(p) -> list:
+    from .quantum import _check_edges
+
+    return _rule("t_max", _check_edges, p["t_max"], p["bins"])
+
+
+def _cross_grid(p) -> list:
     from .quantum import Grid1D
 
     return _rule("x_max", Grid1D, p["x_min"], p["x_max"], p["n_points"])
 
 
+def _cross_uncertainty(p) -> list:
+    from .quantum import _check_width
+
+    return _cross_grid(p) + _rule("sigma0", _check_width, p["sigma0"])
+
+
 def _cross_spectrum(p) -> list:
     from .quantum import _check_levels
 
-    return _cross_uncertainty(p) + _rule("n_levels", _check_levels,
-                                         p["n_levels"], p["n_points"])
+    return _cross_grid(p) + _rule("n_levels", _check_levels,
+                                  p["n_levels"], p["n_points"])
 
 
 def _cross_paths(p) -> list:
@@ -227,9 +245,10 @@ def _cross_paths(p) -> list:
 
 
 def _cross_diffuse(p) -> list:
-    from .diffusion import WalkSpec, _check_pinning, _level_specs
+    from .diffusion import WalkSpec, _check_cell, _check_pinning, _level_specs
 
     return (_rule("a_t", _check_pinning, p["dim"], p["a_s"], p["a_t"])
+            or _rule("a_s", _check_cell, p["dim"], p["a_s"])
             or _rule("refinements", lambda: _level_specs(
                 WalkSpec(p["dim"], p["a_s"], p["a_t"], p["n_walkers"],
                          p["n_steps"]), p["refinements"])))
@@ -277,10 +296,11 @@ def _cross_mcint(p) -> list:
 
 
 def _cross_search(p) -> list:
-    from .search import _check_cells
+    from .search import _check_cells, _check_radius
 
-    return _rule("target_counts", _check_cells, p["sides"],
-                 p["target_counts"])
+    return (_rule("target_counts", _check_cells, p["sides"],
+                  p["target_counts"])
+            + _rule("radii", lambda: [_check_radius(r) for r in p["radii"]]))
 
 
 def _resolve(config: ExperimentConfig) -> tuple:
@@ -683,14 +703,15 @@ def _run_clt(p, rng, jobs) -> _RunOutput:
 
 EXPERIMENTS: dict[str, _Experiment] = {
     "interfere": _Experiment(_run_interfere, {
-        "a_re": _f(1.0), "a_im": _f(0.0), "b_re": _f(1.0), "b_im": _f(0.0),
+        "a_re": _amplitude(1.0), "a_im": _amplitude(0.0),
+        "b_re": _amplitude(1.0), "b_im": _amplitude(0.0),
     }),
     "decay": _Experiment(_run_decay, {
         "rate_lambda": _f(1.0, _positive, "must be positive"),
         "n_atoms": _at_least(1, 10_000),
         "t_max": _f(5.0, _positive, "must be positive"),
         "bins": _at_least(2, 50),
-    }),
+    }, cross_check=_cross_decay),
     "uncertainty": _Experiment(_run_uncertainty, {
         "n_states": _at_least(1, 1000),
         "n_points": _at_least(2, 64),

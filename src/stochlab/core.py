@@ -151,7 +151,6 @@ class PowerSpectrum:
 
     frequencies: np.ndarray
     power: np.ndarray
-    segment_count: int
 
 
 class PowerLawFit(NamedTuple):
@@ -247,7 +246,7 @@ def periodogram(signal: Sequence[float] | np.ndarray, sample_step: float,
         weights[-1] = 1.0
     power = (np.abs(spectrum) ** 2).mean(axis=0) * weights / seg_len**2
     freqs = np.fft.rfftfreq(seg_len, d=sample_step)
-    return PowerSpectrum(frequencies=freqs, power=power, segment_count=segments)
+    return PowerSpectrum(frequencies=freqs, power=power)
 
 
 def low_high_power_ratio(signal: Sequence[float] | np.ndarray,

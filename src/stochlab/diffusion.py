@@ -36,6 +36,15 @@ from stochlab.core import RngStream
 _CHUNK = 1_000_000
 
 
+def _check_cell(dim: int, a_s: float) -> None:
+    try:
+        volume = 2.0 * float(a_s) ** dim
+    except OverflowError:
+        volume = math.inf
+    if math.isinf(volume):
+        raise ValueError("the cell volume 2 * a_s**dim overflows a double")
+
+
 @dataclass(frozen=True)
 class WalkSpec:
     """Lattice, population, and duration of a random-walk simulation.
@@ -56,6 +65,7 @@ class WalkSpec:
             raise ValueError("dim must be 1, 2, or 3")
         if self.a_s <= 0 or self.a_t <= 0:
             raise ValueError("a_s and a_t must be positive")
+        _check_cell(self.dim, self.a_s)
         if self.n_walkers < 1:
             raise ValueError("need at least one walker")
         if self.n_steps < 0:

@@ -171,13 +171,11 @@ def _integrated_autocorrelation(series: np.ndarray) -> float:
     """Sokal-windowed integrated autocorrelation time of a scalar series."""
     x = np.asarray(series, dtype=float)
     n = x.size
-    if n < 8:
-        return 0.5
     x = x - x.mean()
     var = float(x @ x) / n
     if not math.isfinite(var):
         raise ValueError("the action trace overflows a double; reduce a_t")
-    if var == 0.0:
+    if n < 8 or var == 0.0:
         return 0.5
     # Autocovariance by FFT, biased normalization.
     size = int(2 ** math.ceil(math.log2(2 * n)))

@@ -125,11 +125,17 @@ class WaveState:
                         k0: float = 0.0, hbar: float = 1.0,
                         mass: float = 1.0) -> "WaveState":
         """Minimum-uncertainty packet: position std sigma0, momentum std hbar/(2 sigma0)."""
-        if sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
+        _check_width(sigma0)
         x = grid.points
         raw = np.exp(-((x - x0) ** 2) / (4.0 * sigma0**2) + 1j * k0 * x)
         return cls.from_samples(grid, raw, hbar=hbar, mass=mass)
+
+
+def _check_width(sigma0: float) -> None:
+    if sigma0 <= 0:
+        raise ValueError("sigma0 must be positive")
+    if not 0.0 < sigma0 * sigma0 < math.inf:
+        raise ValueError("sigma0**2 overflows or underflows a double")
 
 
 @dataclass(frozen=True)
@@ -225,6 +231,18 @@ def double_slit_pattern(wavelength: float, slit_separation: float,
     raise ValueError(f"mode must be 'amplitude' or 'classical', got {mode!r}")
 
 
+def _check_edges(t_max: float, bins: int) -> None:
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
+    if bins < 2:
+        raise ValueError("need at least 2 bins")
+    # The rate fit scales its time column by the fitted edges' root sum of
+    # squares, and the first two edges are always fitted.
+    if (t_max * 2 / bins) ** 2 == 0.0:
+        raise ValueError("the bin edges square to zero in a double; "
+                         "increase t_max")
+
+
 def decay_sample(model: DecayModel, rng: RngStream, t_max: float,
                  bins: int) -> DecayResult:
     """Sample exponential lifetimes and fit the decay rate from the survival curve.
@@ -232,10 +250,7 @@ def decay_sample(model: DecayModel, rng: RngStream, t_max: float,
     Survival is evaluated at the right edges t_i = i * t_max / bins; the rate
     comes from least squares on log survival over the bins still populated.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
+    _check_edges(t_max, bins)
     lifetimes = rng.gen.exponential(1.0 / model.rate_lambda, size=model.n_atoms)
     times = t_max * np.arange(1, bins + 1) / bins
     ordered = np.sort(lifetimes)
@@ -297,10 +312,6 @@ def evolve_free(state: WaveState, t: float) -> WaveState:
                      mass=state.mass)
 
 
-def _heat_kernel_samples(offsets: np.ndarray, d_coeff: float, t: float) -> np.ndarray:
-    return np.exp(-offsets**2 / (4.0 * d_coeff * t)) / math.sqrt(4.0 * math.pi * d_coeff * t)
-
-
 def wick_rotate_check(sigma0: float, d_coeff: float, t: float) -> WickRotation:
     """Check the imaginary-time map between wave evolution and diffusion.
 
@@ -316,6 +327,9 @@ def wick_rotate_check(sigma0: float, d_coeff: float, t: float) -> WickRotation:
     the std of the heat-evolved probability density |psi_0|^2
     (sqrt(sigma0^2 + 2 d_coeff * t)); both tend to sigma0 as t -> 0.
     """
+    # Imported here, so that the CLI's quantum experiments load this module only.
+    from stochlab.diffusion import analytic_kernel
+
     if sigma0 <= 0 or d_coeff <= 0 or t <= 0:
         raise ValueError("sigma0, d_coeff, and t must all be positive")
 
@@ -339,7 +353,7 @@ def wick_rotate_check(sigma0: float, d_coeff: float, t: float) -> WickRotation:
     # Route B: direct quadrature convolution with the analytic heat kernel.
     # Odd-length centered kernel keeps np.convolve(mode="same") aligned.
     offsets = dx * np.arange(-(n // 2 - 1), n // 2)
-    kernel = _heat_kernel_samples(offsets, d_coeff, t)
+    kernel = analytic_kernel(1, d_coeff, t, offsets)
     evolved_b = np.convolve(psi0, kernel, mode="same") * dx
 
     residual = float(np.max(np.abs(evolved_a - evolved_b)) / np.max(np.abs(evolved_b)))

@@ -12,6 +12,7 @@ median steps among successful runs, breaking ties on success probability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -29,6 +30,13 @@ __all__ = [
 ]
 
 _STEPS = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)], dtype=np.int64)
+
+
+def _check_radius(radius: float) -> None:
+    if radius < 0:
+        raise ValueError("capture_radius must be nonnegative")
+    if math.isinf(radius * radius):
+        raise ValueError(f"capture radius {radius:g} squared overflows a double")
 
 
 @dataclass(frozen=True)
@@ -54,8 +62,7 @@ class SearchArena:
         for x, y in targets:
             if not (0 <= x < self.side and 0 <= y < self.side):
                 raise ValueError(f"target ({x}, {y}) is outside the lattice")
-        if self.capture_radius < 0:
-            raise ValueError("capture_radius must be nonnegative")
+        _check_radius(self.capture_radius)
         if self.step_budget < 0:
             raise ValueError("step_budget must be nonnegative")
         object.__setattr__(self, "targets", targets)

@@ -11,22 +11,17 @@ from pathlib import Path
 
 import numpy as np
 
-from util import RERUN_CONFIGS, count_local_maxima
+from util import RERUN_CONFIGS, count_local_maxima, run_runner
 
 from stochlab import cli
-from stochlab.core import RngStream, clt_scaling, low_high_power_ratio
-from stochlab.diffusion import WalkSpec, convergence_scan
-from stochlab.memory import (AnnealSchedule, SpinConfig, exact_thermo,
-                             flip_spins, ground_state_bruteforce,
-                             hebbian_couplings, overlap, simulated_annealing,
-                             sk_couplings, zero_t_dynamics)
+from stochlab.core import RngStream, available_cpus, low_high_power_ratio
+from stochlab.memory import (AnnealSchedule, exact_thermo,
+                             ground_state_bruteforce, simulated_annealing,
+                             sk_couplings)
 from stochlab.networks import (barabasi_albert, degree_ccdf_fit,
                                small_world_scan)
-from stochlab.paths import (EuclideanAction, Lattice, hausdorff_scan,
-                            metropolis_batch)
-from stochlab.quantum import (Grid1D, WaveState, double_slit_pattern,
-                              uncertainty_product)
-from stochlab.resonance import DoubleWellSpec, resonance_scan
+from stochlab.paths import hausdorff_scan
+from stochlab.quantum import double_slit_pattern
 from stochlab.sandpile import SandGrid, abelian_check, ccdf_fit, drive
 
 
@@ -36,21 +31,11 @@ def _verdict(number: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number:02d} failed: {detail}"
 
 
-def _pooled_roughness(potential, a_t, stream_id, chains=16):
-    lattice = Lattice(n_t=256, a_t=a_t)
-    dynamics = EuclideanAction(mass=1.0, potential=potential, a_t=a_t)
-    base = RngStream(120, stream_id)
-    pooled = np.vstack([
-        run.paths for run in metropolis_batch(
-            dynamics, lattice, [base.substream(c) for c in range(chains)],
-            sweeps=10_000, thermalization=1000)])
-    return hausdorff_scan(pooled).d_h
-
-
 def test_criterion_01_path_roughness_dimension():
-    start = time.monotonic()
-    free = _pooled_roughness(lambda x: np.zeros_like(x), 0.05, 0)
-    harmonic = _pooled_roughness(lambda x: 0.5 * x**2, 1.0 / 320.0, 1)
+    start, jobs = time.monotonic(), available_cpus()
+    free = run_runner("paths", RngStream(120, 0), jobs).summary["d_h"]
+    harmonic = run_runner("paths", RngStream(120, 1), jobs, a_t=1.0 / 320.0,
+                          potential="harmonic").summary["d_h"]
     line = np.linspace(0.0, 1.0, 256).reshape(1, -1)
     control = hausdorff_scan(line).d_h
     elapsed = time.monotonic() - start
@@ -87,34 +72,23 @@ def test_criterion_02_two_slit_fringes():
 
 def test_criterion_03_walk_converges_to_heat_kernel():
     start = time.monotonic()
-    base = WalkSpec(dim=1, a_s=0.5, a_t=0.125, n_walkers=10_000_000,
-                    n_steps=8)
-    levels = convergence_scan(base, 2, RngStream(53, 0))
+    walk = run_runner("diffuse", RngStream(53, 0), n_walkers=10_000_000)
     elapsed = time.monotonic() - start
-    errors = [level.sup_error for level in levels]
-    peak = (4.0 * np.pi * base.duration) ** -0.5
-    decreasing = all(b < a for a, b in zip(errors, errors[1:]))
-    ok = decreasing and errors[-1] < 1e-2 * peak and elapsed <= 60.0
+    errors = [row[3] for row in walk.rows]
+    decreasing = walk.summary["monotone_decreasing"]
+    final = walk.summary["final_error_over_peak"]
+    ok = decreasing and final < 1e-2 and elapsed <= 60.0
     _verdict(3, ok,
              f"sup errors {['%.2e' % e for e in errors]} decreasing: "
-             f"{decreasing}; final/peak={errors[-1] / peak:.2e} (<1e-2); "
-             f"{elapsed:.0f}s")
+             f"{decreasing}; final/peak={final:.2e} (<1e-2); {elapsed:.0f}s")
 
 
 def test_criterion_04_uncertainty_bound():
-    grid = Grid1D(-8.0, 8.0, 64)
-    gen = RngStream(97, 0).gen
-    products = np.array([
-        uncertainty_product(WaveState.from_samples(
-            grid, gen.standard_normal(64) + 1j * gen.standard_normal(64))
-        ).product
-        for _ in range(1000)
-    ])
-    reference = uncertainty_product(
-        WaveState.gaussian_packet(grid, sigma0=1.0)).product
-    ok = bool((products >= 0.5 - 1e-3).all()) and abs(reference - 0.5) <= 1e-3
+    summary = run_runner("uncertainty", RngStream(97, 0)).summary
+    lowest, reference = summary["min_product"], summary["gaussian_product"]
+    ok = lowest >= 0.5 - 1e-3 and abs(reference - 0.5) <= 1e-3
     _verdict(4, ok,
-             f"min product over 1000 random states {products.min():.4f} "
+             f"min product over 1000 random states {lowest:.4f} "
              f"(>=0.4990); Gaussian packet {reference:.6f} (0.5+-1e-3)")
 
 
@@ -149,19 +123,12 @@ def test_criterion_05_annealing_matches_exhaustive_and_thermo_identity():
 
 
 def test_criterion_06_pattern_retrieval():
-    base = RngStream(90, 0)
-    hits = 0
-    for trial in range(1000):
-        sub = base.substream(trial)
-        patterns = [SpinConfig.random(50, sub) for _ in range(2)]
-        couplings = hebbian_couplings(patterns)
-        cue = flip_spins(patterns[0], 5, sub)
-        result = zero_t_dynamics(cue, couplings, sub)
-        hits += overlap(result.config, patterns[0]) >= 0.95
-    ok = hits >= 950
+    rate = run_runner("memory", RngStream(90, 0),
+                      trials=1000).summary["success_rate"]
+    ok = rate >= 0.95
     _verdict(6, ok,
-             f"{hits}/1000 corrupted cues recovered to overlap >=0.95 "
-             f"(need >=950)")
+             f"{rate:.1%} of 1000 corrupted cues recovered to overlap >=0.95 "
+             f"(need >=95%)")
 
 
 def test_criterion_07_sandpile_criticality():
@@ -193,18 +160,16 @@ def test_criterion_07_sandpile_criticality():
 
 def test_criterion_08_stochastic_resonance_peak():
     start = time.monotonic()
-    levels = (0.02, 0.05, 0.1, 0.2, 0.4, 0.8)
-    base = DoubleWellSpec(amplitude=0.3, omega=0.1, noise_d=levels[0],
-                          dt=0.01, t_total=100.0 * 2.0 * np.pi / 0.1)
-    curve = resonance_scan(base, levels, 4, RngStream(70, 0))
+    scan = run_runner("resonance", RngStream(70, 0), available_cpus())
     elapsed = time.monotonic() - start
-    best = int(np.argmax(curve.snr_db))
-    margin_low = curve.snr_db[best] - curve.snr_db[0]
-    margin_high = curve.snr_db[best] - curve.snr_db[-1]
-    ok = (curve.interior_peak and 0 < best < len(levels) - 1
+    snr_db = [row[1] for row in scan.rows]
+    best = int(np.argmax(snr_db))
+    margin_low = snr_db[best] - snr_db[0]
+    margin_high = snr_db[best] - snr_db[-1]
+    ok = (scan.summary["interior_peak"] and 0 < best < len(snr_db) - 1
           and margin_low >= 3.0 and margin_high >= 3.0 and elapsed <= 120.0)
     _verdict(8, ok,
-             f"SNR peaks at D={curve.peak_d} with margins "
+             f"SNR peaks at D={scan.summary['peak_d']} with margins "
              f"{margin_low:.1f}/{margin_high:.1f} dB over the endpoints "
              f"(>=3 dB each); {elapsed:.0f}s")
 
@@ -229,12 +194,9 @@ def test_criterion_09_small_world_window_and_scale_free_tail():
 
 
 def test_criterion_10_error_scaling_exponent():
-    scaling = clt_scaling(RngStream(96, 0),
-                          (4, 8, 16, 32, 64, 128, 256, 512, 1024), 400)
-    ok = abs(scaling.slope + 0.5) <= 0.05
-    _verdict(10, ok,
-             f"std-error vs n log-log slope {scaling.slope:.3f} "
-             f"(-0.5+-0.05)")
+    slope = run_runner("clt", RngStream(96, 0), replicas=400).summary["slope"]
+    ok = abs(slope + 0.5) <= 0.05
+    _verdict(10, ok, f"std-error vs n log-log slope {slope:.3f} (-0.5+-0.05)")
 
 
 def test_criterion_11_manifest_reruns_are_byte_identical(golden_run, tmp_path):

@@ -560,9 +560,20 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
     (["spectrum", "potential=box", "n_levels=6", "n_points=2"], "n_levels"),
     # Gamma(342 / 2 + 1) overflows a double.
     (["mcint", "dim=342"], "dim"),
+    # Squares that overflow: b_re**2, sigma0**2, the radius squared and the
+    # 3-d cell volume 2 * a_s**3; sigma0**2 and bin edges squared underflow.
+    (["interfere", "b_re=1e308"], "b_re"),
+    (["uncertainty", "sigma0=1e300"], "sigma0"),
+    (["uncertainty", "sigma0=1e-300"], "sigma0"),
+    (["search", "radii=1e300"], "radii"),
+    (["diffuse", "dim=3", "a_s=1e150", "a_t=1.6666666666666666e+299"], "a_s"),
+    (["decay", "t_max=1e-300", "rate_lambda=0.001", "n_atoms=10", "bins=2"],
+     "t_max"),
 ], ids=["short-record", "line-off-its-bin", "diffuse-key-range",
         "overflowing-step-count", "spectrum-levels-past-grid",
-        "mcint-ball-gamma-overflow"])
+        "mcint-ball-gamma-overflow", "interfere-amplitude", "uncertainty-width",
+        "uncertainty-narrow-width", "search-radius", "diffuse-cell-volume",
+        "decay-bin-edges"])
 def test_faults_known_from_the_config_exit_2(argv, key, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main([*argv, "--jobs", "1", "--out", str(out)]) == 2
@@ -572,14 +583,18 @@ def test_faults_known_from_the_config_exit_2(argv, key, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("a_t", ["1e300", "1e150"])
-def test_overflowing_action_exits_3_naming_a_t(a_t, tmp_path):
+@pytest.mark.parametrize("a_t, sweeps", [("1e300", "60"), ("1e150", "60"),
+                                         ("1e300", "8")],
+                         ids=["1e300", "1e150", "1e300-short-trace"])
+def test_overflowing_action_exits_3_naming_a_t(a_t, sweeps, tmp_path):
     # At 1e300 the action trace itself overflows; at 1e150 only its variance
-    # does.  numpy warns on the way, and tier-1 makes warnings errors, so the
-    # run goes through a fresh interpreter.
+    # does; at sweeps=8 the trace is too short for an autocorrelation window.
+    # numpy warns on the way, and tier-1 makes warnings errors, so the run
+    # goes through a fresh interpreter.
     child = _python("-m", "stochlab", "paths", f"a_t={a_t}",
-                    "potential=harmonic", "sweeps=60", "thermalization=1",
-                    "chains=1", "--jobs", "1", "--out", str(tmp_path))
+                    "potential=harmonic", f"sweeps={sweeps}",
+                    "thermalization=1", "chains=1", "--jobs", "1",
+                    "--out", str(tmp_path))
     assert child.returncode == 3
     assert child.stderr.splitlines()[-1] == (
         "runtime failure: ValueError: the action trace overflows a double; "

@@ -22,12 +22,15 @@ prints fresh tables::
 from __future__ import annotations
 
 import hashlib
+import json
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from util import ANNEAL_CONFIG, RERUN_CONFIGS, needs_two_cpus, run_golden
+from util import (ANNEAL_CONFIG, RERUN_CONFIGS, golden_seed, needs_two_cpus,
+                  run_golden, run_runner)
 
 from stochlab import cli
 from stochlab.core import RngStream
@@ -171,6 +174,17 @@ def test_golden_tables_cover_every_experiment_and_kernel_case():
 @pytest.mark.parametrize("experiment", sorted(RERUN_CONFIGS))
 def test_cli_data_files_match_golden_digests(experiment, golden_run):
     assert _digests(golden_run(experiment)) == GOLDEN_CLI[experiment]
+
+
+# run_runner is how the criteria run the CLI; resonance takes about 2 s a replica.
+@pytest.mark.parametrize("experiment",
+                         ["clt", "diffuse", "memory", "paths", "uncertainty"])
+def test_run_runner_gives_the_summary_cli_run_writes(experiment, golden_run):
+    stream = RngStream(golden_seed(experiment), 0).substream(0)
+    summary = run_runner(experiment, stream, **RERUN_CONFIGS[experiment]).summary
+    written = Path(golden_run(experiment).output_dir, f"{experiment}_summary.json")
+    assert (json.loads(json.dumps(cli._jsonable(summary)))
+            == json.loads(written.read_text())["per_replica"][0])
 
 
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_two_cpus)])

@@ -76,6 +76,14 @@ def run_golden(experiment: str, out_dir, parameters=None,
         output_dir=str(out_dir), replicas=2, jobs=jobs))
 
 
+def run_runner(experiment: str, rng: RngStream, jobs: int = 1, **overrides):
+    """The ``_RunOutput`` of one ``cli.run`` replica on ``rng``, with
+    ``overrides`` resolved by the CLI's own schema and cross-checks."""
+    params, violations = cli._resolve(cli.ExperimentConfig(experiment, overrides))
+    assert violations == []
+    return cli.EXPERIMENTS[experiment].run(params, rng, jobs)
+
+
 def count_local_maxima(values) -> int:
     """Strict interior local maxima of a sampled curve."""
     y = np.asarray(values, dtype=float)
