@@ -245,13 +245,21 @@ def _cross_paths(p) -> list:
 
 
 def _cross_diffuse(p) -> list:
-    from .diffusion import WalkSpec, _check_cell, _check_pinning, _level_specs
+    from .diffusion import (WalkSpec, _check_cell, _check_pinning,
+                            _kernel_peak, _level_specs)
 
+    def specs():
+        base = WalkSpec(p["dim"], p["a_s"], p["a_t"], p["n_walkers"],
+                        p["n_steps"])
+        return [base, *_level_specs(base, p["refinements"])]
+
+    # The run takes the heat-kernel peak at each level's duration and at the
+    # base duration.
     return (_rule("a_t", _check_pinning, p["dim"], p["a_s"], p["a_t"])
             or _rule("a_s", _check_cell, p["dim"], p["a_s"])
-            or _rule("refinements", lambda: _level_specs(
-                WalkSpec(p["dim"], p["a_s"], p["a_t"], p["n_walkers"],
-                         p["n_steps"]), p["refinements"])))
+            or _rule("refinements", specs)
+            or _rule("n_steps", lambda: [_kernel_peak(s.dim, 1.0, s.duration)
+                                         for s in specs()]))
 
 
 def _cross_resonance(p) -> list:
@@ -468,7 +476,7 @@ def _paths_block(unit) -> list:
     p, streams = unit
     dynamics = EuclideanAction(mass=1.0, potential=_POTENTIALS[p["potential"]],
                                a_t=p["a_t"])
-    lattice = Lattice(n_t=p["n_t"], a_t=p["a_t"])
+    lattice = Lattice(n_t=p["n_t"])
     return [chain.paths for chain in metropolis_batch(
         dynamics, lattice, streams, sweeps=p["sweeps"],
         thermalization=p["thermalization"])]
@@ -498,7 +506,7 @@ def _run_paths(p, rng, jobs) -> _RunOutput:
 
 
 def _run_diffuse(p, rng, jobs) -> _RunOutput:
-    from .diffusion import WalkSpec, convergence_scan
+    from .diffusion import WalkSpec, _kernel_peak, convergence_scan
 
     base = WalkSpec(dim=p["dim"], a_s=p["a_s"], a_t=p["a_t"],
                     n_walkers=p["n_walkers"], n_steps=p["n_steps"])
@@ -506,7 +514,7 @@ def _run_diffuse(p, rng, jobs) -> _RunOutput:
     rows = [(lv.a_s, lv.a_t, lv.n_steps, lv.sup_error, lv.sampling_limited)
             for lv in levels]
     errors = [lv.sup_error for lv in levels]
-    peak = (4.0 * math.pi * base.duration) ** (-base.dim / 2.0)
+    peak = _kernel_peak(base.dim, 1.0, base.duration)
     summary = {
         "final_sup_error": errors[-1],
         "final_error_over_peak": errors[-1] / peak,

@@ -41,8 +41,17 @@ def _check_cell(dim: int, a_s: float) -> None:
         volume = 2.0 * float(a_s) ** dim
     except OverflowError:
         volume = math.inf
-    if math.isinf(volume):
-        raise ValueError("the cell volume 2 * a_s**dim overflows a double")
+    if math.isinf(volume) or volume == 0.0:
+        raise ValueError("the cell volume 2 * a_s**dim leaves the double range")
+
+
+def _kernel_peak(dim: int, d_coeff: float, t: float) -> float:
+    """The heat kernel's peak value (4 pi D t)**(-dim/2)."""
+    try:
+        return (4.0 * math.pi * d_coeff * t) ** (-dim / 2.0)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("the heat-kernel peak (4 pi D t)**(-dim/2) "
+                         "overflows a double") from None
 
 
 @dataclass(frozen=True)
@@ -210,7 +219,7 @@ def analytic_kernel(dim: int, d_coeff: float, t: float, points,
     if origin is None:
         origin = np.zeros(dim)
     displacement2 = ((pts - np.asarray(origin, dtype=float)) ** 2).sum(axis=1)
-    return ((4.0 * math.pi * d_coeff * t) ** (-dim / 2.0)
+    return (_kernel_peak(dim, d_coeff, t)
             * np.exp(-displacement2 / (4.0 * d_coeff * t)))
 
 
@@ -264,7 +273,7 @@ def convergence_scan(base_spec: WalkSpec, refinements: int,
         peak_mass = float(field.masses.max())
         peak_se = math.sqrt(peak_mass * (1.0 - peak_mass)
                             / spec.n_walkers) / field.cell_volume
-        peak_kernel = (4.0 * math.pi * field.time) ** (-spec.dim / 2.0)
+        peak_kernel = _kernel_peak(spec.dim, 1.0, field.time)
         bias_estimate = ((2.0 * a_s) ** 2 / 24.0) * spec.dim * peak_kernel / (
             2.0 * field.time)
         levels.append(ConvergenceLevel(

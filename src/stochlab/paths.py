@@ -2,13 +2,13 @@
 
 Paths x(t) live on a lattice of n_t equally spaced imaginary-time slices with
 fixed endpoints.  A site-by-site Metropolis sampler draws paths with Boltzmann
-weight exp(-S/hbar), where S is the discretized Euclidean action.  Coarsening
-a sampled path and measuring its summed length L against the fluctuation
-scale dx of the coarse increments gives a power law mean L ~ dx**alpha whose
-exponent determines the fractal dimension of the paths: d_h = 1 - alpha.
-A wiggly quantum path doubles in measured length each time the resolution is
-refined by 4 (alpha = -1, d_h = 2); a straight line keeps a constant length
-(alpha = 0, d_h = 1).
+weight exp(-S) (units with hbar = 1), where S is the discretized Euclidean
+action.  Coarsening a sampled path and measuring its summed length L against
+the fluctuation scale dx of the coarse increments gives a power law mean
+L ~ dx**alpha whose exponent determines the fractal dimension of the paths:
+d_h = 1 - alpha.  A wiggly quantum path doubles in measured length each time
+the resolution is refined by 4 (alpha = -1, d_h = 2); a straight line keeps a
+constant length (alpha = 0, d_h = 1).
 
 Coarse-graining protocol (the one interpretive choice in this module): a path
 is reduced to [x_0, block means of size b, x_last].  The anchored endpoints
@@ -48,51 +48,23 @@ class FitError(Exception):
 
 @dataclass(frozen=True)
 class Lattice:
-    """Imaginary-time lattice: n_t slices of spacing a_t with fixed endpoints."""
+    """Imaginary-time lattice: n_t slices with fixed endpoints.  The slice
+    spacing a_t belongs to the action (:class:`EuclideanAction`)."""
 
     n_t: int
-    a_t: float
     x_start: float = 0.0
     x_end: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_t < 3:
             raise ValueError("sampling needs n_t >= 3 (at least one interior slice)")
-        if self.a_t <= 0:
-            raise ValueError("a_t must be positive")
-
-
-@dataclass(frozen=True)
-class LatticePath:
-    """A discretized path: positions per slice, spacing a_t, frozen endpoints."""
-
-    positions: np.ndarray
-    a_t: float
-
-    def __post_init__(self) -> None:
-        positions = np.asarray(self.positions, dtype=float)
-        if positions.ndim != 1 or positions.size < 2:
-            raise ValueError("a path needs at least two slices")
-        if self.a_t <= 0:
-            raise ValueError("a_t must be positive")
-        positions = positions.copy()
-        positions.flags.writeable = False
-        object.__setattr__(self, "positions", positions)
-
-    @property
-    def n_t(self) -> int:
-        return self.positions.size
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.a_t * np.arange(self.n_t)
 
 
 @dataclass(frozen=True)
 class EuclideanAction:
     """Mass, potential, and slice spacing defining the Euclidean action.
 
-    The Boltzmann weight of a path is exp(-S/hbar); hbar defaults to 1.
+    The Boltzmann weight of a path is exp(-S), in units with hbar = 1.
     A ``None`` potential is the free particle (V = 0): the sampler and the
     action skip its term, which for an evaluated zero would add only +0.0.
     """
@@ -100,11 +72,10 @@ class EuclideanAction:
     mass: float
     potential: Callable[[np.ndarray], np.ndarray] | None
     a_t: float
-    hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.mass <= 0 or self.a_t <= 0 or self.hbar <= 0:
-            raise ValueError("mass, a_t, and hbar must be positive")
+        if self.mass <= 0 or self.a_t <= 0:
+            raise ValueError("mass and a_t must be positive")
 
 
 @dataclass(frozen=True)
@@ -140,8 +111,10 @@ class PathEnsemble:
     audit: ProposalAudit | None = None
 
 
-def _action_of(positions: np.ndarray, dynamics: EuclideanAction):
-    """Action of each path along the last axis (a scalar for a single path)."""
+def action(positions, dynamics: EuclideanAction):
+    """Discretized Euclidean action, kinetic links plus trapezoid-weighted
+    potential, of each path along the last axis (a scalar for one path)."""
+    positions = np.asarray(positions, dtype=float)
     kinetic = (dynamics.mass / (2.0 * dynamics.a_t)) * (
         np.diff(positions) ** 2).sum(axis=-1)
     if dynamics.potential is None:
@@ -152,19 +125,11 @@ def _action_of(positions: np.ndarray, dynamics: EuclideanAction):
     return kinetic + potential
 
 
-def action(path: LatticePath, dynamics: EuclideanAction) -> float:
-    """Discretized Euclidean action: kinetic links plus trapezoid-weighted potential."""
-    if not math.isclose(path.a_t, dynamics.a_t, rel_tol=1e-12):
-        raise ValueError(f"path spacing {path.a_t} != dynamics spacing {dynamics.a_t}")
-    return float(_action_of(path.positions, dynamics))
-
-
-def path_distance(p1: LatticePath, p2: LatticePath,
-                  dynamics: EuclideanAction) -> float:
-    """|S(p1) - S(p2)|: a pseudo-metric (distinct equal-action paths have distance 0)."""
-    if p1.n_t != p2.n_t or not math.isclose(p1.a_t, p2.a_t, rel_tol=1e-12):
-        raise ValueError("paths live on incompatible lattices")
-    return abs(action(p1, dynamics) - action(p2, dynamics))
+def path_distance(x1, x2, dynamics: EuclideanAction) -> float:
+    """|S(x1) - S(x2)|: a pseudo-metric (distinct equal-action paths have distance 0)."""
+    if np.shape(x1) != np.shape(x2):
+        raise ValueError("the paths have different numbers of slices")
+    return float(abs(action(x1, dynamics) - action(x2, dynamics)))
 
 
 def _integrated_autocorrelation(series: np.ndarray) -> float:
@@ -204,8 +169,8 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
                      streams: Sequence[RngStream], sweeps: int,
                      thermalization: int, proposal_width: float = 1.0,
                      audit_proposals: int = 0) -> list[PathEnsemble]:
-    """Sample fixed-endpoint paths with Boltzmann weight exp(-S/hbar), one
-    chain per stream.
+    """Sample fixed-endpoint paths with Boltzmann weight exp(-S), one chain
+    per stream.
 
     One sweep proposes a shift x_j -> x_j + U(-w, w) at every interior site,
     visiting sites in a fixed odd/even checkerboard order so the proposals in
@@ -234,8 +199,6 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
     _check_sweeps(sweeps, thermalization)
     if proposal_width <= 0:
         raise ValueError("proposal_width must be positive")
-    if not math.isclose(lattice.a_t, dynamics.a_t, rel_tol=1e-12):
-        raise ValueError("lattice and dynamics disagree on a_t")
 
     n_t = lattice.n_t
     gens = [stream.gen for stream in streams]
@@ -246,7 +209,7 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
     # Drawing the start from the exact free-action bridge removes that
     # burn-in entirely for V = 0 and leaves only the fast, locally driven
     # relaxation toward V for interacting potentials.
-    step_std = math.sqrt(dynamics.a_t * dynamics.hbar / dynamics.mass)
+    step_std = math.sqrt(dynamics.a_t / dynamics.mass)
     walk = np.zeros((chains, n_t))
     walk[:, 1:] = np.cumsum([gen.normal(0.0, step_std, size=n_t - 1)
                              for gen in gens], axis=1)
@@ -299,8 +262,7 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
                         np.asarray(dynamics.potential(new), dtype=float)
                         - np.asarray(dynamics.potential(old), dtype=float))
                 u = draws[:, j, uniforms]
-                # (-a) / b and a / (-b) are the same IEEE double.
-                accept = u < np.exp(np.minimum(delta_s / -dynamics.hbar, 0.0))
+                accept = u < np.exp(np.minimum(-delta_s, 0.0))
                 np.copyto(old, new, where=accept)
                 np.add(hits, accept, out=hits)
                 if audit_left > 0 and sweep >= thermalization:
@@ -310,7 +272,7 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
             snapshots[:, j] = x
             if sweep >= thermalization:
                 kept[:, sweep - thermalization] = x
-        trace[:, start:start + k] = _action_of(snapshots[:, :k], dynamics)
+        trace[:, start:start + k] = action(snapshots[:, :k], dynamics)
         if start + k <= thermalization:
             rate = sum(hits.sum(axis=1) for hits in tallies) / (k * (n_t - 2))
             for hits in tallies:
@@ -342,8 +304,6 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
 
 def _coarse_increments(paths: np.ndarray, block: int) -> np.ndarray:
     """Increments of the anchored coarse paths [x_0, block means, x_last]."""
-    if block == 1:
-        return np.diff(paths, axis=1)
     n_t = paths.shape[1]
     n_blocks = n_t // block
     means = paths[:, : n_blocks * block].reshape(paths.shape[0], n_blocks,

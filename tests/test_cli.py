@@ -108,7 +108,7 @@ def test_cross_checks_catch_inconsistent_combinations():
           for mode in (False, True)],
         ("paths", {"sweeps": "100", "thermalization": "100"},
          [("sweeps", lambda: metropolis_batch(
-             EuclideanAction(1.0, None, 0.05), Lattice(256, 0.05), [rng],
+             EuclideanAction(1.0, None, 0.05), Lattice(256), [rng],
              sweeps=100, thermalization=100))]),
         ("diffuse", {"a_t": "0.2"},
          [("a_t", lambda: convergence_scan(WalkSpec(1, 0.5, 0.2, 10**6, 8),
@@ -350,10 +350,11 @@ def test_search_table_has_both_strategies_per_cell(tmp_path):
     assert {row[-1] for row in rows} == {"1", "2"}
 
 
-def test_default_paths_run_lands_in_quadratic_roughness_band(tmp_path):
-    manifest = cli.run(ExperimentConfig("paths", {}, output_dir=str(tmp_path)))
+def test_paths_run_pools_chains_and_echoes_free_potential(tmp_path):
+    # Criterion 01 checks the d_h band on the default configuration.
+    manifest = cli.run(ExperimentConfig("paths", RERUN_CONFIGS["paths"],
+                                        output_dir=str(tmp_path)))
     summary = json.loads((tmp_path / "paths_summary.json").read_text())
-    assert 1.9 <= summary["d_h"] <= 2.1
     assert summary["pooled_paths"] >= 100
     assert manifest.parameters["potential"] == "free"
 
@@ -569,11 +570,19 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
     (["diffuse", "dim=3", "a_s=1e150", "a_t=1.6666666666666666e+299"], "a_s"),
     (["decay", "t_max=1e-300", "rate_lambda=0.001", "n_atoms=10", "bins=2"],
      "t_max"),
+    # The 3-d cell volume underflows to 0; the heat-kernel peak
+    # (4 pi t)**(-dim/2) overflows at a positive volume, in 3-d and 2-d.
+    (["diffuse", "dim=3", "a_s=1e-110", "a_t=1.6666666666666666e-221"], "a_s"),
+    (["diffuse", "dim=3", "a_s=1e-104", "a_t=1.6666666666666667e-209",
+      "n_walkers=1000"], "n_steps"),
+    (["diffuse", "dim=2", "a_s=1e-155", "a_t=2.5e-311", "n_walkers=1000"],
+     "n_steps"),
 ], ids=["short-record", "line-off-its-bin", "diffuse-key-range",
         "overflowing-step-count", "spectrum-levels-past-grid",
         "mcint-ball-gamma-overflow", "interfere-amplitude", "uncertainty-width",
         "uncertainty-narrow-width", "search-radius", "diffuse-cell-volume",
-        "decay-bin-edges"])
+        "decay-bin-edges", "diffuse-cell-underflow", "diffuse-kernel-peak-3d",
+        "diffuse-kernel-peak-2d"])
 def test_faults_known_from_the_config_exit_2(argv, key, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main([*argv, "--jobs", "1", "--out", str(out)]) == 2
@@ -610,6 +619,26 @@ def test_main_runtime_failure_exits_3(jobs, tmp_path, capsys):
     assert capsys.readouterr().err == ("runtime failure: IntegrationError: "
                                        "|x| exceeded 1000 at t = 3.6; "
                                        "reduce dt\n")
+
+
+def test_main_validates_once_through_the_module_global(tmp_path,
+                                                       monkeypatch):
+    # perfbench times a run's set-up up to the return of cli.validate, which
+    # it replaces with a stamping wrapper: main must call the module global
+    # exactly once, before the run creates its output directory.
+    out, seen = tmp_path / "out", []
+    validate = cli.validate
+
+    def stamped(config):
+        violations = validate(config)
+        seen.append(out.exists())
+        return violations
+
+    monkeypatch.setattr(cli, "validate", stamped)
+    assert cli.main(["mcint", "samples=4000", "--jobs", "1",
+                     "--out", str(out)]) == 0
+    assert seen == [False]
+    assert (out / "manifest.json").exists()
 
 
 def test_main_bad_override_and_missing_config_exit_2(tmp_path, capsys):

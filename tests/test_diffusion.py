@@ -39,6 +39,9 @@ def test_spec_validates_dimension_and_spacings():
     WalkSpec(dim=3, a_s=0.1, a_t=0.01, n_walkers=1, n_steps=8 * 4**8)
     with pytest.raises(ValueError, match="packed site keys"):
         WalkSpec(dim=3, a_s=0.1, a_t=0.01, n_walkers=1, n_steps=8 * 4**9)
+    # The cell volume 2 * a_s**3 underflows to 0.
+    with pytest.raises(ValueError, match="cell volume"):
+        WalkSpec(dim=3, a_s=1e-110, a_t=1e-221, n_walkers=1, n_steps=1)
 
 
 def test_spec_records_scaling_ratio_and_d():
@@ -188,6 +191,8 @@ def test_kernel_validates_arguments():
         analytic_kernel(1, -1.0, 1.0, np.array([0.0]))
     with pytest.raises(ValueError):
         analytic_kernel(2, 1.0, 1.0, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="peak .* overflows"):
+        analytic_kernel(3, 1.0, 1e-220, np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def _digests(manifest: cli.RunManifest) -> dict:
 def _kernel_digest(case: str) -> str:
     potential, n_t, a_t, width = _KERNEL_CASES[case]
     dynamics = EuclideanAction(mass=1.0, potential=potential, a_t=a_t)
-    lattice = Lattice(n_t=n_t, a_t=a_t)
+    lattice = Lattice(n_t=n_t)
     base = RngStream(7, 0)
     ensembles = metropolis_batch(
         dynamics, lattice, [base.substream(c) for c in range(3)], sweeps=600,

@@ -13,7 +13,6 @@ from stochlab.paths import (
     EuclideanAction,
     FitError,
     Lattice,
-    LatticePath,
     action,
     hausdorff_scan,
     metropolis_batch,
@@ -45,24 +44,7 @@ def blocked_std_error(series, n_blocks=20):
 
 def test_lattice_rejects_too_few_slices():
     with pytest.raises(ValueError):
-        Lattice(n_t=2, a_t=0.1)
-
-
-def test_lattice_rejects_bad_spacing():
-    with pytest.raises(ValueError):
-        Lattice(n_t=16, a_t=0.0)
-
-
-def test_path_positions_are_read_only():
-    path = LatticePath(np.arange(5.0), a_t=0.5)
-    with pytest.raises(ValueError):
-        path.positions[0] = 3.0
-
-
-def test_path_times_are_evenly_spaced():
-    path = LatticePath(np.zeros(7), a_t=0.25)
-    assert path.n_t == 7
-    np.testing.assert_allclose(np.diff(path.times), 0.25)
+        Lattice(n_t=2)
 
 
 def test_dynamics_rejects_nonpositive_parameters():
@@ -78,14 +60,12 @@ def test_dynamics_rejects_nonpositive_parameters():
 
 def test_constant_path_has_zero_action():
     dyn = EuclideanAction(mass=2.0, potential=zero_potential, a_t=0.3)
-    path = LatticePath(np.full(50, 1.7), a_t=0.3)
-    assert action(path, dyn) == 0.0
+    assert action(np.full(50, 1.7), dyn) == 0.0
 
 
 def test_single_kinetic_link():
     dyn = EuclideanAction(mass=1.0, potential=zero_potential, a_t=1.0)
-    path = LatticePath(np.array([0.0, 1.0]), a_t=1.0)
-    assert action(path, dyn) == pytest.approx(0.5)
+    assert action(np.array([0.0, 1.0]), dyn) == pytest.approx(0.5)
 
 
 def test_action_matches_direct_resummation():
@@ -98,19 +78,13 @@ def test_action_matches_direct_resummation():
     for j in range(100):
         weight = 0.5 if j in (0, 99) else 1.0
         expected += weight * a_t * harmonic_potential(xs[j])
-    assert action(LatticePath(xs, a_t), dyn) == pytest.approx(expected, abs=1e-12)
+    assert action(xs, dyn) == pytest.approx(expected, abs=1e-12)
 
 
 @given(st.floats(-50, 50), st.integers(3, 40))
 def test_any_constant_path_is_free_of_action(c, n_t):
     dyn = EuclideanAction(mass=1.0, potential=zero_potential, a_t=0.2)
-    assert action(LatticePath(np.full(n_t, c), 0.2), dyn) == 0.0
-
-
-def test_action_rejects_mismatched_spacing():
-    dyn = EuclideanAction(mass=1.0, potential=zero_potential, a_t=0.1)
-    with pytest.raises(ValueError):
-        action(LatticePath(np.zeros(5), a_t=0.2), dyn)
+    assert action(np.full(n_t, c), dyn) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +93,7 @@ def test_action_rejects_mismatched_spacing():
 
 def test_distance_of_path_to_itself_is_zero():
     dyn = EuclideanAction(1.0, harmonic_potential, 0.1)
-    p = LatticePath(np.sin(np.arange(20)), 0.1)
+    p = np.sin(np.arange(20))
     assert path_distance(p, p, dyn) == 0.0
 
 
@@ -127,16 +101,14 @@ def test_mirror_path_in_symmetric_potential_is_at_distance_zero():
     dyn = EuclideanAction(1.0, harmonic_potential, 0.1)
     gen = RngStream(3, 0).gen
     xs = gen.normal(size=24)
-    p, mirrored = LatticePath(xs, 0.1), LatticePath(-xs, 0.1)
-    assert path_distance(p, mirrored, dyn) == pytest.approx(0.0, abs=1e-12)
-    assert not np.array_equal(p.positions, mirrored.positions)
+    assert path_distance(xs, -xs, dyn) == pytest.approx(0.0, abs=1e-12)
+    assert not np.array_equal(xs, -xs)
 
 
 def test_distance_equals_absolute_action_difference():
     dyn = EuclideanAction(1.0, harmonic_potential, 0.1)
     gen = RngStream(4, 0).gen
-    p1 = LatticePath(gen.normal(size=30), 0.1)
-    p2 = LatticePath(gen.normal(size=30), 0.1)
+    p1, p2 = gen.normal(size=30), gen.normal(size=30)
     expected = abs(action(p1, dyn) - action(p2, dyn))
     assert path_distance(p1, p2, dyn) == expected
     assert path_distance(p2, p1, dyn) == expected
@@ -145,7 +117,7 @@ def test_distance_equals_absolute_action_difference():
 def test_distance_satisfies_triangle_inequality_on_sampled_triples():
     dyn = EuclideanAction(1.0, harmonic_potential, 0.1)
     gen = RngStream(5, 0).gen
-    paths = [LatticePath(gen.normal(size=16), 0.1) for _ in range(12)]
+    paths = gen.normal(size=(12, 16))
     for a in paths[:4]:
         for b in paths[4:8]:
             for c in paths[8:]:
@@ -158,11 +130,7 @@ def test_distance_satisfies_triangle_inequality_on_sampled_triples():
 def test_distance_rejects_incompatible_lattices():
     dyn = EuclideanAction(1.0, zero_potential, 0.1)
     with pytest.raises(ValueError):
-        path_distance(LatticePath(np.zeros(5), 0.1),
-                      LatticePath(np.zeros(6), 0.1), dyn)
-    with pytest.raises(ValueError):
-        path_distance(LatticePath(np.zeros(5), 0.1),
-                      LatticePath(np.zeros(5), 0.2), dyn)
+        path_distance(np.zeros(5), np.zeros(6), dyn)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +140,7 @@ def test_distance_rejects_incompatible_lattices():
 @pytest.fixture(scope="module")
 def free_run():
     dyn = EuclideanAction(mass=1.0, potential=zero_potential, a_t=0.05)
-    lattice = Lattice(n_t=64, a_t=0.05)
+    lattice = Lattice(n_t=64)
     return metropolis_batch(dyn, lattice, [RngStream(17, 0)],
                             sweeps=5000, thermalization=1000,
                             audit_proposals=1000)[0]
@@ -182,7 +150,7 @@ def free_run():
 def pooled_free_chains():
     """Eight independent free-particle chains at n_t = 128, pooled."""
     dyn = EuclideanAction(mass=1.0, potential=zero_potential, a_t=0.05)
-    lattice = Lattice(n_t=128, a_t=0.05)
+    lattice = Lattice(n_t=128)
     return metropolis_batch(dyn, lattice, [RngStream(33, k) for k in range(8)],
                             4000, 800)
 
@@ -192,7 +160,7 @@ def test_acceptance_rate_lands_in_tuned_window(free_run):
 
 
 def test_free_action_matches_equipartition(free_run):
-    # Each of the n_t - 1 kinetic links carries hbar/2 on average, minus one
+    # Each of the n_t - 1 kinetic links carries 1/2 (hbar = 1) on average, minus one
     # link's worth for the fixed-endpoint constraint.
     expected = (64 - 2) * 0.5
     err = blocked_std_error(free_run.sample_actions)
@@ -244,7 +212,7 @@ def _assert_bitwise_equal(ours, theirs):
 def test_batch_equals_separate_chains_and_reference_loop(case):
     potential, n_t, a_t, chains, sweeps, therm, audit = _BATCH_CASES[case]
     dyn = EuclideanAction(1.0, potential, a_t)
-    lat = Lattice(n_t, a_t, x_start=0.5)
+    lat = Lattice(n_t, x_start=0.5)
     args = (sweeps, therm, 0.7, audit)
     streams = [RngStream(61, k) for k in range(chains)]
     batch = metropolis_batch(dyn, lat, streams, *args)
@@ -267,7 +235,7 @@ def test_batch_equals_separate_chains_and_reference_loop(case):
 def test_none_potential_equals_zeros_potential_bitwise(thermalization):
     # The kernel skips V = None; V = 0 adds +0.0 to a delta S and an action
     # that are never -0.0.  Byte equality includes every sign bit.
-    lat = Lattice(20, 0.05, x_start=0.3)
+    lat = Lattice(20, x_start=0.3)
     runs = [metropolis_batch(EuclideanAction(1.0, potential, 0.05), lat,
                              [RngStream(83, k) for k in range(2)], 120,
                              thermalization, 0.7, 25)
@@ -278,18 +246,27 @@ def test_none_potential_equals_zeros_potential_bitwise(thermalization):
 
 
 def test_action_with_none_potential_equals_zeros_potential_bitwise():
+    # The last input is a (k, n_t) batch, as the sampler's trace passes: each
+    # row's action is bit for bit that row's own, with V skipped or evaluated.
     rng = np.random.default_rng(5)
-    for n_t in (2, 3, 64):
-        path = LatticePath(rng.normal(size=n_t), 0.05)
-        skipped = action(path, EuclideanAction(1.0, None, 0.05))
-        evaluated = action(path, EuclideanAction(1.0, zero_potential, 0.05))
-        assert np.float64(skipped).tobytes() == np.float64(evaluated).tobytes()
+    for shape in (2, 3, 64, (25, 64)):
+        paths = rng.normal(size=shape)
+        skipped, evaluated, harmonic = (
+            np.asarray(action(paths, EuclideanAction(1.0, potential, 0.05)))
+            for potential in (None, zero_potential, harmonic_potential))
+        assert skipped.tobytes() == evaluated.tobytes()
+        for potential, actions in ((None, skipped),
+                                   (harmonic_potential, harmonic)):
+            dyn = EuclideanAction(1.0, potential, 0.05)
+            rows = [action(row, dyn)
+                    for row in paths.reshape(-1, paths.shape[-1])]
+            assert actions.tobytes() == np.array(rows).tobytes()
 
 
 def test_batch_needs_a_stream():
     with pytest.raises(ValueError):
         metropolis_batch(EuclideanAction(1.0, zero_potential, 0.1),
-                         Lattice(16, 0.1), [], 10, 0)
+                         Lattice(16), [], 10, 0)
 
 
 def test_action_histogram_is_near_gaussian(pooled_free_chains):
@@ -312,7 +289,7 @@ def test_audit_confirms_metropolis_rule(free_run):
 
 def test_same_stream_reproduces_bitwise():
     dyn = EuclideanAction(1.0, zero_potential, 0.1)
-    lat = Lattice(32, 0.1)
+    lat = Lattice(32)
     a = metropolis_batch(dyn, lat, [RngStream(9, 1)], 300, 100)[0]
     b = metropolis_batch(dyn, lat, [RngStream(9, 1)], 300, 100)[0]
     np.testing.assert_array_equal(a.paths, b.paths)
@@ -323,7 +300,7 @@ def test_same_stream_reproduces_bitwise():
 
 def test_nonzero_endpoints_are_respected():
     dyn = EuclideanAction(1.0, zero_potential, 0.1)
-    lat = Lattice(32, 0.1, x_start=-1.0, x_end=2.0)
+    lat = Lattice(32, x_start=-1.0, x_end=2.0)
     run = metropolis_batch(dyn, lat, [RngStream(9, 3)], 200, 50)[0]
     assert np.all(run.paths[:, 0] == -1.0)
     assert np.all(run.paths[:, -1] == 2.0)
@@ -331,15 +308,13 @@ def test_nonzero_endpoints_are_respected():
 
 def test_sampler_validates_arguments():
     dyn = EuclideanAction(1.0, zero_potential, 0.1)
-    lat = Lattice(16, 0.1)
+    lat = Lattice(16)
     with pytest.raises(ValueError):
         metropolis_batch(dyn, lat, [RngStream(1)], sweeps=10, thermalization=10)
     with pytest.raises(ValueError):
         metropolis_batch(dyn, lat, [RngStream(1)], sweeps=10, thermalization=-1)
     with pytest.raises(ValueError):
         metropolis_batch(dyn, lat, [RngStream(1)], 10, 0, proposal_width=0.0)
-    with pytest.raises(ValueError):
-        metropolis_batch(dyn, Lattice(16, 0.2), [RngStream(1)], 10, 0)
 
 
 def test_harmonic_spread_matches_eigensolver_ground_state():
@@ -352,7 +327,7 @@ def test_harmonic_spread_matches_eigensolver_ground_state():
     # 3e-3 term allows for the leading lattice bias at a_t = 0.2.
     a_t, n_t = 0.2, 160
     dyn = EuclideanAction(1.0, harmonic_potential, a_t)
-    runs = metropolis_batch(dyn, Lattice(n_t, a_t),
+    runs = metropolis_batch(dyn, Lattice(n_t),
                             [RngStream(23, k) for k in range(6)],
                             sweeps=4500, thermalization=1200)
     chain_means = [float((run.paths[:, 40:120] ** 2).mean()) for run in runs]
@@ -400,7 +375,7 @@ def test_dimension_is_stable_under_slice_doubling():
     estimates = []
     for n_t, a_t in ((128, 0.1), (256, 0.05)):
         dyn = EuclideanAction(1.0, zero_potential, a_t)
-        lat = Lattice(n_t, a_t)
+        lat = Lattice(n_t)
         pooled = np.concatenate([
             run.paths for run in metropolis_batch(
                 dyn, lat, [RngStream(47, k) for k in range(10)], 5000, 1000)])
@@ -418,7 +393,7 @@ def test_scan_reports_decreasing_resolutions_and_blocks():
 
 def test_scan_accepts_ensemble_object():
     dyn = EuclideanAction(1.0, zero_potential, 0.05)
-    run = metropolis_batch(dyn, Lattice(128, 0.05), [RngStream(31, 9)],
+    run = metropolis_batch(dyn, Lattice(128), [RngStream(31, 9)],
                            3000, 500)[0]
     scan = hausdorff_scan(run)
     assert 1.7 <= scan.d_h <= 2.3

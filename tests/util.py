@@ -172,7 +172,7 @@ def reference_metropolis(dynamics, lattice, rng: RngStream, sweeps: int,
         return kinetic + dynamics.a_t * float(v.sum() - 0.5 * (v[0] + v[-1]))
 
     n_t, gen = lattice.n_t, rng.gen
-    step_std = math.sqrt(dynamics.a_t * dynamics.hbar / dynamics.mass)
+    step_std = math.sqrt(dynamics.a_t / dynamics.mass)
     walk = np.concatenate([[0.0], np.cumsum(gen.normal(0.0, step_std,
                                                        size=n_t - 1))])
     x = (np.linspace(lattice.x_start, lattice.x_end, n_t)
@@ -199,7 +199,7 @@ def reference_metropolis(dynamics, lattice, rng: RngStream, sweeps: int,
                 np.asarray(potential(new), dtype=float)
                 - np.asarray(potential(old), dtype=float))
             u = gen.random(sites.size)
-            accept = u < np.exp(np.minimum(-delta_s / dynamics.hbar, 0.0))
+            accept = u < np.exp(np.minimum(-delta_s, 0.0))
             x[sites] = np.where(accept, new, old)
             if in_measurement:
                 accepted += int(accept.sum())
