@@ -240,7 +240,9 @@ def _level_specs(base: WalkSpec, refinements: int) -> list[WalkSpec]:
 
 
 def _check_pinning(dim: int, a_s: float, a_t: float) -> None:
-    if not math.isclose(a_s**2 / a_t, 2.0 * dim, rel_tol=1e-12):
+    # A product, unlike ``**``, overflows to inf (never close) instead of
+    # raising OverflowError.
+    if not math.isclose(a_s * a_s / a_t, 2.0 * dim, rel_tol=1e-12):
         raise ValueError("a_s**2 / a_t must equal 2 * dim "
                          "(diffusion-constant pinning)")
 

@@ -269,21 +269,32 @@ def zero_t_dynamics(config: SpinConfig,
 
 def _enumerate_half_space(n: int, chunk: int = 1 << 18):
     """Yield chunks of spins over all configs with spin 0 fixed to +1."""
+    # The chunk row count is part of the bit-identity contract: it fixes the
+    # row count of the ``s @ j`` matmul in every caller, and BLAS may block
+    # (so round) a product differently at another row count.  On OpenBLAS
+    # with 2 cores, chunks of 1024 or 2048 rows changed the energies of
+    # every n = 17 instance tried.
     total = 1 << (n - 1)
-    bits = np.arange(n - 1)
     for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        # spin i (i >= 1) reads bit (i - 1) of the enumeration index.
-        tail = (idx[:, None] >> bits[None, :]) & 1
-        spins = np.empty((idx.size, n), dtype=np.int8)
+        rows = min(chunk, total - lo)
+        index_bytes = np.arange(lo, lo + rows, dtype="<u8").view(np.uint8)
+        spins = np.empty((rows, n), dtype=np.int8)
         spins[:, 0] = 1
-        spins[:, 1:] = 1 - 2 * tail  # bit 1 -> spin -1
+        # spin i (i >= 1) reads bit (i - 1) of the enumeration index.
+        spins[:, 1:] = np.unpackbits(index_bytes.reshape(rows, 8), axis=1,
+                                     count=n - 1, bitorder="little")
+        spins[:, 1:] *= -2
+        spins[:, 1:] += 1  # bit 1 -> spin -1
         yield spins
 
 
 def _chunk_energies(s: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Row-wise H = -s.J.s/2 for a (configs x N) block of spins."""
-    return -0.5 * ((s @ j) * s).sum(axis=1)
+    sj = s @ j
+    np.multiply(sj, s, out=sj)
+    h = sj.sum(axis=1)
+    h *= -0.5
+    return h
 
 
 def _require_enumerable(n: int, what: str) -> None:

@@ -237,10 +237,16 @@ def _check_edges(t_max: float, bins: int) -> None:
     if bins < 2:
         raise ValueError("need at least 2 bins")
     # The rate fit scales its time column by the fitted edges' root sum of
-    # squares, and the first two edges are always fitted.
-    if (t_max * 2 / bins) ** 2 == 0.0:
+    # squares, and the first two edges are always fitted.  A product, unlike
+    # ``**``, gives inf instead of raising OverflowError.
+    edge = t_max * 2 / bins
+    square = edge * edge
+    if square == 0.0:
         raise ValueError("the bin edges square to zero in a double; "
                          "increase t_max")
+    if not math.isfinite(square):
+        raise ValueError("the bin edges' squares overflow a double; "
+                         "reduce t_max")
 
 
 def decay_sample(model: DecayModel, rng: RngStream, t_max: float,

@@ -47,6 +47,12 @@ _DIVERGENCE_BOUND = 1e3
 _SEGMENTS = 8
 _BACKGROUND_HALF_WIDTH = 20
 _MIN_PERIODS = 100  # drive periods required before a spectral estimate
+_KICK_BLOCK = 1 << 16  # kicks converted to Python floats at a time
+# Longest record one cell may integrate: 159x the default 628,319 steps.
+# Each step holds 16 bytes while it integrates (the kicks and the record),
+# so the cap keeps one cell under 1.6 GB; past it numpy would fail with a
+# raw MemoryError or ValueError at allocation instead of naming the cause.
+_MAX_STEPS = 10**8
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,8 @@ class DoubleWellSpec:
 
     The integrated record ``n_steps * dt`` must cover at least 100 drive
     periods before :func:`snr_at_drive` accepts the run (the CLI checks it
-    at validation) -- shorter records cannot resolve the line.
+    at validation) -- shorter records cannot resolve the line.  A record
+    longer than ``_MAX_STEPS`` steps is rejected on construction.
     """
 
     amplitude: float
@@ -78,6 +85,10 @@ class DoubleWellSpec:
             raise ValueError("t_total / dt overflows; raise dt")
         if self.n_steps < 1:
             raise ValueError("t_total shorter than one step")
+        if self.n_steps > _MAX_STEPS:
+            raise ValueError(f"the record takes {self.t_total / self.dt:.4g} "
+                             f"steps, past the cap of {_MAX_STEPS:,}; raise "
+                             "dt or reduce t_total")
 
     @property
     def n_steps(self) -> int:
@@ -140,25 +151,43 @@ def integrate(spec: DoubleWellSpec,
     Raises :class:`IntegrationError` with advice to reduce ``dt`` if the
     position leaves ``|x| <= 1e3`` -- the quartic force makes the explicit
     scheme blow up fast once a step overshoots.
+
+    The recurrence streams: a generator reads the kicks in blocks of
+    ``_KICK_BLOCK`` Python floats and ``np.fromiter`` stores each iterate
+    straight into the float64 record, so besides the kicks and the record
+    (8 bytes a step each) only one block of Python floats is alive.
     """
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     n = spec.n_steps
     dt = spec.dt
-    t_grid = dt * np.arange(n)
-    kicks = spec.amplitude * np.sin(spec.omega * t_grid) * dt
+    # In place, the same IEEE operations as
+    # ``amplitude * sin(omega * (dt * arange(n))) * dt + c * normals``:
+    # each product has the same two operands, only their order differs.
+    kicks = np.arange(n, dtype=float)
+    kicks *= dt
+    kicks *= spec.omega
+    np.sin(kicks, out=kicks)
+    kicks *= spec.amplitude
+    kicks *= dt
     if spec.noise_d > 0:
-        kicks = kicks + math.sqrt(2.0 * spec.noise_d * dt) * rng.gen.standard_normal(n)
+        noise = rng.gen.standard_normal(n)
+        noise *= math.sqrt(2.0 * spec.noise_d * dt)
+        kicks += noise
+        del noise
+
+    def recurrence(x):
+        yield x
+        for lo in range(0, n, _KICK_BLOCK):
+            for kick in kicks[lo:lo + _KICK_BLOCK].tolist():
+                x += (x - x * x * x) * dt + kick
+                yield x
+
     # The bare recurrence first, the trust region afterwards: past the bound
     # the iterate runs off to inf and NaN, which fail the test as well, so
     # the first failing index is the step that left the region.
-    x = spec.x0
-    path = [x]
-    append = path.append
-    for kick in kicks.tolist():
-        x += (x - x * x * x) * dt + kick
-        append(x)
-    path = np.asarray(path)
+    path = np.fromiter(recurrence(spec.x0), float, n + 1)
+    del kicks
     stepped = path[1:]
     inside = (-_DIVERGENCE_BOUND < stepped) & (stepped < _DIVERGENCE_BOUND)
     if not inside.all():
@@ -239,7 +268,9 @@ def _sorted_levels(noise_levels) -> np.ndarray:
         raise ValueError("need at least 5 noise levels")
     if np.any(levels <= 0):
         raise ValueError("noise levels must be positive")
-    if levels[-1] / levels[0] < 10.0 * (1.0 - 1e-12):
+    # Python floats: their quotient is numpy's, but an overflow gives inf
+    # (a span of more than a decade) without a RuntimeWarning.
+    if float(levels[-1]) / float(levels[0]) < 10.0 * (1.0 - 1e-12):
         raise ValueError("noise levels must span at least one decade")
     return levels
 

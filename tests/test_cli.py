@@ -577,12 +577,17 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
       "n_walkers=1000"], "n_steps"),
     (["diffuse", "dim=2", "a_s=1e-155", "a_t=2.5e-311", "n_walkers=1000"],
      "n_steps"),
+    # Bin edges and a_s whose squares overflow: the rules multiply, since
+    # ``**`` raises OverflowError.
+    (["decay", "t_max=1e160"], "t_max"),
+    (["diffuse", "a_s=1e160", "a_t=1e308"], "a_t"),
 ], ids=["short-record", "line-off-its-bin", "diffuse-key-range",
         "overflowing-step-count", "spectrum-levels-past-grid",
         "mcint-ball-gamma-overflow", "interfere-amplitude", "uncertainty-width",
         "uncertainty-narrow-width", "search-radius", "diffuse-cell-volume",
         "decay-bin-edges", "diffuse-cell-underflow", "diffuse-kernel-peak-3d",
-        "diffuse-kernel-peak-2d"])
+        "diffuse-kernel-peak-2d", "decay-bin-edges-overflow",
+        "diffuse-pinning-overflow"])
 def test_faults_known_from_the_config_exit_2(argv, key, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main([*argv, "--jobs", "1", "--out", str(out)]) == 2
@@ -590,6 +595,24 @@ def test_faults_known_from_the_config_exit_2(argv, key, tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith(f"invalid config: {key}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [{"dt": "1e-200"},
+                                       {"dt": "1e-8", "omega": "1000"}])
+def test_resonance_record_past_the_cap_is_a_violation(overrides):
+    # Through validate only: running these records would try to allocate
+    # terabytes.
+    violations = cli.validate(ExperimentConfig("resonance", overrides))
+    assert len(violations) == 1
+    assert violations[0].startswith("t_total: the record takes ")
+
+
+def test_noise_levels_past_the_double_range_validate_without_a_warning():
+    # levels[-1] / levels[0] is 1e600; pytest here turns warnings into
+    # errors.
+    levels = "1e-300,1e-100,1,1e100,1e300"
+    assert cli.validate(ExperimentConfig("resonance",
+                                         {"noise_levels": levels})) == []
 
 
 @pytest.mark.parametrize("a_t, sweeps", [("1e300", "60"), ("1e150", "60"),

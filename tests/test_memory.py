@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.linalg import hadamard
 
 from stochlab.core import RngStream
 from stochlab.memory import (
+    _enumerate_half_space,
     AnnealSchedule,
     CapabilityError,
     CouplingMatrix,
@@ -371,6 +373,36 @@ def test_bruteforce_agrees_with_naive_enumeration():
     )
     assert ground == pytest.approx(best, abs=1e-12)
     assert energy(config, j) == pytest.approx(ground, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, chunk", [(2, 1 << 18), (9, 1 << 18), (10, 100),
+                                     (17, 1000)])
+def test_half_space_spins_read_the_index_bits(n, chunk):
+    chunks = list(_enumerate_half_space(n, chunk))
+    assert all(c.shape == (chunk, n) for c in chunks[:-1])
+    spins = np.concatenate(chunks)
+    assert spins.dtype == np.int8
+    idx = np.arange(1 << (n - 1))
+    bits = (idx[:, None] >> np.arange(n - 1)) & 1
+    assert np.array_equal(spins[:, 0], np.ones(idx.size))
+    assert np.array_equal(spins[:, 1:], 1 - 2 * bits)
+
+
+def test_bruteforce_memory_at_n16():
+    n, rows = 16, 1 << 15
+    couplings = sk_couplings(n, RngStream(49, 1))
+    tracemalloc.start()
+    try:
+        ground_state_bruteforce(couplings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Per spin of the half space: 8 bytes each for the float64 spins and
+    # their product with J, 1 for the int8 spins, and at n = 16 another 1
+    # for the uint64 index and the float64 energies (8 bytes a row each);
+    # 2 more of slack.  An int64 bit table or a third float64 array alone
+    # would take 8 bytes a spin more.
+    assert peak <= 20 * rows * n
 
 
 def test_bruteforce_capability_bound():

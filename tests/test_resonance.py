@@ -1,12 +1,16 @@
 """Double-well Langevin dynamics: integrator, SNR estimator, noise scan."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stochlab.core import RngStream
 from stochlab.resonance import (
+    _KICK_BLOCK,
+    _MAX_STEPS,
     DoubleWellSpec,
     IntegrationError,
     SnrCurve,
@@ -100,6 +104,36 @@ def test_integrate_matches_the_checked_loop_byte_for_byte(stride):
     assert got.sample_step == want.sample_step
 
 
+# 140,001 steps: two whole kick blocks and a part of a third.
+BLOCK_SPANNING = DoubleWellSpec(amplitude=0.3, omega=0.5, noise_d=0.25,
+                                dt=0.01, t_total=1400.01, x0=-0.3)
+
+
+def test_integrate_matches_the_checked_loop_across_kick_blocks():
+    n = BLOCK_SPANNING.n_steps
+    assert n > 2 * _KICK_BLOCK and n % _KICK_BLOCK != 0
+    got = integrate(BLOCK_SPANNING, RngStream(7, 11))
+    want = reference_integrate(BLOCK_SPANNING, RngStream(7, 11))
+    assert got.positions.tobytes() == want.positions.tobytes()
+
+
+def test_integrate_holds_the_kicks_the_record_and_one_block():
+    rng = RngStream(7, 11)
+    tracemalloc.start()
+    try:
+        integrate(BLOCK_SPANNING, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # What the loop must hold at once: the float64 kicks and the float64
+    # record (8 bytes a step each) and one block of kicks as a list of
+    # Python floats (an object and a list slot each).  A second block's
+    # worth covers the small arrays around them.  Holding every kick as a
+    # Python float at once would take 32 bytes a step more.
+    block = _KICK_BLOCK * (sys.getsizeof(1.0) + 8)
+    assert peak <= 16 * BLOCK_SPANNING.n_steps + 2 * block
+
+
 @pytest.mark.parametrize("x0, dt, noise_d, t_total", [
     (3.0, 0.5, 0.0, 10.0),     # overshoots on the first steps
     (0.9, 0.25, 1.0, 2000.0),  # a noise kick escapes after 909 steps
@@ -129,6 +163,15 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         integrate(DoubleWellSpec(0.0, 1.0, 0.0, 0.01, 1.0), RngStream(1),
                   sample_stride=0)
+
+
+def test_spec_caps_the_record_length():
+    default = DoubleWellSpec(0.3, 0.1, 0.02, dt=0.01, t_total=100 * TWO_PI / 0.1)
+    assert _MAX_STEPS >= 100 * default.n_steps
+    at_cap = DoubleWellSpec(0.3, 1.0, 0.1, dt=1.0, t_total=float(_MAX_STEPS))
+    assert at_cap.n_steps == _MAX_STEPS
+    with pytest.raises(ValueError, match="past the cap"):
+        DoubleWellSpec(0.3, 1.0, 0.1, dt=1.0, t_total=_MAX_STEPS + 1.0)
 
 
 def test_spec_derived_quantities():
