@@ -245,25 +245,21 @@ def _cross_paths(p) -> list:
 
 
 def _cross_diffuse(p) -> list:
-    from .diffusion import (WalkSpec, _check_cell, _check_pinning,
-                            _kernel_peak, _level_specs)
+    from .diffusion import WalkSpec, _check_cell, _check_pinning, _level_specs
 
     def specs():
         base = WalkSpec(p["dim"], p["a_s"], p["a_t"], p["n_walkers"],
                         p["n_steps"])
         return [base, *_level_specs(base, p["refinements"])]
 
-    # The run takes the heat-kernel peak at each level's duration and at the
-    # base duration.
     return (_rule("a_t", _check_pinning, p["dim"], p["a_s"], p["a_t"])
             or _rule("a_s", _check_cell, p["dim"], p["a_s"])
-            or _rule("refinements", specs)
-            or _rule("n_steps", lambda: [_kernel_peak(s.dim, 1.0, s.duration)
-                                         for s in specs()]))
+            or _rule("refinements", specs))
 
 
 def _cross_resonance(p) -> list:
-    from .resonance import DoubleWellSpec, _segment_length, _sorted_levels
+    from .resonance import (DoubleWellSpec, _check_kick, _segment_length,
+                            _sorted_levels)
 
     def record():
         spec = DoubleWellSpec(amplitude=p["amplitude"], omega=p["omega"],
@@ -271,7 +267,9 @@ def _cross_resonance(p) -> list:
                               t_total=p["t_total"])
         _segment_length(spec.n_steps + 1, spec.dt, spec.omega)
 
-    return (_rule("noise_levels", _sorted_levels, p["noise_levels"])
+    return ((_rule("noise_levels", _sorted_levels, p["noise_levels"])
+             or _rule("noise_levels", _check_kick, max(p["noise_levels"]),
+                      p["dt"]))
             + _rule("t_total", record))
 
 

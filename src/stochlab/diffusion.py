@@ -37,12 +37,18 @@ _CHUNK = 1_000_000
 
 
 def _check_cell(dim: int, a_s: float) -> None:
+    """The cell volume 2 * a_s**dim and its reciprocal, the density of one
+    walker, must be finite and positive.  With D = 1 pinned (a_s**2 = 2 *
+    dim * a_t) and t >= a_t, the heat-kernel peak (4 pi t)**(-dim/2) stays
+    below 0.8 / (2 * a_s**dim), so the rule keeps it finite as well."""
     try:
         volume = 2.0 * float(a_s) ** dim
     except OverflowError:
         volume = math.inf
-    if math.isinf(volume) or volume == 0.0:
-        raise ValueError("the cell volume 2 * a_s**dim leaves the double range")
+    # A subnormal volume is positive, but its reciprocal overflows.
+    if volume == 0.0 or math.isinf(volume) or math.isinf(1.0 / volume):
+        raise ValueError("the cell volume 2 * a_s**dim or its reciprocal "
+                         "leaves the double range")
 
 
 def _kernel_peak(dim: int, d_coeff: float, t: float) -> float:

@@ -25,10 +25,13 @@ doubles their effect on the exponent.  For the same reason the fit window is
 restricted to block sizes 4 .. n_t // 8.  Alternatives (subsampling,
 smoothing kernels) exist but are not implemented.
 
-Sampling: :func:`metropolis_batch` advances many chains as one (chains, n_t)
-array, one chain per RngStream; a single chain is a batch of one stream.
-Each chain's draw order is fixed by its own stream alone, so a chain is bit
-for bit the same whichever other chains share its batch.
+Sampling: :func:`metropolis_batch` advances many chains at once, one chain
+per RngStream; a single chain is a batch of one stream.  Each chain's draw
+order is fixed by its own stream alone, so a chain is bit for bit the same
+whichever other chains share its batch.  The sampler keeps every chain's
+sites in one flat buffer, one segment per checkerboard colour, so that each
+numpy call of a half-sweep acts on 1-D contiguous operands (see
+:func:`metropolis_batch`).
 """
 
 from __future__ import annotations
@@ -193,6 +196,17 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
     chain of ``metropolis_batch(..., [streams[c]], ...)`` bit for bit.  The
     potential must act elementwise, or be ``None``.  Too large an a_t makes
     the action trace overflow a double, which raises a ValueError.
+
+    Layout: the state is one flat float64 buffer with an even-site and an
+    odd-site segment, each holding every chain end to end in rows of
+    n_t // 2 + 1 lanes.  A half-sweep's sites, neighbours and squared links
+    are then 1-D contiguous slices at most one element apart, which numpy
+    runs on its contiguous loops; a strided checkerboard view of a
+    (chains, n_t) array takes its general iterator, at about twice the cost
+    per call at these sizes (an add of 4 x 127 values: 2.9 us strided, 1.7
+    us contiguous, on a 2-core Xeon).  Endpoint and padding lanes get a step
+    of 0 and a uniform of 1.0, so they never accept.  Each site's values go
+    through the IEEE operations of a per-site loop, so no bit changes.
     """
     if not streams:
         raise ValueError("need at least one stream")
@@ -214,71 +228,128 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
     walk[:, 1:] = np.cumsum([gen.normal(0.0, step_std, size=n_t - 1)
                              for gen in gens], axis=1)
     bridge = walk - walk[:, -1:] * (np.arange(n_t) / (n_t - 1))
-    x = np.linspace(lattice.x_start, lattice.x_end, n_t) + bridge
-    # Per checkerboard group: views of its sites and of their left and right
-    # neighbours, and the columns of a sweep's draws holding its proposals
-    # and then its acceptance uniforms.
-    groups, per_sweep = [], 0
-    for first in (1, 2):
+    paths = np.linspace(lattice.x_start, lattice.x_end, n_t) + bridge
+
+    # Lane q of a chain's row holds site 2q in the even segment x[:n] and
+    # site 2q + 1 in the odd segment x[n:].  Odd lane q's neighbours are even
+    # lanes q and q + 1, even lane q's are odd lanes q - 1 and q; with the
+    # even segment first, a read one past either end stays inside x.  The
+    # padding lanes past n_t repeat the chain's end point, so the potential
+    # only ever sees values the path takes.
+    row = n_t // 2 + 1
+    n = chains * row
+    x = np.empty(2 * n)
+    rows = x.reshape(2, chains, row)  # (colour, chain, lane) view
+    rows[:] = paths[:, -1:]
+    rows[0, :, :(n_t + 1) // 2] = paths[:, 0::2]
+    rows[1, :, :n_t // 2] = paths[:, 1::2]
+    # Squared links, carried between half-sweeps: odd lane q's to its left
+    # neighbour in links[q], to its right one in links[n + q].  Each is the
+    # square a fresh delta S would compute, from the same subtraction.
+    links = np.concatenate([(x[n:] - x[:n]) ** 2, (x[1:n + 1] - x[n:]) ** 2])
+
+    # Per (sweep of a tuning block, lane of x): steps, uniforms, decisions
+    # and states.  A lane that is no interior site keeps a step of 0 and a
+    # uniform of 1.0, which never accepts.
+    steps = np.zeros((_TUNE_INTERVAL, 2 * n))
+    uniforms = np.ones((_TUNE_INTERVAL, 2 * n))
+    accepted = np.zeros((_TUNE_INTERVAL, 2 * n), dtype=bool)
+    states = np.empty((_TUNE_INTERVAL, 2 * n))
+    # Per colour, in sweep order: its sites, their left and right neighbours
+    # and links to them (an even lane's left link is the right link of the
+    # odd lane before it), its interior lanes in a row, the columns of a
+    # sweep's draws holding its proposals and then its uniforms, and its
+    # lanes of the block arrays.
+    colours, per_sweep = [], 0
+    for lane_block, first, neighbours in (
+            (slice(n, 2 * n), 1, (x[:n], x[1:n + 1], links[:n], links[n:])),
+            (slice(0, n), 2, (x[n - 1:2 * n - 1], x[n:],
+                              links[n - 1:2 * n - 1], links[:n]))):
         size = len(range(first, n_t - 1, 2))
         if size:
-            groups.append((x[:, first:n_t - 1:2], x[:, first - 1:n_t - 2:2],
-                           x[:, first + 1:n_t:2],
-                           slice(per_sweep, per_sweep + size),
-                           slice(per_sweep + size, per_sweep + 2 * size)))
+            colours.append((x[lane_block], *neighbours,
+                            slice(first // 2, first // 2 + size),
+                            slice(per_sweep, per_sweep + size),
+                            slice(per_sweep + size, per_sweep + 2 * size),
+                            steps[:, lane_block], uniforms[:, lane_block],
+                            accepted[:, lane_block]))
             per_sweep += 2 * size
-    # Accepted proposals per site since the last reset, one contiguous array
-    # per group: each tuning block's total, then the measured total.
-    tallies = [np.zeros(old.shape, dtype=np.int64) for old, *_ in groups]
 
     coef = dynamics.mass / (2.0 * dynamics.a_t)
     width = np.full((chains, 1, 1), float(proposal_width))
     trace = np.empty((chains, sweeps))
     kept = np.empty((chains, sweeps - thermalization, n_t))
+    hits = np.zeros(chains, dtype=np.int64)  # measured accepted proposals
     draws = np.empty((chains, _TUNE_INTERVAL, per_sweep))
     snapshots = np.empty((chains, _TUNE_INTERVAL, n_t))
+    # A proposal's sites, its squared links, and -delta S.
+    new, left_sq, right_sq, log_p = np.empty((4, n))
+    potential = dynamics.potential
     audit: list[list[np.ndarray]] = []
     audit_left = int(audit_proposals)
+
+    def per_chain(decisions):
+        """Accepted proposals of each chain in a (sweep, lane) block."""
+        return decisions.reshape(-1, 2, chains, row).sum(axis=(0, 1, 3))
 
     for start in range(0, sweeps, _TUNE_INTERVAL):
         k = min(_TUNE_INTERVAL, sweeps - start)
         for gen, out in zip(gens, draws):
             gen.random(out=out[:k])
-        # gen.uniform(-w, w) is bitwise -w + 2w * gen.random().
-        steps = [-width + 2.0 * width * draws[:, :k, proposals]
-                 for _, _, _, proposals, _ in groups]
-        for sweep in range(start, start + k):
-            if sweep == thermalization:
-                for hits in tallies:
-                    hits.fill(0)
-            j = sweep - start
-            for (old, left, right, _, uniforms), step, hits in zip(
-                    groups, steps, tallies):
-                new = old + step[:, j]
-                delta_s = coef * ((new - left) ** 2 + (right - new) ** 2
-                                  - (old - left) ** 2 - (right - old) ** 2)
-                if dynamics.potential is not None:
-                    delta_s += dynamics.a_t * (
-                        np.asarray(dynamics.potential(new), dtype=float)
-                        - np.asarray(dynamics.potential(old), dtype=float))
-                u = draws[:, j, uniforms]
-                accept = u < np.exp(np.minimum(-delta_s, 0.0))
-                np.copyto(old, new, where=accept)
-                np.add(hits, accept, out=hits)
-                if audit_left > 0 and sweep >= thermalization:
-                    take = min(audit_left, u.shape[1])
-                    audit.append([a[:, :take].copy() for a in (delta_s, u, accept)])
+        for *_, lanes, proposals, uniform_cols, step, uniform, _ in colours:
+            # gen.uniform(-w, w) is bitwise -w + 2w * gen.random().
+            step.reshape(-1, chains, row)[:k, :, lanes] = (
+                -width + 2.0 * width * draws[:, :k, proposals]).swapaxes(0, 1)
+            uniform.reshape(-1, chains, row)[:k, :, lanes] = (
+                draws[:, :k, uniform_cols].swapaxes(0, 1))
+        for j, sweep in enumerate(range(start, start + k)):
+            for (old, left, right, left_link, right_link, lanes, _, _,
+                 step, uniform, decisions) in colours:
+                accept = decisions[j]
+                np.add(old, step[j], out=new)
+                np.square(np.subtract(new, left, out=left_sq), out=left_sq)
+                np.square(np.subtract(right, new, out=right_sq), out=right_sq)
+                # -delta S, as (-coef) * d is bitwise -(coef * d).
+                np.add(left_sq, right_sq, out=log_p)
+                np.subtract(log_p, left_link, out=log_p)
+                np.subtract(log_p, right_link, out=log_p)
+                np.multiply(log_p, -coef, out=log_p)
+                if potential is not None:
+                    log_p -= dynamics.a_t * (
+                        np.asarray(potential(new), dtype=float)
+                        - np.asarray(potential(old), dtype=float))
+                logging = audit_left > 0 and sweep >= thermalization
+                if logging:
+                    # delta S is never -0.0, so 0.0 - log_p is it bitwise.
+                    delta_s = np.subtract(0.0, log_p)
+                np.minimum(log_p, 0.0, out=log_p)
+                np.exp(log_p, out=log_p)
+                np.less(uniform[j], log_p, out=accept)
+                np.putmask(old, accept, new)
+                np.putmask(left_link, accept, left_sq)
+                np.putmask(right_link, accept, right_sq)
+                if logging:
+                    take = min(audit_left, lanes.stop - lanes.start)
+                    audit.append([
+                        a.reshape(chains, row)[:, lanes][:, :take].copy()
+                        for a in (delta_s, uniform[j], accept)])
                     audit_left -= take
-            snapshots[:, j] = x
-            if sweep >= thermalization:
-                kept[:, sweep - thermalization] = x
+            states[j] = x
+        # One de-interleave per block, into site order, feeds the action
+        # trace and the kept paths.
+        lanes_of = states[:k].reshape(k, 2, chains, row).transpose(1, 2, 0, 3)
+        snapshots[:, :k, 0::2] = lanes_of[0, :, :, :(n_t + 1) // 2]
+        snapshots[:, :k, 1::2] = lanes_of[1, :, :, :n_t // 2]
         trace[:, start:start + k] = action(snapshots[:, :k], dynamics)
-        if start + k <= thermalization:
-            rate = sum(hits.sum(axis=1) for hits in tallies) / (k * (n_t - 2))
-            for hits in tallies:
-                hits.fill(0)
+        measured = max(thermalization - start, 0)  # first measured sweep
+        if measured >= k:
+            rate = per_chain(accepted[:k]) / (k * (n_t - 2))
             width = np.clip(width * np.clip(rate / 0.5, 0.5, 2.0)[:, None, None],
                             1e-9, 1e9)
+        else:
+            hits += per_chain(accepted[measured:k])
+            kept[:, start + measured - thermalization:
+                 start + k - thermalization] = snapshots[:, measured:k]
 
     audit_arrays = [np.concatenate(parts, axis=1) for parts in zip(*audit)]
     ensembles = []
@@ -291,7 +362,7 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
             paths=kept[c, ::stride].copy(),
             sample_actions=measured_trace[::stride],
             action_trace=trace[c],
-            acceptance_rate=int(sum(hits[c].sum() for hits in tallies))
+            acceptance_rate=int(hits[c])
             / ((sweeps - thermalization) * (n_t - 2)),
             proposal_width=float(width[c, 0, 0]),
             stride=stride,

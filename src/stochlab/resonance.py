@@ -275,6 +275,18 @@ def _sorted_levels(noise_levels) -> np.ndarray:
     return levels
 
 
+def _check_kick(noise_d: float, dt: float) -> None:
+    """Reject a noise level whose kick scale sqrt(2 D dt) reaches the trust
+    bound: each step then leaves ``|x| < 1e3`` with a probability of at
+    least 0.3, so a record of hundreds of steps fails all but certainly."""
+    kick = math.sqrt(2.0 * float(noise_d) * dt)
+    if kick >= _DIVERGENCE_BOUND:
+        raise ValueError(f"the kick scale sqrt(2 * D * dt) = {kick:.4g} at "
+                         f"D = {float(noise_d):g} reaches the trust bound "
+                         f"{_DIVERGENCE_BOUND:g}; lower the largest level "
+                         "or dt")
+
+
 def resonance_scan(base: DoubleWellSpec,
                    noise_levels,
                    replicas: int,
@@ -286,9 +298,11 @@ def resonance_scan(base: DoubleWellSpec,
     integrates on ``rng.substream(i * replicas + j)`` alone, so the cells
     run on up to ``jobs`` worker processes (:func:`core.fan_out`) and the
     curve is bit-identical for any ``jobs``.  Requires >= 5 levels spanning
-    at least a decade and >= 4 replicas.
+    at least a decade, a largest level whose kick scale sqrt(2 D dt) stays
+    below the trust bound, and >= 4 replicas.
     """
     levels = _sorted_levels(noise_levels)
+    _check_kick(levels[-1], base.dt)
     if replicas < 4:
         raise ValueError("need at least 4 replicas")
 

@@ -570,24 +570,33 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
     (["diffuse", "dim=3", "a_s=1e150", "a_t=1.6666666666666666e+299"], "a_s"),
     (["decay", "t_max=1e-300", "rate_lambda=0.001", "n_atoms=10", "bins=2"],
      "t_max"),
-    # The 3-d cell volume underflows to 0; the heat-kernel peak
-    # (4 pi t)**(-dim/2) overflows at a positive volume, in 3-d and 2-d.
+    # The 3-d cell volume underflows to 0; a subnormal volume, in 3-d and
+    # 2-d, has a reciprocal (one walker's density) that overflows.  Over a
+    # long run the heat-kernel peak stays finite, and only the density rule
+    # stops it.
     (["diffuse", "dim=3", "a_s=1e-110", "a_t=1.6666666666666666e-221"], "a_s"),
     (["diffuse", "dim=3", "a_s=1e-104", "a_t=1.6666666666666667e-209",
-      "n_walkers=1000"], "n_steps"),
+      "n_walkers=1000"], "a_s"),
     (["diffuse", "dim=2", "a_s=1e-155", "a_t=2.5e-311", "n_walkers=1000"],
-     "n_steps"),
+     "a_s"),
+    (["diffuse", "dim=3", "a_s=1e-104", "a_t=1.6666666666666667e-209",
+      "n_walkers=10", "n_steps=40000"], "a_s"),
     # Bin edges and a_s whose squares overflow: the rules multiply, since
     # ``**`` raises OverflowError.
     (["decay", "t_max=1e160"], "t_max"),
     (["diffuse", "a_s=1e160", "a_t=1e308"], "a_t"),
+    # A kick scale sqrt(2 * D * dt) of about 1.4e149 leaves |x| < 1e3 on
+    # the first steps at any affordable dt.
+    (["resonance", "noise_levels=1e-300,1e-100,1,1e100,1e300"],
+     "noise_levels"),
 ], ids=["short-record", "line-off-its-bin", "diffuse-key-range",
         "overflowing-step-count", "spectrum-levels-past-grid",
         "mcint-ball-gamma-overflow", "interfere-amplitude", "uncertainty-width",
         "uncertainty-narrow-width", "search-radius", "diffuse-cell-volume",
-        "decay-bin-edges", "diffuse-cell-underflow", "diffuse-kernel-peak-3d",
-        "diffuse-kernel-peak-2d", "decay-bin-edges-overflow",
-        "diffuse-pinning-overflow"])
+        "decay-bin-edges", "diffuse-cell-underflow",
+        "diffuse-subnormal-cell-3d", "diffuse-subnormal-cell-2d",
+        "diffuse-subnormal-cell-long-run", "decay-bin-edges-overflow",
+        "diffuse-pinning-overflow", "resonance-kick-past-trust-bound"])
 def test_faults_known_from_the_config_exit_2(argv, key, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main([*argv, "--jobs", "1", "--out", str(out)]) == 2
@@ -608,9 +617,9 @@ def test_resonance_record_past_the_cap_is_a_violation(overrides):
 
 
 def test_noise_levels_past_the_double_range_validate_without_a_warning():
-    # levels[-1] / levels[0] is 1e600; pytest here turns warnings into
-    # errors.
-    levels = "1e-300,1e-100,1,1e100,1e300"
+    # levels[-1] / levels[0] is 1e309, past the double range; pytest here
+    # turns warnings into errors.
+    levels = "1e-302,1e-100,1,1e3,1e7"
     assert cli.validate(ExperimentConfig("resonance",
                                          {"noise_levels": levels})) == []
 

@@ -42,6 +42,9 @@ def test_spec_validates_dimension_and_spacings():
     # The cell volume 2 * a_s**3 underflows to 0.
     with pytest.raises(ValueError, match="cell volume"):
         WalkSpec(dim=3, a_s=1e-110, a_t=1e-221, n_walkers=1, n_steps=1)
+    # At a_s = 1e-104 it is subnormal, and one walker's density overflows.
+    with pytest.raises(ValueError, match="its reciprocal"):
+        WalkSpec(dim=3, a_s=1e-104, a_t=1e-209, n_walkers=1, n_steps=1)
 
 
 def test_spec_records_scaling_ratio_and_d():

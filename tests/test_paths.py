@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from stochlab.paths import (
     path_distance,
 )
 from stochlab.quantum import Grid1D, spectrum_gaps
-from util import brownian_bridge_paths, reference_metropolis
+from util import RERUN_CONFIGS, brownian_bridge_paths, reference_metropolis
 
 
 def zero_potential(x):
@@ -28,6 +29,10 @@ def zero_potential(x):
 
 def harmonic_potential(x):
     return 0.5 * x * x
+
+
+def quartic_potential(x):
+    return 0.25 * x**4
 
 
 def blocked_std_error(series, n_blocks=20):
@@ -189,11 +194,21 @@ def test_thinned_samples_own_their_memory(free_run, pooled_free_chains):
 # (potential, n_t, a_t, chains, sweeps, thermalization, audit_proposals):
 # odd and even n_t, a lone interior site, runs that end mid-block and
 # thermalization that ends mid tuning interval.
+# (potential, n_t, a_t, chains, sweeps, thermalization, audit_proposals)
 _BATCH_CASES = {
     "harmonic": (harmonic_potential, 33, 0.1, 3, 260, 60, 0),
     "free-audit": (zero_potential, 18, 0.05, 2, 130, 75, 40),
     "single-chain": (harmonic_potential, 3, 0.1, 1, 90, 30, 5),
     "none-audit": (None, 17, 0.05, 3, 140, 50, 30),
+    # One interior site of each colour.
+    "n_t-4": (harmonic_potential, 4, 0.1, 3, 110, 50, 6),
+    # The even colour's last lane holds the endpoint, not padding.
+    "odd-n_t-quartic": (quartic_potential, 9, 0.1, 2, 120, 50, 9),
+    # Nine chains, whose strides differ (checked below).
+    "nine-chains": (harmonic_potential, 12, 0.1, 9, 160, 40, 0),
+    "no-thermalization": (None, 20, 0.05, 2, 80, 0, 12),
+    # Measurement starts inside a 25-sweep tuning block.
+    "thermalization-mid-block": (harmonic_potential, 16, 0.1, 2, 120, 37, 20),
 }
 
 
@@ -229,6 +244,59 @@ def test_batch_equals_separate_chains_and_reference_loop(case):
         # Block draws never run ahead: each stream ends where the loop's does.
         assert (streams[k].gen.random() == single_stream.gen.random()
                 == reference_stream.gen.random())
+
+
+def test_nine_chain_case_has_differing_strides():
+    potential, n_t, a_t, chains, sweeps, therm, audit = _BATCH_CASES[
+        "nine-chains"]
+    runs = metropolis_batch(EuclideanAction(1.0, potential, a_t),
+                            Lattice(n_t, x_start=0.5),
+                            [RngStream(61, k) for k in range(chains)],
+                            sweeps, therm, 0.7, audit)
+    assert len({run.stride for run in runs}) > 1
+
+
+@pytest.mark.parametrize("potential", [None, harmonic_potential,
+                                       quartic_potential, np.zeros_like],
+                         ids=["free", "harmonic", "quartic", "zeros"])
+def test_batch_raises_no_floating_point_error(potential):
+    # The endpoint and padding lanes of the sampler's buffer go through the
+    # same arithmetic as the interior sites; none of it may overflow, divide
+    # by zero or make a NaN at the golden configuration's sizes.
+    config = RERUN_CONFIGS["paths"]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        runs = metropolis_batch(
+            EuclideanAction(1.0, potential, 0.05), Lattice(int(config["n_t"])),
+            [RngStream(29, k) for k in range(int(config["chains"]))],
+            int(config["sweeps"]), int(config["thermalization"]))
+    assert all(np.isfinite(run.action_trace).all() for run in runs)
+
+
+def test_batch_evaluates_the_potential_only_at_path_values():
+    # 1 / x**2 is singular at 0, which these paths from 5 to 5 never reach;
+    # a padding lane holding 0.0 would divide by zero.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        metropolis_batch(EuclideanAction(1.0, lambda x: 1.0 / (x * x), 0.05),
+                         Lattice(16, x_start=5.0, x_end=5.0),
+                         [RngStream(37, k) for k in range(3)], 200, 50)
+
+
+def test_batch_holds_no_second_path_sized_buffer():
+    # Beyond the kept sweeps and the thinned copies the ensembles return,
+    # the sampler's working set is a few tuning blocks.
+    chains, sweeps, n_t = 4, 9000, 256
+    tracemalloc.start()
+    try:
+        runs = metropolis_batch(EuclideanAction(1.0, None, 0.05),
+                                Lattice(n_t),
+                                [RngStream(31, k) for k in range(chains)],
+                                sweeps, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept_bytes = chains * sweeps * n_t * 8
+    returned = sum(run.paths.nbytes for run in runs)
+    assert peak < kept_bytes + returned + 4 * 2**20
 
 
 @pytest.mark.parametrize("thermalization", [50, 37])

@@ -355,6 +355,9 @@ def test_scan_validation():
         resonance_scan(base, [0.1, 0.2, 0.4, 0.8, 1.1], replicas=3, rng=rng)
     with pytest.raises(ValueError):
         resonance_scan(base, [-0.1, 0.2, 0.4, 0.8, 1.1], replicas=4, rng=rng)
+    # sqrt(2 * D * dt) = 1000 at D = 5e7 and dt = 0.01: the trust bound.
+    with pytest.raises(ValueError, match="kick scale"):
+        resonance_scan(base, [0.1, 0.2, 0.4, 0.8, 5e7], replicas=4, rng=rng)
 
 
 def test_curve_validation():
