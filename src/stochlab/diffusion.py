@@ -33,7 +33,7 @@ import numpy as np
 
 from stochlab.core import RngStream
 
-_CHUNK = 1_000_000
+_CHUNK = 1 << 16
 
 
 def _check_cell(dim: int, a_s: float) -> None:
@@ -114,6 +114,7 @@ class DiffusionField:
 
     ``points`` holds the physical coordinates of every occupied lattice site
     (shape (n_sites, dim)) and ``masses`` the probability mass each carries.
+    :func:`simulate_walk` lists the sites in ascending packed-key order.
     ``cell_volume`` is the parity-sublattice cell volume 2 * a_s**dim, so
     ``density`` is directly comparable to a continuum kernel.
     """
@@ -170,31 +171,41 @@ def _decode(keys: np.ndarray, n_steps: int, dim: int) -> np.ndarray:
 def simulate_walk(spec: WalkSpec, rng: RngStream) -> DiffusionField:
     """Run the walk and return the binned occupation density at the end time.
 
-    Walkers are drawn chunk-wise from the exact displacement distribution
-    (direction-count sufficient statistics), then accumulated into sparse
-    per-site integer counts, so probability is conserved exactly.
+    Walkers are drawn ``_CHUNK`` at a time from the exact displacement
+    distribution (direction-count sufficient statistics), and each chunk's
+    per-site integer counts are merged into sorted int64 arrays, so
+    probability is conserved exactly.  Sites come out in ascending
+    packed-key order, which is lexicographic order of their lattice
+    coordinates.  ``binomial`` and ``multinomial`` draw one variate after
+    another, so the field and the stream's end position do not depend on
+    the chunk size.
     """
     gen = rng.gen
-    counts: dict[int, int] = {}
+    site_keys = np.empty(0, dtype=np.int64)
+    site_counts = np.empty(0, dtype=np.int64)
     remaining = spec.n_walkers
     while remaining > 0:
         m = min(_CHUNK, remaining)
         remaining -= m
+        # Both draws are int64, so the coordinates need no cast.
         if spec.dim == 1:
             ups = gen.binomial(spec.n_steps, 0.5, size=m)
-            coords = (2 * ups - spec.n_steps).astype(np.int64)[:, None]
+            coords = (2 * ups - spec.n_steps)[:, None]
         else:
             per_direction = gen.multinomial(
                 spec.n_steps, [1.0 / (2 * spec.dim)] * (2 * spec.dim), size=m)
-            coords = (per_direction[:, : spec.dim]
-                      - per_direction[:, spec.dim:]).astype(np.int64)
-        keys, chunk_counts = np.unique(
-            _encode(coords, spec.n_steps, spec.dim), return_counts=True)
-        for key, count in zip(keys.tolist(), chunk_counts.tolist()):
-            counts[key] = counts.get(key, 0) + count
+            coords = per_direction[:, : spec.dim] - per_direction[:, spec.dim:]
+        keys, counts = np.unique(_encode(coords, spec.n_steps, spec.dim),
+                                 return_counts=True)
+        # Both key arrays are sorted: add the counts of sites already seen,
+        # and insert the new sites where they belong.
+        at = np.searchsorted(site_keys, keys)
+        seen = at < site_keys.size
+        seen[seen] = site_keys[at[seen]] == keys[seen]
+        site_counts[at[seen]] += counts[seen]
+        site_keys = np.insert(site_keys, at[~seen], keys[~seen])
+        site_counts = np.insert(site_counts, at[~seen], counts[~seen])
 
-    site_keys = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-    site_counts = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
     coords = _decode(site_keys, spec.n_steps, spec.dim)
     points = (coords + np.asarray(spec.origin)) * spec.a_s
     masses = site_counts / spec.n_walkers

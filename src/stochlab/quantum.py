@@ -39,6 +39,15 @@ class Grid1D:
             raise ValueError("grid needs at least 2 points")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
+        # Kinetic terms divide by dx**2 or multiply by k**2.  Products, unlike
+        # ``**``, overflow to inf instead of raising OverflowError; the
+        # wavenumber is formed only once dx * dx is known to be positive.
+        dx = self.dx
+        if not (0.0 < dx * dx < math.inf
+                and (math.pi / dx) * (math.pi / dx) < math.inf):
+            raise ValueError("the squared spacing dx * dx or the squared "
+                             "largest wavenumber (pi / dx)**2 leaves the "
+                             "double range")
 
     @property
     def dx(self) -> float:

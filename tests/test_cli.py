@@ -589,6 +589,10 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
     # the first steps at any affordable dt.
     (["resonance", "noise_levels=1e-300,1e-100,1,1e100,1e300"],
      "noise_levels"),
+    # Grid spacings whose square overflows (the eigensolver's h**2) or
+    # underflows to 0 (the largest wavenumber's square overflows).
+    (["spectrum", "n_levels=3", "n_points=3", "x_max=1e300"], "x_max"),
+    (["uncertainty", "x_min=-1e-300", "x_max=1e-200"], "x_max"),
 ], ids=["short-record", "line-off-its-bin", "diffuse-key-range",
         "overflowing-step-count", "spectrum-levels-past-grid",
         "mcint-ball-gamma-overflow", "interfere-amplitude", "uncertainty-width",
@@ -596,7 +600,8 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
         "decay-bin-edges", "diffuse-cell-underflow",
         "diffuse-subnormal-cell-3d", "diffuse-subnormal-cell-2d",
         "diffuse-subnormal-cell-long-run", "decay-bin-edges-overflow",
-        "diffuse-pinning-overflow", "resonance-kick-past-trust-bound"])
+        "diffuse-pinning-overflow", "resonance-kick-past-trust-bound",
+        "spectrum-spacing-square-overflow", "uncertainty-spacing-underflow"])
 def test_faults_known_from_the_config_exit_2(argv, key, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main([*argv, "--jobs", "1", "--out", str(out)]) == 2

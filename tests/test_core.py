@@ -1,10 +1,13 @@
 """Tests for the shared random-stream and statistics utilities."""
 
 import concurrent.futures
+import hashlib
 import math
 import os
+import re
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +77,57 @@ class TestFanOut:
             # pass, four to six do (0, 2, 4, 5, 6, 7) and the rest are
             # cancelled.
             assert 0 in ran and len(ran) < 10
+
+
+# Stream canaries: for each Generator method src/ calls, a few draws with
+# the argument shapes src/ uses.  NEP 19 does not promise these streams
+# across numpy versions; when a golden digest moves after an upgrade, the
+# canary whose digest moved names the method.  Recorded at numpy 2.4.6.
+STREAM_CANARIES = {
+    "binomial": ("1998c37d755ad510", lambda g: [
+        g.binomial(8, 0.5, size=6), g.binomial(128, 0.5, size=6)]),
+    "choice": ("e60a17b744f24ec6", lambda g: [
+        g.choice(np.array([-1, 1], dtype=np.int8), size=8),
+        g.choice(np.array([-1.0, 1.0]), size=8),
+        g.choice(36, size=3, replace=False)]),
+    "exponential": ("9b4ea01364dd3525", lambda g: [
+        g.exponential(0.5, size=6)]),
+    "integers": ("76606c0ea6d91855", lambda g: [
+        g.integers(0, 4, size=8), g.integers(6),
+        g.integers(0, [16, 8], size=(3, 2))]),
+    "multinomial": ("2ba78bfc63dcceb3", lambda g: [
+        g.multinomial(8, [1 / 4] * 4, size=3),
+        g.multinomial(32, [1 / 6] * 6, size=3)]),
+    "normal": ("4fc9d247db7e12cd", lambda g: [
+        g.normal(0.0, 0.25, size=6), g.normal(1.0, 2.0),
+        g.normal(0.0, 0.5, size=(3, 3))]),
+    "permutation": ("6d801e9ea5e8883c", lambda g: [g.permutation(10)]),
+    "permuted": ("fd517e51a073291c", lambda g: [
+        g.permuted(np.tile(np.arange(6), (3, 1)), axis=1)]),
+    "random": ("42b51578847f603b", lambda g: [
+        g.random(), g.random(6), g.random((3, 2)),
+        g.random(out=np.empty((2, 3)))]),
+    "standard_normal": ("8dbc5fa3127abb28", lambda g: [
+        g.standard_normal(6)]),
+    "uniform": ("e0d2c9bb843e79ea", lambda g: [
+        g.uniform(-0.5, 0.5, size=6)]),
+}
+
+
+@pytest.mark.parametrize("method", sorted(STREAM_CANARIES))
+def test_generator_stream_canary(method):
+    digest, draw = STREAM_CANARIES[method]
+    values = draw(RngStream(2004, 19).gen)
+    data = b"".join(np.asarray(v).tobytes() for v in values)
+    assert hashlib.sha256(data).hexdigest()[:16] == digest, (
+        f"numpy {np.__version__} changed the Generator.{method} stream")
+
+
+def test_every_generator_method_src_calls_has_a_canary():
+    src = Path(__file__).resolve().parents[1] / "src"
+    called = {m for path in src.rglob("*.py")
+              for m in re.findall(r"\bgen\.([a-z_]+)\(", path.read_text())}
+    assert called and called <= set(STREAM_CANARIES)
 
 
 class TestRngStream:

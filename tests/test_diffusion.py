@@ -17,6 +17,7 @@ from stochlab.diffusion import (
     simulate_walk,
 )
 from stochlab.quantum import wick_rotate_check
+from util import traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +135,44 @@ def test_same_stream_reproduces_the_field():
     c = simulate_walk(spec, RngStream(51, 8))
     assert not (a.masses.shape == c.masses.shape
                 and np.array_equal(a.masses, c.masses))
+
+
+def _walk_and_stream_end(spec, chunk, monkeypatch):
+    monkeypatch.setattr(diffusion, "_CHUNK", chunk)
+    rng = RngStream(55, spec.dim)
+    field = simulate_walk(spec, rng)
+    # The next draws mark where the walk left the stream.
+    return field, rng.gen.random(4).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [1000, 4096])
+def test_chunk_size_changes_no_draw_and_no_site(dim, chunk, monkeypatch):
+    # 10,001 walkers are a multiple of neither chunk, so the last is short.
+    spec = WalkSpec(dim=dim, a_s=0.5, a_t=0.25 / (2 * dim), n_walkers=10_001,
+                    n_steps=24, origin=(2, -1, 3)[:dim])
+    whole, whole_end = _walk_and_stream_end(spec, 1 << 30, monkeypatch)
+    field, end = _walk_and_stream_end(spec, chunk, monkeypatch)
+    assert field.points.tobytes() == whole.points.tobytes()
+    assert field.masses.tobytes() == whole.masses.tobytes()
+    assert end == whole_end
+    coords = np.round(field.points / spec.a_s).astype(np.int64) - spec.origin
+    keys = diffusion._encode(coords, spec.n_steps, dim)
+    assert np.all(np.diff(keys) > 0)
+
+
+def test_walk_holds_one_chunk_of_draws():
+    spec = WalkSpec(dim=2, a_s=0.5, a_t=0.0625, n_walkers=10**6, n_steps=8)
+    field, peak = traced_peak(simulate_walk, spec, RngStream(55, 9))
+    assert field.masses.size < 100
+    # int64 values per walker of one 65,536-walker chunk at dim = 2: a
+    # chunk's 4 direction counts and 2 coordinate differences stay bound
+    # while the next chunk's 4 counts are drawn, so 10 are alive at once;
+    # _encode's running key and 2 temporaries beside the 6 make only 9.
+    # The bound allows 12, and the int64 arrays over under 100 sites add
+    # little.  Drawing all 10**6 walkers in one chunk would take 15 times
+    # this bound.
+    assert peak <= 12 * 8 * (1 << 16)
 
 
 @settings(deadline=None, max_examples=25)

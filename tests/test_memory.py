@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from stochlab.memory import (
     sk_couplings,
     zero_t_dynamics,
 )
-from util import reference_anneal
+from util import reference_anneal, traced_peak
 
 
 def _pairwise_energy(spins, j):
@@ -391,12 +390,7 @@ def test_half_space_spins_read_the_index_bits(n, chunk):
 def test_bruteforce_memory_at_n16():
     n, rows = 16, 1 << 15
     couplings = sk_couplings(n, RngStream(49, 1))
-    tracemalloc.start()
-    try:
-        ground_state_bruteforce(couplings)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(ground_state_bruteforce, couplings)
     # Per spin of the half space: 8 bytes each for the float64 spins and
     # their product with J, 1 for the int8 spins, and at n = 16 another 1
     # for the uint64 index and the float64 energies (8 bytes a row each);

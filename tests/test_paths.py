@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,8 @@ from stochlab.paths import (
     path_distance,
 )
 from stochlab.quantum import Grid1D, spectrum_gaps
-from util import RERUN_CONFIGS, brownian_bridge_paths, reference_metropolis
+from util import (RERUN_CONFIGS, brownian_bridge_paths, reference_metropolis,
+                  traced_peak)
 
 
 def zero_potential(x):
@@ -285,15 +285,10 @@ def test_batch_holds_no_second_path_sized_buffer():
     # Beyond the kept sweeps and the thinned copies the ensembles return,
     # the sampler's working set is a few tuning blocks.
     chains, sweeps, n_t = 4, 9000, 256
-    tracemalloc.start()
-    try:
-        runs = metropolis_batch(EuclideanAction(1.0, None, 0.05),
-                                Lattice(n_t),
-                                [RngStream(31, k) for k in range(chains)],
-                                sweeps, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    runs, peak = traced_peak(metropolis_batch,
+                             EuclideanAction(1.0, None, 0.05), Lattice(n_t),
+                             [RngStream(31, k) for k in range(chains)],
+                             sweeps, 0)
     kept_bytes = chains * sweeps * n_t * 8
     returned = sum(run.paths.nbytes for run in runs)
     assert peak < kept_bytes + returned + 4 * 2**20

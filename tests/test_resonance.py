@@ -2,7 +2,6 @@
 
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from stochlab.resonance import (
     resonance_scan,
     snr_at_drive,
 )
-from util import reference_integrate
+from util import reference_integrate, traced_peak
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,13 +117,7 @@ def test_integrate_matches_the_checked_loop_across_kick_blocks():
 
 
 def test_integrate_holds_the_kicks_the_record_and_one_block():
-    rng = RngStream(7, 11)
-    tracemalloc.start()
-    try:
-        integrate(BLOCK_SPANNING, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(integrate, BLOCK_SPANNING, RngStream(7, 11))
     # What the loop must hold at once: the float64 kicks and the float64
     # record (8 bytes a step each) and one block of kicks as a list of
     # Python floats (an object and a list slot each).  A second block's

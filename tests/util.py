@@ -2,6 +2,7 @@
 generators and slow reference oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ def run_runner(experiment: str, rng: RngStream, jobs: int = 1, **overrides):
     params, violations = cli._resolve(cli.ExperimentConfig(experiment, overrides))
     assert violations == []
     return cli.EXPERIMENTS[experiment].run(params, rng, jobs)
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak)``: the call's result and the peak of the memory
+    tracemalloc traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def count_local_maxima(values) -> int:
