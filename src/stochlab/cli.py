@@ -608,9 +608,6 @@ def _run_memory(p, rng, jobs) -> _RunOutput:
                               sweeps_per_level=p["sweeps_per_level"])
     couplings = [sk_couplings(p["n"], rng.substream(2 * i))
                  for i in range(p["instances"])]
-    # The exhaustive ground states stay in this process: their BLAS
-    # threads, started in a worker, would compete with the other workers'
-    # anneals.
     grounds = [ground_state_bruteforce(c)[1] for c in couplings]
     annealed = fan_out(_anneal_energy,
                        [(c, schedule, rng.substream(2 * i + 1))

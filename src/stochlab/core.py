@@ -238,13 +238,15 @@ def periodogram(signal: Sequence[float] | np.ndarray, sample_step: float,
 
     seg_len = x.size // segments
     chunks = x[: segments * seg_len].reshape(segments, seg_len)
-    spectrum = np.fft.rfft(chunks, axis=1)
+    # The complex spectrum is freed before the squares are taken in place.
+    power = np.abs(np.fft.rfft(chunks, axis=1))
+    power *= power
     # One-sided weights: interior bins represent a conjugate pair each.
-    weights = np.full(spectrum.shape[1], 2.0)
+    weights = np.full(power.shape[1], 2.0)
     weights[0] = 1.0
     if seg_len % 2 == 0:
         weights[-1] = 1.0
-    power = (np.abs(spectrum) ** 2).mean(axis=0) * weights / seg_len**2
+    power = power.mean(axis=0) * weights / seg_len**2
     freqs = np.fft.rfftfreq(seg_len, d=sample_step)
     return PowerSpectrum(frequencies=freqs, power=power)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -267,34 +268,42 @@ def zero_t_dynamics(config: SpinConfig,
     )
 
 
-def _enumerate_half_space(n: int, chunk: int = 1 << 18):
-    """Yield chunks of spins over all configs with spin 0 fixed to +1."""
-    # The chunk row count is part of the bit-identity contract: it fixes the
-    # row count of the ``s @ j`` matmul in every caller, and BLAS may block
-    # (so round) a product differently at another row count.  On OpenBLAS
-    # with 2 cores, chunks of 1024 or 2048 rows changed the energies of
-    # every n = 17 instance tried.
+def _half_space_energies(j: np.ndarray, chunk: int = 1 << 18):
+    """Yield ``(first index, energies)`` over all configs with spin 0 = +1.
+
+    Spin i (i >= 1) of config ``index`` is -1 when bit (i - 1) of the index
+    is set.  ``chunk`` is rounded down to a power of two rows.  The local
+    fields F = s.J fill one reused buffer by prefix doubling, one spin at a
+    time: each F is the left-to-right sum of the exact terms +-J_k, so the
+    energies -s.F/2 do not depend on the chunk.
+    """
+    n = j.shape[0]
     total = 1 << (n - 1)
-    for lo in range(0, total, chunk):
-        rows = min(chunk, total - lo)
-        index_bytes = np.arange(lo, lo + rows, dtype="<u8").view(np.uint8)
-        spins = np.empty((rows, n), dtype=np.int8)
-        spins[:, 0] = 1
-        # spin i (i >= 1) reads bit (i - 1) of the enumeration index.
-        spins[:, 1:] = np.unpackbits(index_bytes.reshape(rows, 8), axis=1,
-                                     count=n - 1, bitorder="little")
-        spins[:, 1:] *= -2
-        spins[:, 1:] += 1  # bit 1 -> spin -1
-        yield spins
-
-
-def _chunk_energies(s: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Row-wise H = -s.J.s/2 for a (configs x N) block of spins."""
-    sj = s @ j
-    np.multiply(sj, s, out=sj)
-    h = sj.sum(axis=1)
-    h *= -0.5
-    return h
+    rows = 1 << min(chunk.bit_length() - 1, n - 1)
+    low = rows.bit_length() - 1  # spins 1..low read the row's own bits
+    f = np.empty((rows, n))
+    for first in range(0, total, rows):
+        np.add(j[0], 0.0, out=f[0])  # each sum starts from +0.0
+        for k in range(1, low + 1):
+            half = 1 << (k - 1)
+            np.subtract(f[:half], j[k], out=f[half:2 * half])
+            f[:half] += j[k]
+        for k in range(low + 1, n):
+            if first >> (k - 1) & 1:
+                f -= j[k]
+            else:
+                f += j[k]
+        # s_i F_i: negate the spin -1 rows of each column.  ``*= -1.0``,
+        # not ``np.negative(out=)``, which writes wrong values into views
+        # with a 64-byte stride on numpy 2.4.
+        for k in range(1, low + 1):
+            f.reshape(rows >> k, 2, 1 << (k - 1), n)[:, 1, :, k] *= -1.0
+        for k in range(low + 1, n):
+            if first >> (k - 1) & 1:
+                f[:, k] *= -1.0
+        h = f.sum(axis=1)
+        h *= -0.5
+        yield first, h
 
 
 def _require_enumerable(n: int, what: str) -> None:
@@ -314,13 +323,9 @@ def exact_thermo(couplings: CouplingMatrix, temperature: float) -> ThermoState:
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     _require_enumerable(couplings.n, "exact_thermo")
-    j = couplings.j
     # First collect the energies (ground-state shift keeps the exponentials
     # in range), then sum the Boltzmann weights under that common shift.
-    chunks = []
-    for spins in _enumerate_half_space(couplings.n):
-        s = spins.astype(float)
-        chunks.append(_chunk_energies(s, j))
+    chunks = [h for _, h in _half_space_energies(couplings.j)]
     h_min = min(float(h.min()) for h in chunks)
     z_scaled = 0.0
     weighted_h = 0.0
@@ -352,24 +357,20 @@ def ground_state_bruteforce(couplings: CouplingMatrix) -> tuple[SpinConfig, floa
     """
     _require_enumerable(couplings.n, "ground_state_bruteforce")
     n = couplings.n
-    j = couplings.j
-    full_mask = (1 << n) - 1
-    # A configuration's key has bit (N-1-i) set when spin i is +1, so a
-    # smaller key is lexicographically earlier under the ordering -1 < +1
-    # with spin 0 most significant.
-    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    # Each enumerated config stands for the pair {s, -s}, whose
+    # lexicographic representative is -s (spin 0 = -1).  Its key, with bit
+    # (N-1-i) set when spin i is +1, is the index's N-1 bits reversed.
     best_energy = math.inf
     best_key = None
-    for spins in _enumerate_half_space(n):
-        s = spins.astype(float)
-        h = _chunk_energies(s, j)
+    for first, h in _half_space_energies(couplings.j):
         chunk_min = float(h.min())
         if chunk_min > best_energy:
             continue
-        keys = (spins[h == chunk_min] > 0) @ weights
-        # Each enumerated config stands for the pair {s, -s}; the pair's
-        # lexicographic representative is the smaller of the two keys.
-        candidate = int(np.minimum(keys, full_mask - keys).min())
+        index = first + np.flatnonzero(h == chunk_min)
+        keys = np.zeros_like(index)
+        for bit in range(n - 1):
+            keys |= (index >> bit & 1) << (n - 2 - bit)
+        candidate = int(keys.min())
         if chunk_min < best_energy:
             best_energy = chunk_min
             best_key = candidate
@@ -398,12 +399,13 @@ def simulated_annealing(couplings: CouplingMatrix,
     current = float(-0.5 * s @ fields)
     best = current
     # Python floats: per-element numpy scalars would cost more than the
-    # arithmetic.  The list update rounds each product and sum once, exactly
-    # as the array update ``fields + c * j[:, i]`` does, so results match it
-    # bit for bit.
+    # arithmetic.  Scaling by +-2 is exact, so adding a precomputed column
+    # of 2 J or -2 J rounds each sum once, exactly as the array update
+    # ``fields + c * j[:, i]`` does, and results match it bit for bit.
     spins = s.tolist()
     fields = fields.tolist()
-    columns = couplings.j.T.tolist()
+    up_columns = (2.0 * couplings.j.T).tolist()
+    down_columns = (-2.0 * couplings.j.T).tolist()
     best_spins = spins.copy()
     exp = math.exp
 
@@ -422,8 +424,8 @@ def simulated_annealing(couplings: CouplingMatrix,
                 if delta <= 0.0 or next(uniforms) < exp(-delta / t):
                     flipped = -spins[i]
                     spins[i] = flipped
-                    c = 2.0 * flipped
-                    fields = [f + c * jk for f, jk in zip(fields, columns[i])]
+                    column = up_columns[i] if flipped > 0.0 else down_columns[i]
+                    fields = list(map(add, fields, column))
                     current += delta
                     accepted += 1
                     if current < best:

@@ -49,9 +49,10 @@ _BACKGROUND_HALF_WIDTH = 20
 _MIN_PERIODS = 100  # drive periods required before a spectral estimate
 _KICK_BLOCK = 1 << 16  # kicks converted to Python floats at a time
 # Longest record one cell may integrate: 159x the default 628,319 steps.
-# Each step holds 16 bytes while it integrates (the kicks and the record),
-# so the cap keeps one cell under 1.6 GB; past it numpy would fail with a
-# raw MemoryError or ValueError at allocation instead of naming the cause.
+# Each step holds 8 bytes of record, and 3 more while the trust region is
+# tested, so the cap keeps one cell under 1.1 GB; past it numpy would fail
+# with a raw MemoryError or ValueError at allocation instead of naming the
+# cause.
 _MAX_STEPS = 10**8
 
 
@@ -152,34 +153,34 @@ def integrate(spec: DoubleWellSpec,
     position leaves ``|x| <= 1e3`` -- the quartic force makes the explicit
     scheme blow up fast once a step overshoots.
 
-    The recurrence streams: a generator reads the kicks in blocks of
-    ``_KICK_BLOCK`` Python floats and ``np.fromiter`` stores each iterate
-    straight into the float64 record, so besides the kicks and the record
-    (8 bytes a step each) only one block of Python floats is alive.
+    The recurrence streams: a generator builds the kicks ``_KICK_BLOCK``
+    at a time, reads each block as Python floats, and ``np.fromiter``
+    stores each iterate straight into the float64 record, so besides the
+    record (8 bytes a step) only one block of kicks is alive.
     """
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     n = spec.n_steps
     dt = spec.dt
-    # In place, the same IEEE operations as
-    # ``amplitude * sin(omega * (dt * arange(n))) * dt + c * normals``:
-    # each product has the same two operands, only their order differs.
-    kicks = np.arange(n, dtype=float)
-    kicks *= dt
-    kicks *= spec.omega
-    np.sin(kicks, out=kicks)
-    kicks *= spec.amplitude
-    kicks *= dt
-    if spec.noise_d > 0:
-        noise = rng.gen.standard_normal(n)
-        noise *= math.sqrt(2.0 * spec.noise_d * dt)
-        kicks += noise
-        del noise
+    scale = math.sqrt(2.0 * spec.noise_d * dt)
 
     def recurrence(x):
         yield x
         for lo in range(0, n, _KICK_BLOCK):
-            for kick in kicks[lo:lo + _KICK_BLOCK].tolist():
+            # In place, the same IEEE operations as
+            # ``amplitude * sin(omega * (dt * arange(n))) * dt + scale *
+            # normals``: each product has the same two operands, only their
+            # order differs.  ``standard_normal`` draws one variate after
+            # another, so one block's draws continue the last block's.
+            kicks = np.arange(lo, min(lo + _KICK_BLOCK, n), dtype=float)
+            kicks *= dt
+            kicks *= spec.omega
+            np.sin(kicks, out=kicks)
+            kicks *= spec.amplitude
+            kicks *= dt
+            if spec.noise_d > 0:
+                kicks += scale * rng.gen.standard_normal(kicks.size)
+            for kick in kicks.tolist():
                 x += (x - x * x * x) * dt + kick
                 yield x
 
@@ -187,7 +188,6 @@ def integrate(spec: DoubleWellSpec,
     # the iterate runs off to inf and NaN, which fail the test as well, so
     # the first failing index is the step that left the region.
     path = np.fromiter(recurrence(spec.x0), float, n + 1)
-    del kicks
     stepped = path[1:]
     inside = (-_DIVERGENCE_BOUND < stepped) & (stepped < _DIVERGENCE_BOUND)
     if not inside.all():

@@ -8,7 +8,7 @@ from scipy.linalg import hadamard
 
 from stochlab.core import RngStream
 from stochlab.memory import (
-    _enumerate_half_space,
+    _half_space_energies,
     AnnealSchedule,
     CapabilityError,
     CouplingMatrix,
@@ -374,29 +374,58 @@ def test_bruteforce_agrees_with_naive_enumeration():
     assert energy(config, j) == pytest.approx(ground, abs=1e-12)
 
 
-@pytest.mark.parametrize("n, chunk", [(2, 1 << 18), (9, 1 << 18), (10, 100),
-                                     (17, 1000)])
+def _half_space_spins(n):
+    """Float spins of the spin-0 = +1 half space in enumeration order: spin
+    i >= 1 of config ``index`` is -1 when bit (i - 1) of the index is set."""
+    index = np.arange(1 << (n - 1))
+    spins = np.ones((index.size, n))
+    spins[:, 1:] -= 2 * ((index[:, None] >> np.arange(n - 1)) & 1)
+    return spins
+
+
+# Chunks of 100 and 1000 rows are rounded down to 64 and 512.
+@pytest.mark.parametrize("n, chunk", [(2, 1 << 18), (8, 1 << 18), (9, 1 << 18),
+                                     (10, 64), (10, 100), (17, 1000),
+                                     (17, 1024)])
 def test_half_space_spins_read_the_index_bits(n, chunk):
-    chunks = list(_enumerate_half_space(n, chunk))
-    assert all(c.shape == (chunk, n) for c in chunks[:-1])
-    spins = np.concatenate(chunks)
-    assert spins.dtype == np.int8
-    idx = np.arange(1 << (n - 1))
-    bits = (idx[:, None] >> np.arange(n - 1)) & 1
-    assert np.array_equal(spins[:, 0], np.ones(idx.size))
-    assert np.array_equal(spins[:, 1:], 1 - 2 * bits)
+    # Each energy is -s.J.s/2 of the spins its index's bits give.
+    j = sk_couplings(n, RngStream(49, n)).j
+    chunks = list(_half_space_energies(j, chunk))
+    rows = min(1 << (chunk.bit_length() - 1), 1 << (n - 1))
+    assert [first for first, _ in chunks] == list(range(0, 1 << (n - 1), rows))
+    got = np.concatenate([h for _, h in chunks])
+    s = _half_space_spins(n)
+    np.testing.assert_allclose(got, -0.5 * np.einsum("ri,ij,rj->r", s, j, s),
+                               rtol=0, atol=1e-12)
+    # To the bit: each field F = s.J summed left to right over the spins
+    # from +0.0, then -s.F/2 summed along each row.
+    fields = np.zeros_like(s)
+    for k in range(n):
+        fields += s[:, k:k + 1] * j[k]
+    fields *= s
+    want = fields.sum(axis=1)
+    want *= -0.5
+    assert got.tobytes() == want.tobytes()
+
+
+def test_n17_energies_are_byte_equal_at_any_chunk():
+    for instance in range(3):
+        j = sk_couplings(17, RngStream(49, 17 + instance)).j
+        whole = np.concatenate([h for _, h in _half_space_energies(j)])
+        small = np.concatenate([h for _, h in _half_space_energies(j, 1024)])
+        assert small.tobytes() == whole.tobytes()
 
 
 def test_bruteforce_memory_at_n16():
     n, rows = 16, 1 << 15
     couplings = sk_couplings(n, RngStream(49, 1))
     _, peak = traced_peak(ground_state_bruteforce, couplings)
-    # Per spin of the half space: 8 bytes each for the float64 spins and
-    # their product with J, 1 for the int8 spins, and at n = 16 another 1
-    # for the uint64 index and the float64 energies (8 bytes a row each);
-    # 2 more of slack.  An int64 bit table or a third float64 array alone
-    # would take 8 bytes a spin more.
-    assert peak <= 20 * rows * n
+    # Per spin of the half space: 8 bytes for the float64 field buffer,
+    # which every chunk refills in place, and at n = 16 another 0.5 for
+    # the float64 energies (8 bytes a row) and under 0.1 for the minimum's
+    # bool mask; 1.4 more of slack.  Any second float64 table, such as
+    # float spins or a matrix product, would take 8 bytes a spin more.
+    assert peak <= 10 * rows * n
 
 
 def test_bruteforce_capability_bound():

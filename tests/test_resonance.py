@@ -118,13 +118,43 @@ def test_integrate_matches_the_checked_loop_across_kick_blocks():
 
 def test_integrate_holds_the_kicks_the_record_and_one_block():
     _, peak = traced_peak(integrate, BLOCK_SPANNING, RngStream(7, 11))
-    # What the loop must hold at once: the float64 kicks and the float64
-    # record (8 bytes a step each) and one block of kicks as a list of
-    # Python floats (an object and a list slot each).  A second block's
-    # worth covers the small arrays around them.  Holding every kick as a
-    # Python float at once would take 32 bytes a step more.
+    # What the loop holds at once: the float64 record (8 bytes a step) and
+    # one block of kicks, as a float64 array and as a list of Python floats
+    # (an object and a list slot each).  This bound also admits a float64
+    # array of every kick (8 bytes a step more); the default-record test
+    # below does not.  Holding every kick as a Python float at once would
+    # take 32 bytes a step more.
     block = _KICK_BLOCK * (sys.getsizeof(1.0) + 8)
     assert peak <= 16 * BLOCK_SPANNING.n_steps + 2 * block
+
+
+# The default resonance record: 100 drive periods at omega = 0.1, dt = 0.01.
+DEFAULT_RECORD = DoubleWellSpec(amplitude=0.3, omega=0.1, noise_d=0.2,
+                                dt=0.01, t_total=100.0 * TWO_PI / 0.1)
+
+
+def test_integrate_holds_the_record_and_three_blocks_at_the_default_length():
+    assert DEFAULT_RECORD.n_steps == 628_319
+    _, peak = traced_peak(integrate, DEFAULT_RECORD, RngStream(7, 12))
+    # The float64 record is the one step-sized buffer (8 bytes a step).
+    # While the loop runs, one block of kicks is alive as float64 values
+    # and as Python floats, about 1.25 blocks; after it, the trust-region
+    # test holds three bool arrays of a byte a step, under one block at
+    # this length.  Three blocks cover either.  A float64 array of every
+    # kick beside the record would take 8 bytes a step, 2.4 blocks here.
+    block = _KICK_BLOCK * (sys.getsizeof(1.0) + 8)
+    assert peak <= 8 * DEFAULT_RECORD.n_steps + 3 * block
+
+
+def test_block_draws_of_standard_normal_continue_one_call():
+    n = BLOCK_SPANNING.n_steps
+    whole, blocks = RngStream(7, 11), RngStream(7, 11)
+    want = whole.gen.standard_normal(n)
+    got = np.concatenate([blocks.gen.standard_normal(min(_KICK_BLOCK, n - lo))
+                          for lo in range(0, n, _KICK_BLOCK)])
+    assert got.tobytes() == want.tobytes()
+    # The next draws mark where each left the stream.
+    assert blocks.gen.random(4).tobytes() == whole.gen.random(4).tobytes()
 
 
 @pytest.mark.parametrize("x0, dt, noise_d, t_total", [
