@@ -214,9 +214,10 @@ def _rule(key: str, check: Callable, *args) -> list:
 
 
 def _cross_decay(p) -> list:
-    from .quantum import _check_edges
+    from .quantum import DecayModel, _check_edges
 
-    return _rule("t_max", _check_edges, p["t_max"], p["bins"])
+    return (_rule("rate_lambda", DecayModel, p["rate_lambda"], p["n_atoms"])
+            + _rule("t_max", _check_edges, p["t_max"], p["bins"]))
 
 
 def _cross_grid(p) -> list:

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _ENUM_LIMIT = 24  # exhaustive-enumeration bound, 2**(N-1) configurations
+_ENUM_ROWS = 1 << 12  # configs per enumerated chunk: 0.8 MB of fields at N = 24
+_THERMO_BLOCK = 1 << 18  # energies per partial sum of the Boltzmann weights
 
 
 class CapabilityError(RuntimeError):
@@ -268,42 +270,46 @@ def zero_t_dynamics(config: SpinConfig,
     )
 
 
-def _half_space_energies(j: np.ndarray, chunk: int = 1 << 18):
-    """Yield ``(first index, energies)`` over all configs with spin 0 = +1.
+def _half_space_energies(j: np.ndarray, chunk: int = _ENUM_ROWS):
+    """Yield ``(where, energies)`` over all configs with spin 0 = +1.
 
     Spin i (i >= 1) of config ``index`` is -1 when bit (i - 1) of the index
-    is set.  ``chunk`` is rounded down to a power of two rows.  The local
-    fields F = s.J fill one reused buffer by prefix doubling, one spin at a
-    time: each F is the left-to-right sum of the exact terms +-J_k, so the
-    energies -s.F/2 do not depend on the chunk.
+    is set, and ``energies`` belong to the indices ``range(2^(N-1))[where]``.
+    ``chunk`` is rounded down to a power of two, 2^L rows.  A chunk holds
+    spins 1..m (m = N-1-L), the low index bits, constant and runs its rows
+    over the last L spins.  The local fields F = s.J are the left-to-right
+    sums of the exact terms +-J_k: the constant spins are summed once into
+    row 0 and the row spins fill one reused buffer by prefix doubling, so
+    the energies -s.F/2 do not depend on the chunk.
     """
     n = j.shape[0]
     total = 1 << (n - 1)
     rows = 1 << min(chunk.bit_length() - 1, n - 1)
-    low = rows.bit_length() - 1  # spins 1..low read the row's own bits
+    m = n - rows.bit_length()  # spins 1..m are constant in a chunk
     f = np.empty((rows, n))
-    for first in range(0, total, rows):
+    for c in range(1 << m):
         np.add(j[0], 0.0, out=f[0])  # each sum starts from +0.0
-        for k in range(1, low + 1):
-            half = 1 << (k - 1)
+        for k in range(1, m + 1):
+            if c >> (k - 1) & 1:
+                f[0] -= j[k]
+            else:
+                f[0] += j[k]
+        for k in range(m + 1, n):
+            half = 1 << (k - m - 1)
             np.subtract(f[:half], j[k], out=f[half:2 * half])
             f[:half] += j[k]
-        for k in range(low + 1, n):
-            if first >> (k - 1) & 1:
-                f -= j[k]
-            else:
-                f += j[k]
         # s_i F_i: negate the spin -1 rows of each column.  ``*= -1.0``,
         # not ``np.negative(out=)``, which writes wrong values into views
         # with a 64-byte stride on numpy 2.4.
-        for k in range(1, low + 1):
-            f.reshape(rows >> k, 2, 1 << (k - 1), n)[:, 1, :, k] *= -1.0
-        for k in range(low + 1, n):
-            if first >> (k - 1) & 1:
+        for k in range(1, m + 1):
+            if c >> (k - 1) & 1:
                 f[:, k] *= -1.0
+        for k in range(m + 1, n):
+            half = 1 << (k - m - 1)
+            f.reshape(rows // (2 * half), 2, half, n)[:, 1, :, k] *= -1.0
         h = f.sum(axis=1)
         h *= -0.5
-        yield first, h
+        yield slice(c, total, 1 << m), h
 
 
 def _require_enumerable(n: int, what: str) -> None:
@@ -325,11 +331,16 @@ def exact_thermo(couplings: CouplingMatrix, temperature: float) -> ThermoState:
     _require_enumerable(couplings.n, "exact_thermo")
     # First collect the energies (ground-state shift keeps the exponentials
     # in range), then sum the Boltzmann weights under that common shift.
-    chunks = [h for _, h in _half_space_energies(couplings.j)]
-    h_min = min(float(h.min()) for h in chunks)
+    energies = np.empty(1 << (couplings.n - 1))
+    for where, h in _half_space_energies(couplings.j):
+        energies[where] = h
+    h_min = float(energies.min())
+    # Partial sums over fixed blocks of consecutive indices, so the sums do
+    # not depend on the enumeration's chunks.
     z_scaled = 0.0
     weighted_h = 0.0
-    for h in chunks:
+    for lo in range(0, energies.size, _THERMO_BLOCK):
+        h = energies[lo:lo + _THERMO_BLOCK]
         w = np.exp(-(h - h_min) / temperature)
         z_scaled += float(w.sum())
         weighted_h += float(h @ w)
@@ -362,11 +373,11 @@ def ground_state_bruteforce(couplings: CouplingMatrix) -> tuple[SpinConfig, floa
     # (N-1-i) set when spin i is +1, is the index's N-1 bits reversed.
     best_energy = math.inf
     best_key = None
-    for first, h in _half_space_energies(couplings.j):
+    for where, h in _half_space_energies(couplings.j):
         chunk_min = float(h.min())
         if chunk_min > best_energy:
             continue
-        index = first + np.flatnonzero(h == chunk_min)
+        index = where.start + where.step * np.flatnonzero(h == chunk_min)
         keys = np.zeros_like(index)
         for bit in range(n - 1):
             keys |= (index >> bit & 1) << (n - 2 - bit)

@@ -159,6 +159,11 @@ class DecayModel:
             raise ValueError("rate_lambda must be positive")
         if self.n_atoms < 1:
             raise ValueError("n_atoms must be at least 1")
+        # The mean lifetime sums n_atoms draws of 1/rate_lambda times a
+        # standard exponential, which numpy draws below 7.7 + 53 ln 2 < 45.
+        if math.isinf(64.0 * self.n_atoms / self.rate_lambda):
+            raise ValueError("n_atoms lifetimes of mean 1/rate_lambda can "
+                             "sum past the largest double; raise rate_lambda")
 
 
 @dataclass(frozen=True)

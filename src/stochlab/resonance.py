@@ -47,12 +47,11 @@ _DIVERGENCE_BOUND = 1e3
 _SEGMENTS = 8
 _BACKGROUND_HALF_WIDTH = 20
 _MIN_PERIODS = 100  # drive periods required before a spectral estimate
-_KICK_BLOCK = 1 << 16  # kicks converted to Python floats at a time
+_KICK_BLOCK = 1 << 13  # kicks converted to Python floats at a time
 # Longest record one cell may integrate: 159x the default 628,319 steps.
-# Each step holds 8 bytes of record, and 3 more while the trust region is
-# tested, so the cap keeps one cell under 1.1 GB; past it numpy would fail
-# with a raw MemoryError or ValueError at allocation instead of naming the
-# cause.
+# Each step holds 8 bytes of record, so the cap keeps one cell under
+# 0.9 GB; past it numpy would fail with a raw MemoryError or ValueError at
+# allocation instead of naming the cause.
 _MAX_STEPS = 10**8
 
 
@@ -155,8 +154,10 @@ def integrate(spec: DoubleWellSpec,
 
     The recurrence streams: a generator builds the kicks ``_KICK_BLOCK``
     at a time, reads each block as Python floats, and ``np.fromiter``
-    stores each iterate straight into the float64 record, so besides the
-    record (8 bytes a step) only one block of kicks is alive.
+    stores each iterate straight into the float64 record.  The trust region
+    is then tested on one block of the record at a time, so besides the
+    record (8 bytes a step) only one block of kicks or of test results is
+    alive.
     """
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
@@ -184,18 +185,19 @@ def integrate(spec: DoubleWellSpec,
                 x += (x - x * x * x) * dt + kick
                 yield x
 
-    # The bare recurrence first, the trust region afterwards: past the bound
-    # the iterate runs off to inf and NaN, which fail the test as well, so
-    # the first failing index is the step that left the region.
+    # The bare recurrence first, the trust region afterwards, one block of
+    # the record at a time: past the bound the iterate runs off to inf and
+    # NaN, which fail the test as well, so the first failing index is the
+    # step that left the region.
     path = np.fromiter(recurrence(spec.x0), float, n + 1)
-    stepped = path[1:]
-    inside = (-_DIVERGENCE_BOUND < stepped) & (stepped < _DIVERGENCE_BOUND)
-    if not inside.all():
-        i = int(np.argmin(inside))
-        raise IntegrationError(
-            f"|x| exceeded {_DIVERGENCE_BOUND:g} at t = {(i + 1) * dt:g}; "
-            "reduce dt"
-        )
+    for lo in range(1, n + 1, _KICK_BLOCK):
+        inside = np.abs(path[lo:lo + _KICK_BLOCK]) < _DIVERGENCE_BOUND
+        if not inside.all():
+            step = lo + int(np.argmin(inside))
+            raise IntegrationError(
+                f"|x| exceeded {_DIVERGENCE_BOUND:g} at t = {step * dt:g}; "
+                "reduce dt"
+            )
     # A thinned record is copied out, so the full path is not kept alive.
     positions = np.ascontiguousarray(path[::sample_stride])
     return Trajectory(positions, dt * sample_stride)

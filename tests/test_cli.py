@@ -593,6 +593,11 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
     # underflows to 0 (the largest wavenumber's square overflows).
     (["spectrum", "n_levels=3", "n_points=3", "x_max=1e300"], "x_max"),
     (["uncertainty", "x_min=-1e-300", "x_max=1e-200"], "x_max"),
+    # Mean lifetimes 1/rate_lambda that overflow, and one whose n_atoms
+    # lifetimes sum past the largest double.
+    (["decay", "rate_lambda=1e-310"], "rate_lambda"),
+    (["decay", "rate_lambda=5e-324"], "rate_lambda"),
+    (["decay", "rate_lambda=1e-305"], "rate_lambda"),
 ], ids=["short-record", "line-off-its-bin", "diffuse-key-range",
         "overflowing-step-count", "spectrum-levels-past-grid",
         "mcint-ball-gamma-overflow", "interfere-amplitude", "uncertainty-width",
@@ -601,7 +606,9 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
         "diffuse-subnormal-cell-3d", "diffuse-subnormal-cell-2d",
         "diffuse-subnormal-cell-long-run", "decay-bin-edges-overflow",
         "diffuse-pinning-overflow", "resonance-kick-past-trust-bound",
-        "spectrum-spacing-square-overflow", "uncertainty-spacing-underflow"])
+        "spectrum-spacing-square-overflow", "uncertainty-spacing-underflow",
+        "decay-lifetime-overflow", "decay-lifetime-overflow-min",
+        "decay-lifetime-sum-overflow"])
 def test_faults_known_from_the_config_exit_2(argv, key, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main([*argv, "--jobs", "1", "--out", str(out)]) == 2

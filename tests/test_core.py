@@ -1,5 +1,6 @@
 """Tests for the shared random-stream and statistics utilities."""
 
+import ast
 import concurrent.futures
 import hashlib
 import math
@@ -123,11 +124,28 @@ def test_generator_stream_canary(method):
         f"numpy {np.__version__} changed the Generator.{method} stream")
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def test_every_generator_method_src_calls_has_a_canary():
-    src = Path(__file__).resolve().parents[1] / "src"
-    called = {m for path in src.rglob("*.py")
+    called = {m for path in SRC.rglob("*.py")
               for m in re.findall(r"\bgen\.([a-z_]+)\(", path.read_text())}
     assert called and called <= set(STREAM_CANARIES)
+
+
+def test_src_never_negates_into_an_output_array():
+    # numpy 2.4.6's ``np.negative(v, out=v)`` writes wrong values into a
+    # view with a 64-byte stride: it turns ``np.arange(64.)[::8]`` into
+    # -0, -1, ..., -7, not -0, -8, ..., -56.  ``v *= -1.0`` is correct.
+    calls = [f"{path.name}:{node.lineno}"
+             for path in SRC.rglob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "negative"
+             and (len(node.args) > 1
+                  or any(k.arg == "out" for k in node.keywords))]
+    assert calls == []
 
 
 class TestRngStream:

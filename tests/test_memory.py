@@ -383,6 +383,22 @@ def _half_space_spins(n):
     return spins
 
 
+def _index_ordered(j, chunk):
+    """The energies of ``_half_space_energies(j, chunk)`` in index order,
+    after checking that it yields 2^m chunks and chunk c holds the indices
+    c, c + 2^m, c + 2 * 2^m, ..."""
+    total = 1 << (j.shape[0] - 1)
+    chunks = list(_half_space_energies(j, chunk))
+    rows = min(1 << (chunk.bit_length() - 1), total)
+    stride = total // rows
+    assert [where for where, _ in chunks] == [slice(c, total, stride)
+                                              for c in range(stride)]
+    energies = np.empty(total)
+    for where, h in chunks:
+        energies[where] = h
+    return energies
+
+
 # Chunks of 100 and 1000 rows are rounded down to 64 and 512.
 @pytest.mark.parametrize("n, chunk", [(2, 1 << 18), (8, 1 << 18), (9, 1 << 18),
                                      (10, 64), (10, 100), (17, 1000),
@@ -390,10 +406,7 @@ def _half_space_spins(n):
 def test_half_space_spins_read_the_index_bits(n, chunk):
     # Each energy is -s.J.s/2 of the spins its index's bits give.
     j = sk_couplings(n, RngStream(49, n)).j
-    chunks = list(_half_space_energies(j, chunk))
-    rows = min(1 << (chunk.bit_length() - 1), 1 << (n - 1))
-    assert [first for first, _ in chunks] == list(range(0, 1 << (n - 1), rows))
-    got = np.concatenate([h for _, h in chunks])
+    got = _index_ordered(j, chunk)
     s = _half_space_spins(n)
     np.testing.assert_allclose(got, -0.5 * np.einsum("ri,ij,rj->r", s, j, s),
                                rtol=0, atol=1e-12)
@@ -411,21 +424,30 @@ def test_half_space_spins_read_the_index_bits(n, chunk):
 def test_n17_energies_are_byte_equal_at_any_chunk():
     for instance in range(3):
         j = sk_couplings(17, RngStream(49, 17 + instance)).j
-        whole = np.concatenate([h for _, h in _half_space_energies(j)])
-        small = np.concatenate([h for _, h in _half_space_energies(j, 1024)])
-        assert small.tobytes() == whole.tobytes()
+        whole = _index_ordered(j, 1 << 18)
+        for chunk in (1024, 1 << 12):
+            assert _index_ordered(j, chunk).tobytes() == whole.tobytes()
+
+
+def _bruteforce_peak_per_chunk_spin(n):
+    couplings = sk_couplings(n, RngStream(49, 1))
+    _, peak = traced_peak(ground_state_bruteforce, couplings)
+    return peak / ((1 << 12) * n)
 
 
 def test_bruteforce_memory_at_n16():
-    n, rows = 16, 1 << 15
-    couplings = sk_couplings(n, RngStream(49, 1))
-    _, peak = traced_peak(ground_state_bruteforce, couplings)
-    # Per spin of the half space: 8 bytes for the float64 field buffer,
-    # which every chunk refills in place, and at n = 16 another 0.5 for
-    # the float64 energies (8 bytes a row) and under 0.1 for the minimum's
-    # bool mask; 1.4 more of slack.  Any second float64 table, such as
-    # float spins or a matrix product, would take 8 bytes a spin more.
-    assert peak <= 10 * rows * n
+    # Per spin of a 2^12-row chunk: 8 bytes for the float64 field buffer,
+    # which every chunk refills in place, and at n = 16 another 0.5 for a
+    # chunk's float64 energies (8 bytes a row) and 1 for the 64 KiB buffer
+    # of numpy's broadcast adds.  A field buffer over the 2^15 rows of the
+    # half space would take 64 bytes.
+    assert _bruteforce_peak_per_chunk_spin(16) <= 10
+
+
+def test_bruteforce_memory_at_n20_is_one_chunk():
+    # The same bound: a field buffer of 2^18 rows (42 MB) would take 512
+    # bytes per chunk spin.
+    assert _bruteforce_peak_per_chunk_spin(20) <= 10
 
 
 def test_bruteforce_capability_bound():

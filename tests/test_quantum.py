@@ -140,6 +140,16 @@ class TestDecaySample:
         with pytest.raises(ValueError):
             decay_sample(DecayModel(1.0, 10), RngStream(0), t_max=1.0, bins=1)
 
+    def test_lifetimes_that_can_sum_past_a_double_are_rejected(self):
+        with pytest.raises(ValueError, match="raise rate_lambda"):
+            DecayModel(rate_lambda=1e-310, n_atoms=1)
+        with pytest.raises(ValueError, match="raise rate_lambda"):
+            DecayModel(rate_lambda=1e-305, n_atoms=10_000)
+        model = DecayModel(rate_lambda=1e-305, n_atoms=10)
+        result = decay_sample(model, RngStream(0), t_max=5.0, bins=50)
+        assert np.isfinite(result.lifetimes).all()
+        assert math.isfinite(result.mean_lifetime)
+
 
 GRID = Grid1D(-20.0, 20.0, 1024)
 

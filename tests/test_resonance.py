@@ -103,7 +103,7 @@ def test_integrate_matches_the_checked_loop_byte_for_byte(stride):
     assert got.sample_step == want.sample_step
 
 
-# 140,001 steps: two whole kick blocks and a part of a third.
+# 140,001 steps: whole kick blocks and a part of one more.
 BLOCK_SPANNING = DoubleWellSpec(amplitude=0.3, omega=0.5, noise_d=0.25,
                                 dt=0.01, t_total=1400.01, x0=-0.3)
 
@@ -160,6 +160,7 @@ def test_block_draws_of_standard_normal_continue_one_call():
 @pytest.mark.parametrize("x0, dt, noise_d, t_total", [
     (3.0, 0.5, 0.0, 10.0),     # overshoots on the first steps
     (0.9, 0.25, 1.0, 2000.0),  # a noise kick escapes after 909 steps
+    (0.9, 0.25, 0.5, 1e4),     # ... after 30,824 steps, past 3 kick blocks
 ])
 def test_divergence_is_reported_at_the_same_step_as_the_checked_loop(
         x0, dt, noise_d, t_total):
