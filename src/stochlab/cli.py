@@ -188,8 +188,9 @@ def _at_least(low, default):
                   f"must be at least {low}")
 
 
-def _one_of(default, *names):
-    return _Param(str, default, lambda v: v in names,
+def _one_of(*names):
+    """A name from ``names``; the first is the default."""
+    return _Param(str, names[0], lambda v: v in names,
                   f"must be one of: {', '.join(names)}")
 
 
@@ -249,9 +250,9 @@ def _cross_diffuse(p) -> list:
     from .diffusion import WalkSpec, _check_cell, _check_pinning, _level_specs
 
     def specs():
-        base = WalkSpec(p["dim"], p["a_s"], p["a_t"], p["n_walkers"],
-                        p["n_steps"])
-        return [base, *_level_specs(base, p["refinements"])]
+        return _level_specs(WalkSpec(p["dim"], p["a_s"], p["a_t"],
+                                     p["n_walkers"], p["n_steps"]),
+                            p["refinements"])
 
     return (_rule("a_t", _check_pinning, p["dim"], p["a_s"], p["a_t"])
             or _rule("a_s", _check_cell, p["dim"], p["a_s"])
@@ -473,7 +474,7 @@ def _paths_block(unit) -> list:
     from .paths import EuclideanAction, Lattice, metropolis_batch
 
     p, streams = unit
-    dynamics = EuclideanAction(mass=1.0, potential=_POTENTIALS[p["potential"]],
+    dynamics = EuclideanAction(potential=_POTENTIALS[p["potential"]],
                                a_t=p["a_t"])
     lattice = Lattice(n_t=p["n_t"])
     return [chain.paths for chain in metropolis_batch(
@@ -723,14 +724,14 @@ EXPERIMENTS: dict[str, _Experiment] = {
         "sigma0": _f(1.0, _positive, "must be positive (Gaussian width)"),
     }, cross_check=_cross_uncertainty),
     "spectrum": _Experiment(_run_spectrum, {
-        "potential": _one_of("harmonic", "harmonic", "quartic", "box"),
+        "potential": _one_of("harmonic", "quartic", "box"),
         "n_levels": _at_least(2, 6),
         "n_points": _at_least(2, 400),
         "x_min": _f(-8.0), "x_max": _f(8.0),
         "commuting": _Param(_to_bool, False, lambda v: True, ""),
     }, cross_check=_cross_spectrum),
     "paths": _Experiment(_run_paths, {
-        "potential": _one_of("free", "free", "harmonic"),
+        "potential": _one_of("free", "harmonic"),
         # hausdorff_scan gets its 3 distinct resolution points only once
         # n_t // 8 >= 9.
         "n_t": _at_least(72, 256),
@@ -752,7 +753,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
         "height": _at_least(1, 16),
         "warmup": _i(4000, lambda v: v >= 0, "must be nonnegative"),
         "n_drops": _at_least(1, 20_000),
-        "site_policy": _one_of("uniform-random", "uniform-random", "center"),
+        "site_policy": _one_of("uniform-random", "center"),
     }),
     "resonance": _Experiment(_run_resonance, {
         "amplitude": _f(0.3),
@@ -767,7 +768,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
         "replicas_per_level": _at_least(4, 4),
     }, cross_check=_cross_resonance),
     "memory": _Experiment(_run_memory, {
-        "task": _one_of("retrieve", "retrieve", "anneal"),
+        "task": _one_of("retrieve", "anneal"),
         "n": _at_least(2, 50),
         "patterns": _at_least(1, 2),
         "corrupt_flips": _i(5, lambda v: v >= 0, "must be nonnegative"),
@@ -807,7 +808,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
                           "must be nonnegative (0 = 10 * side^2)"),
     }, cross_check=_cross_search),
     "mcint": _Experiment(_run_mcint, {
-        "integrand": _one_of("ball", "ball", "polyprod"),
+        "integrand": _one_of("ball", "polyprod"),
         "dim": _at_least(1, 2),
         "samples": _at_least(2, 100_000),
     }, cross_check=_cross_mcint),
@@ -817,7 +818,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
                            and all(n >= 2 for n in v),
                            "needs at least two distinct entries, each >= 2"),
         "replicas": _at_least(2, 300),
-        "sampler": _one_of("normal", "normal", "uniform"),
+        "sampler": _one_of("normal", "uniform"),
     }),
 }
 
@@ -827,14 +828,9 @@ EXPERIMENTS: dict[str, _Experiment] = {
 
 
 def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    value = _jsonable(value)
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if value is None:
-        return ""
     return str(value)
 
 
@@ -845,8 +841,6 @@ def _jsonable(value):
         return int(value)
     if isinstance(value, (float, np.floating)):
         return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):

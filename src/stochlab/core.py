@@ -251,15 +251,16 @@ def periodogram(signal: Sequence[float] | np.ndarray, sample_step: float,
     return PowerSpectrum(frequencies=freqs, power=power)
 
 
-def low_high_power_ratio(signal: Sequence[float] | np.ndarray,
-                         segments: int = 8) -> float:
+def low_high_power_ratio(signal: Sequence[float] | np.ndarray) -> float:
     """Low- over high-frequency power of a unit-step signal's periodogram.
 
-    The mean power over the lowest decile of positive-frequency bins divided
-    by the mean over the highest decile.  A signal with fewer than four
-    points per segment gives nan, and a silent top decile gives inf.
+    The mean power over the lowest decile of positive-frequency bins of the
+    8-segment periodogram, divided by the mean over the highest decile.  A
+    signal with fewer than four points per segment gives nan, and a silent
+    top decile gives inf.
     """
     x = np.asarray(signal, dtype=float)
+    segments = 8
     if x.size < 4 * segments:
         return float("nan")
     spectrum = periodogram(x, 1.0, segments)

@@ -64,8 +64,7 @@ def _kernel_peak(dim: int, d_coeff: float, t: float) -> float:
 class WalkSpec:
     """Lattice, population, and duration of a random-walk simulation.
 
-    ``origin`` is a lattice point (integer coordinates, units of ``a_s``);
-    an empty tuple means the coordinate origin.
+    Every walker starts at the coordinate origin.
     """
 
     dim: int
@@ -73,7 +72,6 @@ class WalkSpec:
     a_t: float
     n_walkers: int
     n_steps: int
-    origin: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if not 1 <= self.dim <= 3:
@@ -87,12 +85,6 @@ class WalkSpec:
             raise ValueError("n_steps must be nonnegative")
         if float(2 * self.n_steps + 1) ** self.dim >= 2**62:
             raise ValueError("n_steps too large for packed site keys")
-        origin = tuple(int(c) for c in self.origin)
-        if origin == ():
-            origin = (0,) * self.dim
-        if len(origin) != self.dim:
-            raise ValueError("origin length must match dim")
-        object.__setattr__(self, "origin", origin)
 
     @property
     def scaling_ratio(self) -> float:
@@ -207,7 +199,7 @@ def simulate_walk(spec: WalkSpec, rng: RngStream) -> DiffusionField:
         site_counts = np.insert(site_counts, at[~seen], counts[~seen])
 
     coords = _decode(site_keys, spec.n_steps, spec.dim)
-    points = (coords + np.asarray(spec.origin)) * spec.a_s
+    points = coords * spec.a_s
     masses = site_counts / spec.n_walkers
     return DiffusionField(
         points=points,
@@ -219,9 +211,9 @@ def simulate_walk(spec: WalkSpec, rng: RngStream) -> DiffusionField:
     )
 
 
-def analytic_kernel(dim: int, d_coeff: float, t: float, points,
-                    origin=None) -> np.ndarray:
-    """Heat kernel (4 pi D t)^(-dim/2) * exp(-|x - x0|^2 / (4 D t))."""
+def analytic_kernel(dim: int, d_coeff: float, t: float, points) -> np.ndarray:
+    """Heat kernel (4 pi D t)^(-dim/2) * exp(-|x|^2 / (4 D t)), centred on
+    the origin."""
     if not 1 <= dim <= 3:
         raise ValueError("dim must be 1, 2, or 3")
     if t <= 0:
@@ -233,9 +225,7 @@ def analytic_kernel(dim: int, d_coeff: float, t: float, points,
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ValueError(f"points must have shape (n, {dim})")
-    if origin is None:
-        origin = np.zeros(dim)
-    displacement2 = ((pts - np.asarray(origin, dtype=float)) ** 2).sum(axis=1)
+    displacement2 = (pts**2).sum(axis=1)
     return (_kernel_peak(dim, d_coeff, t)
             * np.exp(-displacement2 / (4.0 * d_coeff * t)))
 
@@ -252,7 +242,7 @@ def _level_specs(base: WalkSpec, refinements: int) -> list[WalkSpec]:
     """The base level and ``refinements`` halvings of a_s at D = 1."""
     return [WalkSpec(base.dim, base.a_s / 2**k,
                      (base.a_s / 2**k) ** 2 / (2.0 * base.dim),
-                     base.n_walkers, base.n_steps * 4**k, base.origin)
+                     base.n_walkers, base.n_steps * 4**k)
             for k in range(refinements + 1)]
 
 
@@ -286,8 +276,7 @@ def convergence_scan(base_spec: WalkSpec, refinements: int,
     for k, spec in enumerate(_level_specs(base_spec, refinements)):
         a_s = spec.a_s
         field = simulate_walk(spec, rng.substream(k))
-        kernel = analytic_kernel(spec.dim, 1.0, field.time, field.points,
-                                 np.asarray(spec.origin) * a_s)
+        kernel = analytic_kernel(spec.dim, 1.0, field.time, field.points)
         sup_error = float(np.abs(field.density - kernel).max())
         peak_mass = float(field.masses.max())
         peak_se = math.sqrt(peak_mass * (1.0 - peak_mass)

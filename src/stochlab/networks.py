@@ -63,8 +63,8 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) is not ordered within range")
 
     @classmethod
-    def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]],
-                   skipped_rewires: int = 0) -> "Graph":
+    def from_edges(cls, n: int,
+                   pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Normalize arbitrary (u, v) pairs; rejects self-loops."""
         normalized = set()
         for u, v in pairs:
@@ -72,8 +72,7 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             normalized.add((min(u, v), max(u, v)))
-        return cls(n=n, edges=frozenset(normalized),
-                   skipped_rewires=skipped_rewires)
+        return cls(n=n, edges=frozenset(normalized))
 
     @property
     def edge_count(self) -> int:

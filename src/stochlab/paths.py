@@ -2,7 +2,7 @@
 
 Paths x(t) live on a lattice of n_t equally spaced imaginary-time slices with
 fixed endpoints.  A site-by-site Metropolis sampler draws paths with Boltzmann
-weight exp(-S) (units with hbar = 1), where S is the discretized Euclidean
+weight exp(-S) (units with hbar = m = 1), where S is the discretized Euclidean
 action.  Coarsening a sampled path and measuring its summed length L against
 the fluctuation scale dx of the coarse increments gives a power law mean
 L ~ dx**alpha whose exponent determines the fractal dimension of the paths:
@@ -65,20 +65,19 @@ class Lattice:
 
 @dataclass(frozen=True)
 class EuclideanAction:
-    """Mass, potential, and slice spacing defining the Euclidean action.
+    """Potential and slice spacing defining the Euclidean action.
 
-    The Boltzmann weight of a path is exp(-S), in units with hbar = 1.
+    The Boltzmann weight of a path is exp(-S), in units with hbar = m = 1.
     A ``None`` potential is the free particle (V = 0): the sampler and the
     action skip its term, which for an evaluated zero would add only +0.0.
     """
 
-    mass: float
     potential: Callable[[np.ndarray], np.ndarray] | None
     a_t: float
 
     def __post_init__(self) -> None:
-        if self.mass <= 0 or self.a_t <= 0:
-            raise ValueError("mass and a_t must be positive")
+        if self.a_t <= 0:
+            raise ValueError("a_t must be positive")
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def action(positions, dynamics: EuclideanAction):
     """Discretized Euclidean action, kinetic links plus trapezoid-weighted
     potential, of each path along the last axis (a scalar for one path)."""
     positions = np.asarray(positions, dtype=float)
-    kinetic = (dynamics.mass / (2.0 * dynamics.a_t)) * (
+    kinetic = (1.0 / (2.0 * dynamics.a_t)) * (
         np.diff(positions) ** 2).sum(axis=-1)
     if dynamics.potential is None:
         return kinetic
@@ -223,7 +222,7 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
     # Drawing the start from the exact free-action bridge removes that
     # burn-in entirely for V = 0 and leaves only the fast, locally driven
     # relaxation toward V for interacting potentials.
-    step_std = math.sqrt(dynamics.a_t / dynamics.mass)
+    step_std = math.sqrt(dynamics.a_t)
     walk = np.zeros((chains, n_t))
     walk[:, 1:] = np.cumsum([gen.normal(0.0, step_std, size=n_t - 1)
                              for gen in gens], axis=1)
@@ -275,7 +274,7 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
                             accepted[:, lane_block]))
             per_sweep += 2 * size
 
-    coef = dynamics.mass / (2.0 * dynamics.a_t)
+    coef = 1.0 / (2.0 * dynamics.a_t)
     width = np.full((chains, 1, 1), float(proposal_width))
     trace = np.empty((chains, sweeps))
     kept = np.empty((chains, sweeps - thermalization, n_t))
@@ -392,23 +391,22 @@ _BLOCK_MIN = 4
 _BLOCK_DENOM = 8
 
 
-def hausdorff_scan(ensemble) -> HausdorffScan:
+def hausdorff_scan(paths) -> HausdorffScan:
     """Length-versus-resolution scan over an ensemble of sampled paths.
 
-    ``ensemble`` is a PathEnsemble or an (n_paths, n_t) array.  Meaningful
-    statistics want >= 100 decorrelated paths; a single deterministic path is
-    accepted for smooth-curve controls.  The scan requests 8 log-spaced dx
-    values running a decade down from the coarsest achievable resolution
+    ``paths`` is an (n_paths, n_t) array.  Meaningful statistics want >= 100
+    decorrelated paths; a single deterministic path is accepted for
+    smooth-curve controls.  The scan requests 8 log-spaced dx values running
+    a decade down from the coarsest achievable resolution
     sqrt(n_t // 8) * dx_1.  Each is mapped to the achievable block size b in
     [4, n_t // 8] whose resolution dx(b) = sqrt(b) * dx_1 is nearest in log
     space, duplicates collapse, and the power law is fitted on the achieved
     (dx, mean L) points.  dx_1 cancels, so the block sizes depend on n_t
     alone, and 3 distinct points need n_t // 8 >= 9.
     """
-    paths = getattr(ensemble, "paths", ensemble)
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 2 or paths.shape[0] < 1:
-        raise ValueError("ensemble must be a non-empty 2-d array of paths")
+        raise ValueError("paths must be a non-empty 2-d array")
 
     n_t = paths.shape[1]
     blocks = np.arange(_BLOCK_MIN, n_t // _BLOCK_DENOM + 1)

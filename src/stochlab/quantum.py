@@ -3,7 +3,7 @@
 Everything here is one-dimensional on purpose: superposition, interference
 patterns, uncertainty products, exact free evolution, the imaginary-time map
 onto diffusion, and discrete spectra are all quantitatively testable without
-a 2-d PDE solver.  Default units are hbar = mass = 1; both are overridable.
+a 2-d PDE solver.  Units are hbar = mass = 1 throughout.
 
 Wavefunctions live on a uniform periodic grid (points x_min + i*dx with
 dx = (x_max - x_min)/n_points), which makes spectral evolution exactly
@@ -97,15 +97,11 @@ class WaveState:
 
     grid: Grid1D
     values: np.ndarray
-    hbar: float = 1.0
-    mass: float = 1.0
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=complex)
         if values.shape != (self.grid.n_points,):
             raise ValueError("values must match the grid size")
-        if self.hbar <= 0 or self.mass <= 0:
-            raise ValueError("hbar and mass must be positive")
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -121,23 +117,21 @@ class WaveState:
         return (np.abs(self.values) ** 2) * self.grid.dx
 
     @classmethod
-    def from_samples(cls, grid: Grid1D, raw_values, hbar: float = 1.0,
-                     mass: float = 1.0) -> "WaveState":
+    def from_samples(cls, grid: Grid1D, raw_values) -> "WaveState":
         raw = np.asarray(raw_values, dtype=complex)
         norm = math.sqrt(float((np.abs(raw) ** 2).sum() * grid.dx))
         if norm == 0.0:
             raise ValueError("cannot normalize an identically zero state")
-        return cls(grid=grid, values=raw / norm, hbar=hbar, mass=mass)
+        return cls(grid=grid, values=raw / norm)
 
     @classmethod
     def gaussian_packet(cls, grid: Grid1D, x0: float = 0.0, sigma0: float = 1.0,
-                        k0: float = 0.0, hbar: float = 1.0,
-                        mass: float = 1.0) -> "WaveState":
-        """Minimum-uncertainty packet: position std sigma0, momentum std hbar/(2 sigma0)."""
+                        k0: float = 0.0) -> "WaveState":
+        """Minimum-uncertainty packet: position std sigma0, momentum std 1/(2 sigma0)."""
         _check_width(sigma0)
         x = grid.points
         raw = np.exp(-((x - x0) ** 2) / (4.0 * sigma0**2) + 1j * k0 * x)
-        return cls.from_samples(grid, raw, hbar=hbar, mass=mass)
+        return cls.from_samples(grid, raw)
 
 
 def _check_width(sigma0: float) -> None:
@@ -279,6 +273,9 @@ def decay_sample(model: DecayModel, rng: RngStream, t_max: float,
     populated = survival > 0
     if populated.sum() < 2:
         raise ValueError("survival curve empties too quickly to fit; reduce t_max")
+    if survival[-1] == 1.0:
+        raise ValueError("no atom decays within t_max, so the survival curve "
+                         "never falls; increase t_max")
     slope = np.polyfit(times[populated], np.log(survival[populated]), 1)[0]
     return DecayResult(
         times=times,
@@ -294,7 +291,7 @@ def uncertainty_product(state: WaveState) -> UncertaintyResult:
 
     dx is the root of the variance of the position-space density |psi|^2;
     dp is computed from the second moment of the discrete momentum-space
-    density |FFT(psi)|^2 at p = hbar * k.
+    density |FFT(psi)|^2 at p = k.
     """
     if abs(state.norm_squared() - 1.0) > 1e-6:
         raise ValueError("state must be normalized")
@@ -306,7 +303,7 @@ def uncertainty_product(state: WaveState) -> UncertaintyResult:
     phi = np.fft.fft(state.values)
     weights = np.abs(phi) ** 2
     weights /= weights.sum()
-    p = state.hbar * state.grid.wavenumbers
+    p = state.grid.wavenumbers
     mean_p = float(weights @ p)
     var_p = float(weights @ (p - mean_p) ** 2)
 
@@ -318,7 +315,7 @@ def uncertainty_product(state: WaveState) -> UncertaintyResult:
 def evolve_free(state: WaveState, t: float) -> WaveState:
     """Exact free evolution by spectral phase multiplication.
 
-    Each Fourier mode picks up exp(-i hbar k^2 t / (2 mass)); the phases have
+    Each Fourier mode picks up exp(-i k^2 t / 2); the phases have
     unit modulus, so the norm is conserved to rounding.  The grid must be wide
     enough that negligible probability reaches the periodic boundary over the
     evolution horizon — that is the caller's (documented) responsibility.
@@ -326,18 +323,17 @@ def evolve_free(state: WaveState, t: float) -> WaveState:
     if t < 0:
         raise ValueError("t must be nonnegative")
     k = state.grid.wavenumbers
-    phases = np.exp(-1j * state.hbar * k**2 * t / (2.0 * state.mass))
+    phases = np.exp(-1j * k**2 * t / 2.0)
     evolved = np.fft.ifft(np.fft.fft(state.values) * phases)
-    return WaveState(grid=state.grid, values=evolved, hbar=state.hbar,
-                     mass=state.mass)
+    return WaveState(grid=state.grid, values=evolved)
 
 
 def wick_rotate_check(sigma0: float, d_coeff: float, t: float) -> WickRotation:
     """Check the imaginary-time map between wave evolution and diffusion.
 
     Route A evolves a width-sigma0 Gaussian by the spectral factor
-    exp(-hbar k^2 t / (2 mass)) — the t -> -i t continuation of free
-    evolution, with hbar/(2 mass) set to d_coeff.  Route B convolves the same
+    exp(-d_coeff k^2 t) — the t -> -i t continuation of free evolution
+    exp(-i k^2 t / 2), with its 1/2 set to d_coeff.  Route B convolves the same
     initial function with the analytic heat kernel at diffusion constant
     d_coeff by direct quadrature.  The two must agree pointwise; the relative
     sup-norm gap is returned as identity_residual.
@@ -366,7 +362,7 @@ def wick_rotate_check(sigma0: float, d_coeff: float, t: float) -> WickRotation:
     psi0 = np.exp(-(x**2) / (4.0 * sigma0**2))
     psi0 /= math.sqrt(float((psi0**2).sum() * dx))
 
-    # Route A: spectral imaginary-time evolution (hbar/2m = d_coeff).
+    # Route A: spectral imaginary-time evolution (1/2 -> d_coeff).
     k = grid.wavenumbers
     evolved_a = np.fft.ifft(np.fft.fft(psi0) * np.exp(-d_coeff * k**2 * t)).real
 
@@ -399,9 +395,8 @@ def _check_levels(n_levels: int, n_points: int) -> None:
 
 def spectrum_gaps(potential: Callable[[np.ndarray], np.ndarray], grid: Grid1D,
                   n_levels: int, commuting_mode: bool = False,
-                  hbar: float = 1.0, mass: float = 1.0,
                   return_states: bool = False) -> SpectrumResult:
-    """Lowest eigenvalues and level gaps of H = p^2/(2m) + V.
+    """Lowest eigenvalues and level gaps of H = p^2/2 + V.
 
     Default mode discretizes H with Dirichlet finite differences on the
     interior sampling x_min + j * h, h = (x_max - x_min)/(n_points + 1),
@@ -411,16 +406,16 @@ def spectrum_gaps(potential: Callable[[np.ndarray], np.ndarray], grid: Grid1D,
     ~20 points per local de Broglie wavelength of the highest level.
 
     With commuting_mode the Hamiltonian is taken diagonal in momentum,
-    E(p) = p^2/(2m) + potential(p), evaluated over the grid's momentum
-    lattice (spacing 2 pi hbar / (n dx)).  The sorted values form a band:
+    E(p) = p^2/2 + potential(p), evaluated over the grid's momentum
+    lattice (spacing 2 pi / (n dx)).  The sorted values form a band:
     growing n at fixed dx refines the band, and the largest adjacent gap
     shrinks like 1/n — there is no resolution-independent gap to converge
     to, so no refinement check is performed.
     """
     _check_levels(n_levels, grid.n_points)
     if commuting_mode:
-        p = np.sort(hbar * grid.wavenumbers)
-        energies = np.sort(p**2 / (2.0 * mass) + np.asarray(potential(p), dtype=float))
+        p = np.sort(grid.wavenumbers)
+        energies = np.sort(p**2 / 2.0 + np.asarray(potential(p), dtype=float))
         energies = energies[:n_levels]
         return SpectrumResult(energies=energies, gaps=np.diff(energies))
 
@@ -430,7 +425,7 @@ def spectrum_gaps(potential: Callable[[np.ndarray], np.ndarray], grid: Grid1D,
     def solve(n_points: int, with_states: bool = False):
         h = (grid.x_max - grid.x_min) / (n_points + 1)
         xs = grid.x_min + h * np.arange(1, n_points + 1)
-        kin = hbar**2 / (2.0 * mass * h**2)
+        kin = 1.0 / (2.0 * h**2)
         diag = 2.0 * kin + np.asarray(potential(xs), dtype=float)
         off = np.full(n_points - 1, -kin)
         out = eigh_tridiagonal(diag, off, select="i",

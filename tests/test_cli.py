@@ -16,11 +16,11 @@ import pytest
 import scipy
 
 from test_golden import GOLDEN_CLI
-from util import RERUN_CONFIGS, golden_seed, needs_two_cpus
+from util import RERUN_CONFIGS, golden_seed, needs_two_cpus, run_runner
 
 from stochlab import cli
 from stochlab.cli import ConfigError, ExperimentConfig
-from stochlab.core import available_cpus
+from stochlab.core import RngStream, available_cpus
 from stochlab.networks import parse_edge_list
 
 
@@ -108,7 +108,7 @@ def test_cross_checks_catch_inconsistent_combinations():
           for mode in (False, True)],
         ("paths", {"sweeps": "100", "thermalization": "100"},
          [("sweeps", lambda: metropolis_batch(
-             EuclideanAction(1.0, None, 0.05), Lattice(256), [rng],
+             EuclideanAction(None, 0.05), Lattice(256), [rng],
              sweeps=100, thermalization=100))]),
         ("diffuse", {"a_t": "0.2"},
          [("a_t", lambda: convergence_scan(WalkSpec(1, 0.5, 0.2, 10**6, 8),
@@ -454,6 +454,19 @@ def test_replica_fanout_orders_rows_and_summaries(tmp_path):
         assert -0.75 < slope < -0.25
 
 
+def test_mcint_polyprod_estimate_is_within_its_error():
+    summary = run_runner("mcint", RngStream(97, 0), integrand="polyprod",
+                         samples=20_000).summary
+    assert summary["exact"] == (2.0 / 3.0) ** 2
+    assert abs(summary["z_score"]) < 3.0
+
+
+def test_clt_uniform_sampler_error_scales_as_n_to_minus_one_half():
+    slope = run_runner("clt", RngStream(98, 0), sampler="uniform",
+                       replicas=400).summary["slope"]
+    assert abs(slope + 0.5) <= 0.05
+
+
 def test_replicas_use_distinct_substreams(tmp_path):
     cli.run(ExperimentConfig("mcint", {"samples": "2000"},
                              output_dir=str(tmp_path), seed=1, replicas=2))
@@ -663,6 +676,20 @@ def test_main_runtime_failure_exits_3(jobs, tmp_path, capsys):
     assert capsys.readouterr().err == ("runtime failure: IntegrationError: "
                                        "|x| exceeded 1000 at t = 3.6; "
                                        "reduce dt\n")
+
+
+@pytest.mark.parametrize("rate, cause", [
+    ("1000", "survival curve empties too quickly to fit; reduce t_max"),
+    ("1e-300", "no atom decays within t_max, so the survival curve never "
+               "falls; increase t_max"),
+], ids=["empties-in-one-bin", "never-falls"])
+def test_decay_survival_curve_that_cannot_be_fitted_exits_3(rate, cause,
+                                                            tmp_path, capsys):
+    code = cli.main(["decay", f"rate_lambda={rate}", "--jobs", "1",
+                     "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err == (f"runtime failure: ValueError: "
+                                       f"{cause}\n")
 
 
 def test_main_validates_once_through_the_module_global(tmp_path,

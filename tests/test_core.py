@@ -298,8 +298,8 @@ class TestLowHighPowerRatio:
         assert 0.5 < low_high_power_ratio(noise) < 2.0
 
     def test_short_and_silent_signals(self):
-        assert math.isnan(low_high_power_ratio(np.ones(31), segments=8))
-        assert low_high_power_ratio(np.zeros(64), segments=8) == math.inf
+        assert math.isnan(low_high_power_ratio(np.ones(31)))
+        assert low_high_power_ratio(np.zeros(64)) == math.inf
 
 
 class TestFitPowerLaw:

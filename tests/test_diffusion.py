@@ -33,9 +33,6 @@ def test_spec_validates_dimension_and_spacings():
         WalkSpec(dim=1, a_s=0.0, a_t=0.01, n_walkers=10, n_steps=5)
     with pytest.raises(ValueError):
         WalkSpec(dim=1, a_s=0.1, a_t=0.01, n_walkers=0, n_steps=5)
-    with pytest.raises(ValueError):
-        WalkSpec(dim=2, a_s=0.1, a_t=0.01, n_walkers=10, n_steps=5,
-                 origin=(1,))
     # 3-d site keys fit int64 up to 8 * 4**8 steps, not at 8 * 4**9.
     WalkSpec(dim=3, a_s=0.1, a_t=0.01, n_walkers=1, n_steps=8 * 4**8)
     with pytest.raises(ValueError, match="packed site keys"):
@@ -52,7 +49,6 @@ def test_spec_records_scaling_ratio_and_d():
     spec = WalkSpec(dim=2, a_s=0.2, a_t=0.01, n_walkers=1, n_steps=1)
     assert spec.scaling_ratio == pytest.approx(4.0)
     assert spec.d_coeff == pytest.approx(1.0)
-    assert spec.origin == (0, 0)
 
 
 def test_field_rejects_bad_normalization():
@@ -67,12 +63,11 @@ def test_field_rejects_bad_normalization():
 
 
 def test_zero_steps_is_a_delta_at_the_origin():
-    spec = WalkSpec(dim=2, a_s=0.1, a_t=0.01, n_walkers=500, n_steps=0,
-                    origin=(3, -2))
+    spec = WalkSpec(dim=2, a_s=0.1, a_t=0.01, n_walkers=500, n_steps=0)
     field = simulate_walk(spec, RngStream(50, 0))
     assert field.masses.shape == (1,)
     assert field.masses[0] == 1.0
-    np.testing.assert_allclose(field.points[0], [0.3, -0.2])
+    assert field.points[0].tolist() == [0.0, 0.0]
 
 
 def test_variance_matches_heat_kernel_moment():
@@ -150,13 +145,13 @@ def _walk_and_stream_end(spec, chunk, monkeypatch):
 def test_chunk_size_changes_no_draw_and_no_site(dim, chunk, monkeypatch):
     # 10,001 walkers are a multiple of neither chunk, so the last is short.
     spec = WalkSpec(dim=dim, a_s=0.5, a_t=0.25 / (2 * dim), n_walkers=10_001,
-                    n_steps=24, origin=(2, -1, 3)[:dim])
+                    n_steps=24)
     whole, whole_end = _walk_and_stream_end(spec, 1 << 30, monkeypatch)
     field, end = _walk_and_stream_end(spec, chunk, monkeypatch)
     assert field.points.tobytes() == whole.points.tobytes()
     assert field.masses.tobytes() == whole.masses.tobytes()
     assert end == whole_end
-    coords = np.round(field.points / spec.a_s).astype(np.int64) - spec.origin
+    coords = np.round(field.points / spec.a_s).astype(np.int64)
     keys = diffusion._encode(coords, spec.n_steps, dim)
     assert np.all(np.diff(keys) > 0)
 
@@ -217,13 +212,6 @@ def test_kernel_variance_is_2dt_per_axis():
         density = analytic_kernel(1, d_coeff, t, xs)
         variance = np.trapezoid(xs**2 * density, xs)
         assert variance == pytest.approx(2 * d_coeff * t, rel=1e-6)
-
-
-def test_kernel_respects_origin_shift():
-    xs = np.array([[1.0, 2.0]])
-    shifted = analytic_kernel(2, 1.0, 0.7, xs, origin=[1.0, 2.0])
-    peak = analytic_kernel(2, 1.0, 0.7, np.array([[0.0, 0.0]]))
-    assert shifted[0] == pytest.approx(peak[0])
 
 
 def test_kernel_validates_arguments():

@@ -350,9 +350,12 @@ def test_thermo_validation_and_capability_bound():
 
 
 def test_coupling_free_ground_state_is_the_lexicographic_first_config():
-    config, ground = ground_state_bruteforce(_zero_couplings(6))
-    assert ground == 0.0
-    assert np.array_equal(config.spins, -np.ones(6, dtype=np.int8))
+    # At n = 14 the half space spans two 4,096-row chunks, so the tie is
+    # also broken across chunks.
+    for n in (6, 14):
+        config, ground = ground_state_bruteforce(_zero_couplings(n))
+        assert ground == 0.0
+        assert np.array_equal(config.spins, -np.ones(n, dtype=np.int8))
 
 
 def test_ferromagnet_ground_state_is_aligned_with_tie_broken_down():

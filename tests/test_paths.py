@@ -54,9 +54,7 @@ def test_lattice_rejects_too_few_slices():
 
 def test_dynamics_rejects_nonpositive_parameters():
     with pytest.raises(ValueError):
-        EuclideanAction(mass=0.0, potential=zero_potential, a_t=0.1)
-    with pytest.raises(ValueError):
-        EuclideanAction(mass=1.0, potential=zero_potential, a_t=-0.1)
+        EuclideanAction(potential=zero_potential, a_t=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -64,22 +62,22 @@ def test_dynamics_rejects_nonpositive_parameters():
 
 
 def test_constant_path_has_zero_action():
-    dyn = EuclideanAction(mass=2.0, potential=zero_potential, a_t=0.3)
+    dyn = EuclideanAction(potential=zero_potential, a_t=0.3)
     assert action(np.full(50, 1.7), dyn) == 0.0
 
 
 def test_single_kinetic_link():
-    dyn = EuclideanAction(mass=1.0, potential=zero_potential, a_t=1.0)
+    dyn = EuclideanAction(potential=zero_potential, a_t=1.0)
     assert action(np.array([0.0, 1.0]), dyn) == pytest.approx(0.5)
 
 
 def test_action_matches_direct_resummation():
     a_t = 0.07
-    dyn = EuclideanAction(mass=1.3, potential=harmonic_potential, a_t=a_t)
+    dyn = EuclideanAction(potential=harmonic_potential, a_t=a_t)
     xs = np.linspace(0.0, 1.0, 100)
     expected = 0.0
     for j in range(99):
-        expected += 1.3 * (xs[j + 1] - xs[j]) ** 2 / (2.0 * a_t)
+        expected += (xs[j + 1] - xs[j]) ** 2 / (2.0 * a_t)
     for j in range(100):
         weight = 0.5 if j in (0, 99) else 1.0
         expected += weight * a_t * harmonic_potential(xs[j])
@@ -88,7 +86,7 @@ def test_action_matches_direct_resummation():
 
 @given(st.floats(-50, 50), st.integers(3, 40))
 def test_any_constant_path_is_free_of_action(c, n_t):
-    dyn = EuclideanAction(mass=1.0, potential=zero_potential, a_t=0.2)
+    dyn = EuclideanAction(potential=zero_potential, a_t=0.2)
     assert action(np.full(n_t, c), dyn) == 0.0
 
 
@@ -97,13 +95,13 @@ def test_any_constant_path_is_free_of_action(c, n_t):
 
 
 def test_distance_of_path_to_itself_is_zero():
-    dyn = EuclideanAction(1.0, harmonic_potential, 0.1)
+    dyn = EuclideanAction(harmonic_potential, 0.1)
     p = np.sin(np.arange(20))
     assert path_distance(p, p, dyn) == 0.0
 
 
 def test_mirror_path_in_symmetric_potential_is_at_distance_zero():
-    dyn = EuclideanAction(1.0, harmonic_potential, 0.1)
+    dyn = EuclideanAction(harmonic_potential, 0.1)
     gen = RngStream(3, 0).gen
     xs = gen.normal(size=24)
     assert path_distance(xs, -xs, dyn) == pytest.approx(0.0, abs=1e-12)
@@ -111,7 +109,7 @@ def test_mirror_path_in_symmetric_potential_is_at_distance_zero():
 
 
 def test_distance_equals_absolute_action_difference():
-    dyn = EuclideanAction(1.0, harmonic_potential, 0.1)
+    dyn = EuclideanAction(harmonic_potential, 0.1)
     gen = RngStream(4, 0).gen
     p1, p2 = gen.normal(size=30), gen.normal(size=30)
     expected = abs(action(p1, dyn) - action(p2, dyn))
@@ -120,7 +118,7 @@ def test_distance_equals_absolute_action_difference():
 
 
 def test_distance_satisfies_triangle_inequality_on_sampled_triples():
-    dyn = EuclideanAction(1.0, harmonic_potential, 0.1)
+    dyn = EuclideanAction(harmonic_potential, 0.1)
     gen = RngStream(5, 0).gen
     paths = gen.normal(size=(12, 16))
     for a in paths[:4]:
@@ -133,7 +131,7 @@ def test_distance_satisfies_triangle_inequality_on_sampled_triples():
 
 
 def test_distance_rejects_incompatible_lattices():
-    dyn = EuclideanAction(1.0, zero_potential, 0.1)
+    dyn = EuclideanAction(zero_potential, 0.1)
     with pytest.raises(ValueError):
         path_distance(np.zeros(5), np.zeros(6), dyn)
 
@@ -144,7 +142,7 @@ def test_distance_rejects_incompatible_lattices():
 
 @pytest.fixture(scope="module")
 def free_run():
-    dyn = EuclideanAction(mass=1.0, potential=zero_potential, a_t=0.05)
+    dyn = EuclideanAction(potential=zero_potential, a_t=0.05)
     lattice = Lattice(n_t=64)
     return metropolis_batch(dyn, lattice, [RngStream(17, 0)],
                             sweeps=5000, thermalization=1000,
@@ -154,7 +152,7 @@ def free_run():
 @pytest.fixture(scope="module")
 def pooled_free_chains():
     """Eight independent free-particle chains at n_t = 128, pooled."""
-    dyn = EuclideanAction(mass=1.0, potential=zero_potential, a_t=0.05)
+    dyn = EuclideanAction(potential=zero_potential, a_t=0.05)
     lattice = Lattice(n_t=128)
     return metropolis_batch(dyn, lattice, [RngStream(33, k) for k in range(8)],
                             4000, 800)
@@ -226,7 +224,7 @@ def _assert_bitwise_equal(ours, theirs):
 @pytest.mark.parametrize("case", sorted(_BATCH_CASES))
 def test_batch_equals_separate_chains_and_reference_loop(case):
     potential, n_t, a_t, chains, sweeps, therm, audit = _BATCH_CASES[case]
-    dyn = EuclideanAction(1.0, potential, a_t)
+    dyn = EuclideanAction(potential, a_t)
     lat = Lattice(n_t, x_start=0.5)
     args = (sweeps, therm, 0.7, audit)
     streams = [RngStream(61, k) for k in range(chains)]
@@ -249,7 +247,7 @@ def test_batch_equals_separate_chains_and_reference_loop(case):
 def test_nine_chain_case_has_differing_strides():
     potential, n_t, a_t, chains, sweeps, therm, audit = _BATCH_CASES[
         "nine-chains"]
-    runs = metropolis_batch(EuclideanAction(1.0, potential, a_t),
+    runs = metropolis_batch(EuclideanAction(potential, a_t),
                             Lattice(n_t, x_start=0.5),
                             [RngStream(61, k) for k in range(chains)],
                             sweeps, therm, 0.7, audit)
@@ -266,7 +264,7 @@ def test_batch_raises_no_floating_point_error(potential):
     config = RERUN_CONFIGS["paths"]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         runs = metropolis_batch(
-            EuclideanAction(1.0, potential, 0.05), Lattice(int(config["n_t"])),
+            EuclideanAction(potential, 0.05), Lattice(int(config["n_t"])),
             [RngStream(29, k) for k in range(int(config["chains"]))],
             int(config["sweeps"]), int(config["thermalization"]))
     assert all(np.isfinite(run.action_trace).all() for run in runs)
@@ -276,7 +274,7 @@ def test_batch_evaluates_the_potential_only_at_path_values():
     # 1 / x**2 is singular at 0, which these paths from 5 to 5 never reach;
     # a padding lane holding 0.0 would divide by zero.
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        metropolis_batch(EuclideanAction(1.0, lambda x: 1.0 / (x * x), 0.05),
+        metropolis_batch(EuclideanAction(lambda x: 1.0 / (x * x), 0.05),
                          Lattice(16, x_start=5.0, x_end=5.0),
                          [RngStream(37, k) for k in range(3)], 200, 50)
 
@@ -286,7 +284,7 @@ def test_batch_holds_no_second_path_sized_buffer():
     # the sampler's working set is a few tuning blocks.
     chains, sweeps, n_t = 4, 9000, 256
     runs, peak = traced_peak(metropolis_batch,
-                             EuclideanAction(1.0, None, 0.05), Lattice(n_t),
+                             EuclideanAction(None, 0.05), Lattice(n_t),
                              [RngStream(31, k) for k in range(chains)],
                              sweeps, 0)
     kept_bytes = chains * sweeps * n_t * 8
@@ -299,7 +297,7 @@ def test_none_potential_equals_zeros_potential_bitwise(thermalization):
     # The kernel skips V = None; V = 0 adds +0.0 to a delta S and an action
     # that are never -0.0.  Byte equality includes every sign bit.
     lat = Lattice(20, x_start=0.3)
-    runs = [metropolis_batch(EuclideanAction(1.0, potential, 0.05), lat,
+    runs = [metropolis_batch(EuclideanAction(potential, 0.05), lat,
                              [RngStream(83, k) for k in range(2)], 120,
                              thermalization, 0.7, 25)
             for potential in (None, zero_potential)]
@@ -315,12 +313,12 @@ def test_action_with_none_potential_equals_zeros_potential_bitwise():
     for shape in (2, 3, 64, (25, 64)):
         paths = rng.normal(size=shape)
         skipped, evaluated, harmonic = (
-            np.asarray(action(paths, EuclideanAction(1.0, potential, 0.05)))
+            np.asarray(action(paths, EuclideanAction(potential, 0.05)))
             for potential in (None, zero_potential, harmonic_potential))
         assert skipped.tobytes() == evaluated.tobytes()
         for potential, actions in ((None, skipped),
                                    (harmonic_potential, harmonic)):
-            dyn = EuclideanAction(1.0, potential, 0.05)
+            dyn = EuclideanAction(potential, 0.05)
             rows = [action(row, dyn)
                     for row in paths.reshape(-1, paths.shape[-1])]
             assert actions.tobytes() == np.array(rows).tobytes()
@@ -328,7 +326,7 @@ def test_action_with_none_potential_equals_zeros_potential_bitwise():
 
 def test_batch_needs_a_stream():
     with pytest.raises(ValueError):
-        metropolis_batch(EuclideanAction(1.0, zero_potential, 0.1),
+        metropolis_batch(EuclideanAction(zero_potential, 0.1),
                          Lattice(16), [], 10, 0)
 
 
@@ -351,7 +349,7 @@ def test_audit_confirms_metropolis_rule(free_run):
 
 
 def test_same_stream_reproduces_bitwise():
-    dyn = EuclideanAction(1.0, zero_potential, 0.1)
+    dyn = EuclideanAction(zero_potential, 0.1)
     lat = Lattice(32)
     a = metropolis_batch(dyn, lat, [RngStream(9, 1)], 300, 100)[0]
     b = metropolis_batch(dyn, lat, [RngStream(9, 1)], 300, 100)[0]
@@ -362,7 +360,7 @@ def test_same_stream_reproduces_bitwise():
 
 
 def test_nonzero_endpoints_are_respected():
-    dyn = EuclideanAction(1.0, zero_potential, 0.1)
+    dyn = EuclideanAction(zero_potential, 0.1)
     lat = Lattice(32, x_start=-1.0, x_end=2.0)
     run = metropolis_batch(dyn, lat, [RngStream(9, 3)], 200, 50)[0]
     assert np.all(run.paths[:, 0] == -1.0)
@@ -370,7 +368,7 @@ def test_nonzero_endpoints_are_respected():
 
 
 def test_sampler_validates_arguments():
-    dyn = EuclideanAction(1.0, zero_potential, 0.1)
+    dyn = EuclideanAction(zero_potential, 0.1)
     lat = Lattice(16)
     with pytest.raises(ValueError):
         metropolis_batch(dyn, lat, [RngStream(1)], sweeps=10, thermalization=10)
@@ -389,7 +387,7 @@ def test_harmonic_spread_matches_eigensolver_ground_state():
     # of six independent streams gives a correlation-honest error bar; the
     # 3e-3 term allows for the leading lattice bias at a_t = 0.2.
     a_t, n_t = 0.2, 160
-    dyn = EuclideanAction(1.0, harmonic_potential, a_t)
+    dyn = EuclideanAction(harmonic_potential, a_t)
     runs = metropolis_batch(dyn, Lattice(n_t),
                             [RngStream(23, k) for k in range(6)],
                             sweeps=4500, thermalization=1200)
@@ -437,7 +435,7 @@ def test_dimension_is_stable_under_slice_doubling():
     # Same physical extent, twice the slices: the estimate moves < 0.1.
     estimates = []
     for n_t, a_t in ((128, 0.1), (256, 0.05)):
-        dyn = EuclideanAction(1.0, zero_potential, a_t)
+        dyn = EuclideanAction(zero_potential, a_t)
         lat = Lattice(n_t)
         pooled = np.concatenate([
             run.paths for run in metropolis_batch(
@@ -452,14 +450,6 @@ def test_scan_reports_decreasing_resolutions_and_blocks():
     assert np.all(np.diff(scan.resolutions) < 0)
     assert np.all(np.diff(scan.block_sizes) < 0)
     assert len(scan.resolutions) >= 3
-
-
-def test_scan_accepts_ensemble_object():
-    dyn = EuclideanAction(1.0, zero_potential, 0.05)
-    run = metropolis_batch(dyn, Lattice(128), [RngStream(31, 9)],
-                           3000, 500)[0]
-    scan = hausdorff_scan(run)
-    assert 1.7 <= scan.d_h <= 2.3
 
 
 def test_scan_rejects_constant_ensemble():

@@ -103,8 +103,7 @@ def count_local_maxima(values) -> int:
     return int(np.sum((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:])))
 
 
-def random_smooth_state(grid: Grid1D, rng: RngStream, hbar: float = 1.0,
-                        mass: float = 1.0) -> WaveState:
+def random_smooth_state(grid: Grid1D, rng: RngStream) -> WaveState:
     """A random localized, band-limited, normalized state on the grid."""
     n = grid.n_points
     span = grid.x_max - grid.x_min
@@ -117,7 +116,7 @@ def random_smooth_state(grid: Grid1D, rng: RngStream, hbar: float = 1.0,
     center = rng.gen.uniform(grid.x_min + 0.35 * span, grid.x_max - 0.35 * span)
     width = rng.gen.uniform(span / 40.0, span / 10.0)
     envelope = np.exp(-((grid.points - center) ** 2) / (4.0 * width**2))
-    return WaveState.from_samples(grid, field * envelope, hbar=hbar, mass=mass)
+    return WaveState.from_samples(grid, field * envelope)
 
 
 def brownian_bridge_paths(n_paths: int, n_t: int, step_var: float,
@@ -145,7 +144,7 @@ def crank_nicolson_free_evolution(state: WaveState, t: float,
     n = state.grid.n_points
     dx = state.grid.dx
     dt = t / steps
-    kin = state.hbar**2 / (2.0 * state.mass * dx**2)
+    kin = 1.0 / (2.0 * dx**2)
     laplacian = diags(
         [1.0, 1.0, -2.0, 1.0, 1.0],
         offsets=[-(n - 1), -1, 0, 1, n - 1],
@@ -154,7 +153,7 @@ def crank_nicolson_free_evolution(state: WaveState, t: float,
         dtype=complex,
     )
     hamiltonian = -kin * laplacian
-    factor = 1j * dt / (2.0 * state.hbar)
+    factor = 1j * dt / 2.0
     forward = (identity(n, format="csc", dtype=complex) + factor * hamiltonian).tocsc()
     backward = (identity(n, format="csc", dtype=complex) - factor * hamiltonian).tocsr()
     solver = splu(forward)
@@ -179,13 +178,13 @@ def reference_metropolis(dynamics, lattice, rng: RngStream, sweeps: int,
                  else dynamics.potential)
 
     def action_of(positions):
-        kinetic = (dynamics.mass / (2.0 * dynamics.a_t)) * float(
+        kinetic = (1.0 / (2.0 * dynamics.a_t)) * float(
             (np.diff(positions) ** 2).sum())
         v = np.asarray(potential(positions), dtype=float)
         return kinetic + dynamics.a_t * float(v.sum() - 0.5 * (v[0] + v[-1]))
 
     n_t, gen = lattice.n_t, rng.gen
-    step_std = math.sqrt(dynamics.a_t / dynamics.mass)
+    step_std = math.sqrt(dynamics.a_t)
     walk = np.concatenate([[0.0], np.cumsum(gen.normal(0.0, step_std,
                                                        size=n_t - 1))])
     x = (np.linspace(lattice.x_start, lattice.x_end, n_t)
@@ -193,7 +192,7 @@ def reference_metropolis(dynamics, lattice, rng: RngStream, sweeps: int,
     interior = np.arange(1, n_t - 1)
     groups = [g for g in (interior[interior % 2 == 1],
                           interior[interior % 2 == 0]) if g.size > 0]
-    coef = dynamics.mass / (2.0 * dynamics.a_t)
+    coef = 1.0 / (2.0 * dynamics.a_t)
     width = float(proposal_width)
     trace = np.empty(sweeps)
     kept = np.empty((sweeps - thermalization, n_t))
