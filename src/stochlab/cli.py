@@ -247,16 +247,12 @@ def _cross_paths(p) -> list:
 
 
 def _cross_diffuse(p) -> list:
-    from .diffusion import WalkSpec, _check_cell, _check_pinning, _level_specs
+    from .diffusion import _check_cell, _level_specs, _time_step
 
-    def specs():
-        return _level_specs(WalkSpec(p["dim"], p["a_s"], p["a_t"],
-                                     p["n_walkers"], p["n_steps"]),
-                            p["refinements"])
-
-    return (_rule("a_t", _check_pinning, p["dim"], p["a_s"], p["a_t"])
+    return (_rule("a_s", _time_step, p["dim"], p["a_s"])
             or _rule("a_s", _check_cell, p["dim"], p["a_s"])
-            or _rule("refinements", specs))
+            or _rule("refinements", _level_specs, p["dim"], p["a_s"],
+                     p["n_walkers"], p["n_steps"], p["refinements"]))
 
 
 def _cross_resonance(p) -> list:
@@ -278,11 +274,12 @@ def _cross_resonance(p) -> list:
 def _cross_memory(p) -> list:
     from .memory import _ENUM_LIMIT, _check_flips
 
-    out = _rule("corrupt_flips", _check_flips, p["corrupt_flips"], p["n"])
-    if p["task"] == "anneal" and p["n"] > _ENUM_LIMIT:
-        out.append(f"n: anneal task needs n <= {_ENUM_LIMIT} "
-                   "(exhaustive oracle bound)")
-    return out
+    if p["task"] == "retrieve":
+        return _rule("corrupt_flips", _check_flips, p["corrupt_flips"], p["n"])
+    if p["n"] > _ENUM_LIMIT:
+        return [f"n: anneal task needs n <= {_ENUM_LIMIT} "
+                "(exhaustive oracle bound)"]
+    return []
 
 
 def _cross_network(p) -> list:
@@ -506,15 +503,14 @@ def _run_paths(p, rng, jobs) -> _RunOutput:
 
 
 def _run_diffuse(p, rng, jobs) -> _RunOutput:
-    from .diffusion import WalkSpec, _kernel_peak, convergence_scan
+    from .diffusion import _kernel_peak, convergence_scan
 
-    base = WalkSpec(dim=p["dim"], a_s=p["a_s"], a_t=p["a_t"],
-                    n_walkers=p["n_walkers"], n_steps=p["n_steps"])
-    levels = convergence_scan(base, p["refinements"], rng)
+    levels = convergence_scan(p["dim"], p["a_s"], p["n_walkers"],
+                              p["n_steps"], p["refinements"], rng)
     rows = [(lv.a_s, lv.a_t, lv.n_steps, lv.sup_error, lv.sampling_limited)
             for lv in levels]
     errors = [lv.sup_error for lv in levels]
-    peak = _kernel_peak(base.dim, 1.0, base.duration)
+    peak = _kernel_peak(p["dim"], 1.0, levels[0].n_steps * levels[0].a_t)
     summary = {
         "final_sup_error": errors[-1],
         "final_error_over_peak": errors[-1] / peak,
@@ -743,7 +739,6 @@ EXPERIMENTS: dict[str, _Experiment] = {
     "diffuse": _Experiment(_run_diffuse, {
         "dim": _i(1, lambda v: 1 <= v <= 3, "must be 1, 2, or 3"),
         "a_s": _f(0.5, _positive, "must be positive"),
-        "a_t": _f(0.125, _positive, "must be positive"),
         "n_walkers": _at_least(1, 1_000_000),
         "n_steps": _at_least(1, 8),
         "refinements": _at_least(2, 2),

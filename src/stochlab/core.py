@@ -27,6 +27,7 @@ from numpy.random import Generator, Philox
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, the SplitMix64 increment
+SEGMENTS = 8  # equal segments that every periodogram averages over
 
 
 def _splitmix64(x: int) -> int:
@@ -171,13 +172,6 @@ class CltScaling:
     slope: float
 
 
-def gaussian(rng: RngStream, mu: float, sigma: float) -> float:
-    """One draw from N(mu, sigma^2); sigma = 0 returns mu exactly."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    return float(rng.gen.normal(mu, sigma))
-
-
 def clt_scaling(
     rng: RngStream,
     n_values: Sequence[int],
@@ -217,9 +211,10 @@ def clt_scaling(
     return CltScaling(points=tuple(points), slope=slope)
 
 
-def periodogram(signal: Sequence[float] | np.ndarray, sample_step: float,
-                segments: int) -> PowerSpectrum:
-    """Average the squared DFT magnitude over equal non-overlapping segments.
+def periodogram(signal: Sequence[float] | np.ndarray,
+                sample_step: float) -> PowerSpectrum:
+    """Average the squared DFT magnitude over ``SEGMENTS`` equal
+    non-overlapping segments.
 
     Rectangular windows, no de-meaning: a constant signal puts all its power
     in the zero-frequency bin.  Power is normalized so that the sum over the
@@ -227,17 +222,15 @@ def periodogram(signal: Sequence[float] | np.ndarray, sample_step: float,
     signal (checked to 1e-9 in the tests).
     """
     x = np.asarray(signal, dtype=float).ravel()
-    if segments < 1:
-        raise ValueError("segments must be >= 1")
-    if x.size < 2 * segments:
+    if x.size < 2 * SEGMENTS:
         raise ValueError(
-            f"signal of length {x.size} is too short for {segments} segments "
+            f"signal of length {x.size} is too short for {SEGMENTS} segments "
             "(need at least 2 points per segment)")
     if sample_step <= 0:
         raise ValueError("sample_step must be positive")
 
-    seg_len = x.size // segments
-    chunks = x[: segments * seg_len].reshape(segments, seg_len)
+    seg_len = x.size // SEGMENTS
+    chunks = x[: SEGMENTS * seg_len].reshape(SEGMENTS, seg_len)
     # The complex spectrum is freed before the squares are taken in place.
     power = np.abs(np.fft.rfft(chunks, axis=1))
     power *= power
@@ -260,10 +253,9 @@ def low_high_power_ratio(signal: Sequence[float] | np.ndarray) -> float:
     top decile gives inf.
     """
     x = np.asarray(signal, dtype=float)
-    segments = 8
-    if x.size < 4 * segments:
+    if x.size < 4 * SEGMENTS:
         return float("nan")
-    spectrum = periodogram(x, 1.0, segments)
+    spectrum = periodogram(x, 1.0)
     power = spectrum.power[spectrum.frequencies > 0]
     k = max(1, power.size // 10)
     high = float(power[-k:].mean())

@@ -36,11 +36,16 @@ from stochlab.core import RngStream
 _CHUNK = 1 << 16
 
 
+def _check_dim(dim: int) -> None:
+    if not 1 <= dim <= 3:
+        raise ValueError("dim must be 1, 2, or 3")
+
+
 def _check_cell(dim: int, a_s: float) -> None:
     """The cell volume 2 * a_s**dim and its reciprocal, the density of one
-    walker, must be finite and positive.  With D = 1 pinned (a_s**2 = 2 *
-    dim * a_t) and t >= a_t, the heat-kernel peak (4 pi t)**(-dim/2) stays
-    below 0.8 / (2 * a_s**dim), so the rule keeps it finite as well."""
+    walker, must be finite and positive.  With a_t = a_s**2 / (2 * dim) and
+    t >= a_t, the heat-kernel peak (4 pi t)**(-dim/2) stays below 0.8 / (2
+    * a_s**dim), so the rule keeps it finite as well."""
     try:
         volume = 2.0 * float(a_s) ** dim
     except OverflowError:
@@ -74,8 +79,7 @@ class WalkSpec:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.dim <= 3:
-            raise ValueError("dim must be 1, 2, or 3")
+        _check_dim(self.dim)
         if self.a_s <= 0 or self.a_t <= 0:
             raise ValueError("a_s and a_t must be positive")
         _check_cell(self.dim, self.a_s)
@@ -88,7 +92,7 @@ class WalkSpec:
 
     @property
     def scaling_ratio(self) -> float:
-        """a_s**2 / a_t — the quantity pinned to 2 * dim in the diffusive limit."""
+        """a_s**2 / a_t, which is 2 * dim in the diffusive limit."""
         return self.a_s**2 / self.a_t
 
     @property
@@ -106,7 +110,6 @@ class DiffusionField:
 
     ``points`` holds the physical coordinates of every occupied lattice site
     (shape (n_sites, dim)) and ``masses`` the probability mass each carries.
-    :func:`simulate_walk` lists the sites in ascending packed-key order.
     ``cell_volume`` is the parity-sublattice cell volume 2 * a_s**dim, so
     ``density`` is directly comparable to a continuum kernel.
     """
@@ -214,8 +217,7 @@ def simulate_walk(spec: WalkSpec, rng: RngStream) -> DiffusionField:
 def analytic_kernel(dim: int, d_coeff: float, t: float, points) -> np.ndarray:
     """Heat kernel (4 pi D t)^(-dim/2) * exp(-|x|^2 / (4 D t)), centred on
     the origin."""
-    if not 1 <= dim <= 3:
-        raise ValueError("dim must be 1, 2, or 3")
+    _check_dim(dim)
     if t <= 0:
         raise ValueError("t must be positive")
     if d_coeff <= 0:
@@ -238,43 +240,48 @@ class ConvergenceLevel(NamedTuple):
     sampling_limited: bool
 
 
-def _level_specs(base: WalkSpec, refinements: int) -> list[WalkSpec]:
+def _time_step(dim: int, a_s: float) -> float:
+    """The time step a_t = a_s**2 / (2 * dim), at which D = 1."""
+    _check_dim(dim)
+    try:
+        a_t = a_s ** 2 / (2.0 * dim)
+    except OverflowError:
+        a_t = math.inf
+    if not 0.0 < a_t < math.inf:
+        raise ValueError("the time step a_s**2 / (2 * dim) leaves the "
+                         "double range")
+    return a_t
+
+
+def _level_specs(dim: int, a_s: float, n_walkers: int, n_steps: int,
+                 refinements: int) -> list[WalkSpec]:
     """The base level and ``refinements`` halvings of a_s at D = 1."""
-    return [WalkSpec(base.dim, base.a_s / 2**k,
-                     (base.a_s / 2**k) ** 2 / (2.0 * base.dim),
-                     base.n_walkers, base.n_steps * 4**k)
+    return [WalkSpec(dim, a_s / 2**k, _time_step(dim, a_s / 2**k),
+                     n_walkers, n_steps * 4**k)
             for k in range(refinements + 1)]
 
 
-def _check_pinning(dim: int, a_s: float, a_t: float) -> None:
-    # A product, unlike ``**``, overflows to inf (never close) instead of
-    # raising OverflowError.
-    if not math.isclose(a_s * a_s / a_t, 2.0 * dim, rel_tol=1e-12):
-        raise ValueError("a_s**2 / a_t must equal 2 * dim "
-                         "(diffusion-constant pinning)")
-
-
-def convergence_scan(base_spec: WalkSpec, refinements: int,
+def convergence_scan(dim: int, a_s: float, n_walkers: int, n_steps: int,
+                     refinements: int,
                      rng: RngStream) -> list[ConvergenceLevel]:
     """Walk-vs-kernel sup-norm error while halving a_s at fixed physical time.
 
-    Runs the base level plus ``refinements`` halvings of ``a_s``, each with
-    a_t rescaled to keep a_s**2 / a_t = 2 * dim (so D = 1) and n_steps
-    rescaled to keep the total time fixed.  Each level draws its walkers from
-    an independent substream of ``rng``.  A level is flagged
+    Runs ``n_steps`` hops of ``a_s`` and ``refinements`` halvings of a_s,
+    each at the derived step a_t = a_s**2 / (2 * dim), so D = 1, and with
+    n_steps rescaled to keep the total time fixed.  Each level draws its
+    walkers from an independent substream of ``rng``.  A level is flagged
     ``sampling_limited`` when the statistical error of its peak bin exceeds
     the leading binning-bias estimate — more walkers, not a finer lattice,
     would be needed for the next level to improve.
     """
     if refinements < 2:
         raise ValueError("need at least 2 refinements")
-    _check_pinning(base_spec.dim, base_spec.a_s, base_spec.a_t)
-    if base_spec.n_steps < 1:
-        raise ValueError("base spec must take at least one step")
+    if n_steps < 1:
+        raise ValueError("base level must take at least one step")
 
     levels = []
-    for k, spec in enumerate(_level_specs(base_spec, refinements)):
-        a_s = spec.a_s
+    specs = _level_specs(dim, a_s, n_walkers, n_steps, refinements)
+    for k, spec in enumerate(specs):
         field = simulate_walk(spec, rng.substream(k))
         kernel = analytic_kernel(spec.dim, 1.0, field.time, field.points)
         sup_error = float(np.abs(field.density - kernel).max())
@@ -282,9 +289,9 @@ def convergence_scan(base_spec: WalkSpec, refinements: int,
         peak_se = math.sqrt(peak_mass * (1.0 - peak_mass)
                             / spec.n_walkers) / field.cell_volume
         peak_kernel = _kernel_peak(spec.dim, 1.0, field.time)
-        bias_estimate = ((2.0 * a_s) ** 2 / 24.0) * spec.dim * peak_kernel / (
-            2.0 * field.time)
+        bias_estimate = ((2.0 * spec.a_s) ** 2 / 24.0) * spec.dim \
+            * peak_kernel / (2.0 * field.time)
         levels.append(ConvergenceLevel(
-            a_s=a_s, a_t=spec.a_t, n_steps=spec.n_steps, sup_error=sup_error,
-            sampling_limited=peak_se > bias_estimate))
+            a_s=spec.a_s, a_t=spec.a_t, n_steps=spec.n_steps,
+            sup_error=sup_error, sampling_limited=peak_se > bias_estimate))
     return levels

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RngStream, fan_out, periodogram
+from .core import SEGMENTS, RngStream, fan_out, periodogram
 
 __all__ = [
     "DoubleWellSpec",
@@ -44,7 +44,6 @@ class IntegrationError(RuntimeError):
 
 
 _DIVERGENCE_BOUND = 1e3
-_SEGMENTS = 8
 _BACKGROUND_HALF_WIDTH = 20
 _MIN_PERIODS = 100  # drive periods required before a spectral estimate
 _KICK_BLOCK = 1 << 13  # kicks converted to Python floats at a time
@@ -218,7 +217,7 @@ def _segment_length(n_samples: int, step: float, omega: float) -> int:
     if period_samples < 4:
         raise ValueError("drive period spans fewer than 4 samples; "
                          "sample more finely")
-    periods_per_segment = n_samples // (_SEGMENTS * period_samples)
+    periods_per_segment = n_samples // (SEGMENTS * period_samples)
     if periods_per_segment < 1:
         raise ValueError("fewer than one drive period per segment")
     # Whole-period mismatch accumulated over a segment must stay well below
@@ -243,8 +242,8 @@ def snr_at_drive(trajectory: Trajectory, omega: float) -> float:
     """
     step = trajectory.sample_step
     segment_len = _segment_length(trajectory.positions.size, step, omega)
-    used = trajectory.positions[:_SEGMENTS * segment_len]
-    spectrum = periodogram(used, step, _SEGMENTS)
+    used = trajectory.positions[:SEGMENTS * segment_len]
+    spectrum = periodogram(used, step)
     f_drive = omega / (2.0 * math.pi)
     line = int(np.argmin(np.abs(spectrum.frequencies - f_drive)))
 

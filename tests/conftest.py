@@ -1,10 +1,18 @@
-"""Session-wide fixtures."""
+"""Session-wide fixtures and the property-test profile."""
 
 import concurrent.futures
 
 import pytest
+from hypothesis import settings
 
 from util import no_pool, run_golden
+
+# Property tests draw the same examples on every run, keep no example
+# database, and have no per-example deadline; each keeps its own
+# ``max_examples``.
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

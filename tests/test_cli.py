@@ -68,9 +68,40 @@ def test_unparsable_value_is_a_violation_not_an_exception():
     assert violations == ["bins: could not parse 'many'"]
 
 
+@pytest.mark.parametrize("experiment, key, value", [
+    ("decay", "n_atoms", True),
+    ("decay", "n_atoms", 2000.5),
+    ("decay", "rate_lambda", True),
+    ("spectrum", "commuting", "maybe"),
+])
+def test_typed_values_that_are_not_of_the_key_type_are_violations(
+        experiment, key, value):
+    # API callers and manifest echoes pass typed values, not only text.
+    assert cli.validate(ExperimentConfig(experiment, {key: value})) == [
+        f"{key}: could not parse {value!r}"]
+
+
+def test_an_integral_float_is_an_integer():
+    assert cli.validate(ExperimentConfig("decay", {"n_atoms": 2000.0})) == []
+
+
 def test_every_default_config_validates_clean():
     for name in cli.EXPERIMENTS:
         assert cli.validate(ExperimentConfig(name, {})) == []
+
+
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_diffuse_in_any_dimension_needs_no_time_step(dim, tmp_path):
+    assert cli.main(["diffuse", f"dim={dim}", "--jobs", "1",
+                     "--out", str(tmp_path)]) == 0
+
+
+def test_anneal_ignores_the_retrieval_flip_count(tmp_path):
+    # corrupt_flips = 5 exceeds n = 4, but only the retrieve task reads it.
+    config = ExperimentConfig("memory", {"task": "anneal", "n": "4"})
+    assert cli.validate(config) == []
+    assert cli.main(["memory", "task=anneal", "n=4", "--jobs", "1",
+                     "--out", str(tmp_path)]) == 0
 
 
 def _library_message(call) -> str:
@@ -81,7 +112,7 @@ def _library_message(call) -> str:
 
 def test_cross_checks_catch_inconsistent_combinations():
     from stochlab.core import RngStream
-    from stochlab.diffusion import WalkSpec, convergence_scan
+    from stochlab.diffusion import convergence_scan
     from stochlab.memory import SpinConfig, flip_spins
     from stochlab.networks import (barabasi_albert, small_world_scan,
                                    watts_strogatz)
@@ -110,9 +141,8 @@ def test_cross_checks_catch_inconsistent_combinations():
          [("sweeps", lambda: metropolis_batch(
              EuclideanAction(None, 0.05), Lattice(256), [rng],
              sweeps=100, thermalization=100))]),
-        ("diffuse", {"a_t": "0.2"},
-         [("a_t", lambda: convergence_scan(WalkSpec(1, 0.5, 0.2, 10**6, 8),
-                                           2, rng))]),
+        ("diffuse", {"a_s": "1e160"},
+         [("a_s", lambda: convergence_scan(1, 1e160, 10**6, 8, 2, rng))]),
         ("resonance", {"noise_levels": ",".join(map(str, levels))},
          [("noise_levels", lambda: resonance_scan(
              DoubleWellSpec(amplitude=0.3, omega=0.1, noise_d=0.1, dt=0.01,
@@ -566,8 +596,7 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
     (["resonance", "omega=1", "dt=0.5", "t_total=700",
       "noise_levels=0.01,0.02,0.04,0.08,0.1"], "t_total"),
     # The ninth halving of a_s takes 8 * 4**9 steps: 3-d keys overflow.
-    (["diffuse", "dim=3", "a_s=0.5", "a_t=0.041666666666666664",
-      "refinements=9", "n_walkers=1000"], "refinements"),
+    (["diffuse", "dim=3", "refinements=9", "n_walkers=1000"], "refinements"),
     # t_total / dt overflows to inf, which has no step count.
     (["resonance", "dt=1e-320"], "t_total"),
     # The eigensolver's level bound holds in both modes, not only commuting.
@@ -580,24 +609,23 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
     (["uncertainty", "sigma0=1e300"], "sigma0"),
     (["uncertainty", "sigma0=1e-300"], "sigma0"),
     (["search", "radii=1e300"], "radii"),
-    (["diffuse", "dim=3", "a_s=1e150", "a_t=1.6666666666666666e+299"], "a_s"),
+    (["diffuse", "dim=3", "a_s=1e150"], "a_s"),
     (["decay", "t_max=1e-300", "rate_lambda=0.001", "n_atoms=10", "bins=2"],
      "t_max"),
     # The 3-d cell volume underflows to 0; a subnormal volume, in 3-d and
     # 2-d, has a reciprocal (one walker's density) that overflows.  Over a
     # long run the heat-kernel peak stays finite, and only the density rule
     # stops it.
-    (["diffuse", "dim=3", "a_s=1e-110", "a_t=1.6666666666666666e-221"], "a_s"),
-    (["diffuse", "dim=3", "a_s=1e-104", "a_t=1.6666666666666667e-209",
-      "n_walkers=1000"], "a_s"),
-    (["diffuse", "dim=2", "a_s=1e-155", "a_t=2.5e-311", "n_walkers=1000"],
+    (["diffuse", "dim=3", "a_s=1e-110"], "a_s"),
+    (["diffuse", "dim=3", "a_s=1e-104", "n_walkers=1000"], "a_s"),
+    (["diffuse", "dim=2", "a_s=1e-155", "n_walkers=1000"], "a_s"),
+    (["diffuse", "dim=3", "a_s=1e-104", "n_walkers=10", "n_steps=40000"],
      "a_s"),
-    (["diffuse", "dim=3", "a_s=1e-104", "a_t=1.6666666666666667e-209",
-      "n_walkers=10", "n_steps=40000"], "a_s"),
-    # Bin edges and a_s whose squares overflow: the rules multiply, since
-    # ``**`` raises OverflowError.
+    # Bin edges and a_s whose squares overflow, and an a_s whose derived
+    # time step a_s**2 / 2 underflows to 0 while its cell stays finite.
     (["decay", "t_max=1e160"], "t_max"),
-    (["diffuse", "a_s=1e160", "a_t=1e308"], "a_t"),
+    (["diffuse", "a_s=1e160"], "a_s"),
+    (["diffuse", "a_s=1e-170"], "a_s"),
     # A kick scale sqrt(2 * D * dt) of about 1.4e149 leaves |x| < 1e3 on
     # the first steps at any affordable dt.
     (["resonance", "noise_levels=1e-300,1e-100,1,1e100,1e300"],
@@ -618,7 +646,8 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
         "decay-bin-edges", "diffuse-cell-underflow",
         "diffuse-subnormal-cell-3d", "diffuse-subnormal-cell-2d",
         "diffuse-subnormal-cell-long-run", "decay-bin-edges-overflow",
-        "diffuse-pinning-overflow", "resonance-kick-past-trust-bound",
+        "diffuse-step-overflow", "diffuse-step-underflow",
+        "resonance-kick-past-trust-bound",
         "spectrum-spacing-square-overflow", "uncertainty-spacing-underflow",
         "decay-lifetime-overflow", "decay-lifetime-overflow-min",
         "decay-lifetime-sum-overflow"])

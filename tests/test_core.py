@@ -18,13 +18,13 @@ from scipy import stats as sps
 from util import no_pool
 
 from stochlab.core import (
+    SEGMENTS,
     CltPoint,
     RngStream,
     SampleStats,
     clt_scaling,
     fan_out,
     fit_power_law,
-    gaussian,
     low_high_power_ratio,
     mc_integrate,
     periodogram,
@@ -189,13 +189,6 @@ class TestRngStream:
 
 
 class TestGaussian:
-    def test_zero_sigma_returns_mu_exactly(self):
-        assert gaussian(RngStream(5), 3.0, 0.0) == 3.0
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian(RngStream(5), 0.0, -1.0)
-
     def test_moments_at_one_million_draws(self):
         rng = RngStream(2024, 1)
         draws = rng.gen.normal(0.0, 1.0, size=10**6)
@@ -243,50 +236,47 @@ class TestCltScaling:
 class TestPeriodogram:
     def test_pure_sinusoid_concentrates_in_one_bin(self):
         t = np.arange(4096) * 0.01
-        f0 = 25.0  # exactly on a bin for 1024-point segments at dt = 0.01
+        f0 = 25.0  # exactly on a bin for 512-point segments at dt = 0.01
         sig = np.sin(2 * np.pi * f0 * t)
-        spec = periodogram(sig, sample_step=0.01, segments=4)
+        spec = periodogram(sig, sample_step=0.01)
         peak = np.argmax(spec.power)
         assert spec.frequencies[peak] == pytest.approx(f0)
         neighbors = np.delete(spec.power, [0, peak])
         assert spec.power[peak] / neighbors.max() > 100
 
     def test_white_noise_spectrum_is_flat(self):
-        noise = RngStream(3, 3).gen.standard_normal(16 * 256)
-        spec = periodogram(noise, sample_step=1.0, segments=16)
+        noise = RngStream(3, 3).gen.standard_normal(SEGMENTS * 512)
+        spec = periodogram(noise, sample_step=1.0)
         body = spec.power[1:]
         assert body.max() / np.median(body) < 10
 
     def test_constant_signal_power_sits_at_zero_frequency(self):
-        spec = periodogram(np.full(64, 3.0), sample_step=1.0, segments=2)
+        spec = periodogram(np.full(64, 3.0), sample_step=1.0)
         assert spec.power[0] == pytest.approx(9.0)
         assert np.all(spec.power[1:] < 1e-24)
 
     def test_parseval_over_positive_bins(self):
         x = RngStream(8, 1).gen.standard_normal(2048)
-        segments = 8
-        spec = periodogram(x, sample_step=0.5, segments=segments)
-        chunks = x.reshape(segments, -1)
+        spec = periodogram(x, sample_step=0.5)
+        chunks = x.reshape(SEGMENTS, -1)
         de_meaned = chunks - chunks.mean(axis=1, keepdims=True)
         expected = (de_meaned**2).mean()
         assert spec.power[1:].sum() == pytest.approx(expected, rel=1e-9)
 
     def test_frequencies_strictly_increasing_and_power_nonnegative(self):
-        spec = periodogram(np.sin(np.arange(300)), sample_step=2.0, segments=3)
+        spec = periodogram(np.sin(np.arange(300)), sample_step=2.0)
         assert np.all(np.diff(spec.frequencies) > 0)
         assert np.all(spec.power >= 0)
 
     def test_too_short_signal_rejected(self):
         with pytest.raises(ValueError):
-            periodogram(np.ones(7), sample_step=1.0, segments=4)
-        with pytest.raises(ValueError):
-            periodogram(np.ones(16), sample_step=1.0, segments=0)
+            periodogram(np.ones(2 * SEGMENTS - 1), sample_step=1.0)
 
 
 class TestLowHighPowerRatio:
     def test_ratio_of_lowest_to_highest_decile_means(self):
         walk = np.cumsum(RngStream(9, 1).gen.standard_normal(4000))
-        spec = periodogram(walk, sample_step=1.0, segments=8)
+        spec = periodogram(walk, sample_step=1.0)
         power = spec.power[1:]
         k = power.size // 10
         expected = float(power[:k].mean() / power[-k:].mean())

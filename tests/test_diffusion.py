@@ -170,7 +170,7 @@ def test_walk_holds_one_chunk_of_draws():
     assert peak <= 12 * 8 * (1 << 16)
 
 
-@settings(deadline=None, max_examples=25)
+@settings(max_examples=25)
 @given(dim=st.integers(1, 3), n_steps=st.integers(0, 16),
        n_walkers=st.integers(1, 400))
 def test_any_walk_conserves_mass_and_parity(dim, n_steps, n_walkers):
@@ -229,10 +229,14 @@ def test_kernel_validates_arguments():
 # convergence_scan
 
 
+def _no_walk(spec, rng):
+    raise AssertionError("a level was simulated")
+
+
 @pytest.fixture(scope="module")
 def scan_result():
-    base = WalkSpec(dim=1, a_s=0.5, a_t=0.125, n_walkers=10**7, n_steps=8)
-    return convergence_scan(base, refinements=2, rng=RngStream(53, 0))
+    return convergence_scan(1, 0.5, 10**7, 8, refinements=2,
+                            rng=RngStream(53, 0))
 
 
 def test_scan_errors_decrease_monotonically(scan_result):
@@ -260,38 +264,49 @@ def test_scan_is_not_sampling_limited_at_these_sizes(scan_result):
 
 
 def test_scan_flags_sampling_limit_when_starved_of_walkers():
-    base = WalkSpec(dim=1, a_s=0.25, a_t=0.03125, n_walkers=400, n_steps=32)
-    levels = convergence_scan(base, refinements=2, rng=RngStream(53, 1))
+    levels = convergence_scan(1, 0.25, 400, 32, refinements=2,
+                              rng=RngStream(53, 1))
     assert levels[-1].sampling_limited
 
 
 def test_scan_flag_marks_the_stalled_level_at_moderate_sizes():
     # At 2e6 walkers the finest level stops improving at the expected
     # quarter-per-refinement rate; the advisory flag should say why.
-    base = WalkSpec(dim=1, a_s=0.5, a_t=0.125, n_walkers=2 * 10**6, n_steps=8)
-    levels = convergence_scan(base, refinements=2, rng=RngStream(53, 2))
+    levels = convergence_scan(1, 0.5, 2 * 10**6, 8, refinements=2,
+                              rng=RngStream(53, 2))
     assert not levels[0].sampling_limited
     assert levels[-1].sampling_limited
 
 
 def test_scan_validates_arguments():
-    good = WalkSpec(dim=1, a_s=0.5, a_t=0.125, n_walkers=100, n_steps=8)
     with pytest.raises(ValueError):
-        convergence_scan(good, refinements=1, rng=RngStream(1))
-    bad_ratio = WalkSpec(dim=1, a_s=0.5, a_t=0.1, n_walkers=100, n_steps=8)
+        convergence_scan(1, 0.5, 100, 8, refinements=1, rng=RngStream(1))
     with pytest.raises(ValueError):
-        convergence_scan(bad_ratio, refinements=2, rng=RngStream(1))
+        convergence_scan(1, 0.5, 100, 0, refinements=2, rng=RngStream(1))
+    with pytest.raises(ValueError, match="dim must be"):
+        convergence_scan(0, 0.5, 100, 8, refinements=2, rng=RngStream(1))
+
+
+@pytest.mark.parametrize("a_s", [1e160, 1e-170])
+def test_scan_rejects_a_time_step_outside_the_double_range(a_s, monkeypatch):
+    # a_s**2 / 2 overflows or underflows to 0 while the 1-d cell 2 * a_s
+    # and its reciprocal stay finite.
+    monkeypatch.setattr(diffusion, "simulate_walk", _no_walk)
+    with pytest.raises(ValueError, match="time step"):
+        convergence_scan(1, a_s, 10, 8, refinements=2, rng=RngStream(1))
+
+
+def test_scan_derives_each_time_step_at_unit_diffusion():
+    for dim in (1, 2, 3):
+        specs = diffusion._level_specs(dim, 0.5, 10, 8, 2)
+        assert [s.d_coeff for s in specs] == [1.0, 1.0, 1.0]
 
 
 def test_packed_key_range_is_checked_before_any_level_runs(monkeypatch):
     # The ninth halving of a_s takes 8 * 4**9 steps: its keys overflow.
-    def unexpected(spec, rng):
-        raise AssertionError("a level was simulated")
-
-    monkeypatch.setattr(diffusion, "simulate_walk", unexpected)
-    base = WalkSpec(dim=3, a_s=0.5, a_t=0.5**2 / 6, n_walkers=10, n_steps=8)
+    monkeypatch.setattr(diffusion, "simulate_walk", _no_walk)
     with pytest.raises(ValueError, match="packed site keys"):
-        convergence_scan(base, refinements=9, rng=RngStream(1))
+        convergence_scan(3, 0.5, 10, 8, refinements=9, rng=RngStream(1))
 
 
 # ---------------------------------------------------------------------------

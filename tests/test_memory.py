@@ -192,7 +192,7 @@ def test_energy_rejects_size_mismatch():
         energy(SpinConfig([1, -1, 1]), _zero_couplings(2))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 8))
 def test_energy_is_invariant_under_global_spin_flip(seed, n):
     rng = RngStream(45, seed % 1000)

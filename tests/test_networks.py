@@ -116,7 +116,7 @@ def test_watts_strogatz_validation():
         watts_strogatz(10, 4, -0.1, rng)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     n=st.integers(6, 30),
     half_k=st.integers(1, 2),
@@ -206,7 +206,7 @@ def test_disconnected_graph_uses_the_largest_component_and_flags_it():
     assert m.path_length == pytest.approx(4.0 / 3.0)  # cycle distances 1,1,2
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     n=st.integers(6, 12),
     p=st.floats(0.0, 1.0),

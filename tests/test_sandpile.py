@@ -168,7 +168,7 @@ def test_abelian_check_needs_two_permutations():
         abelian_check(SandGrid.zeros(2, 2), [(0, 0)], RngStream(1), permutations=1)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_drops=st.integers(2, 8),

@@ -77,7 +77,7 @@ def test_walk_is_reproducible():
     assert a == b
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(dx=st.integers(0, 15), dy=st.integers(0, 15))
 def test_success_is_invariant_under_global_translation(dx, dy):
     side = 16
