@@ -38,7 +38,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -47,7 +47,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .core import (RngStream, available_cpus, clt_scaling, fan_out,
+from .core import (CltPoint, RngStream, available_cpus, clt_scaling, fan_out,
                    low_high_power_ratio, mc_integrate)
 
 __all__ = [
@@ -104,10 +104,19 @@ class RunManifest:
 
 @dataclass(frozen=True)
 class _RunOutput:
-    header: tuple
-    rows: list
+    """One replica's results.  ``columns`` maps each CSV column name to its
+    values in row order; :func:`run` writes the names as the header.
+    ``extra_files`` maps a file name to its text."""
+
+    columns: dict
     summary: dict
-    extra_files: dict
+    extra_files: dict = field(default_factory=dict)
+
+
+def _named_columns(rows, row_type) -> dict:
+    """Columns named by the fields of ``row_type``, a NamedTuple of ``rows``."""
+    return {name: [getattr(row, name) for row in rows]
+            for name in row_type._fields}
 
 
 # --------------------------------------------------------------------------
@@ -388,18 +397,18 @@ def _run_interfere(p, rng, jobs) -> _RunOutput:
 
     result = superpose(ComplexAmplitude(re=p["a_re"], im=p["a_im"]),
                        ComplexAmplitude(re=p["b_re"], im=p["b_im"]))
-    row = (p["a_re"], p["a_im"], p["b_re"], p["b_im"],
-           result.p_quantum, result.p_classical, result.interference)
+    columns = {"a_re": [p["a_re"]], "a_im": [p["a_im"]],
+               "b_re": [p["b_re"]], "b_im": [p["b_im"]],
+               "p_quantum": [result.p_quantum],
+               "p_classical": [result.p_classical],
+               "interference": [result.interference]}
     summary = {
         "p_quantum": result.p_quantum,
         "p_classical": result.p_classical,
         "interference": result.interference,
         "destructive": result.p_quantum == 0.0,
     }
-    return _RunOutput(
-        ("a_re", "a_im", "b_re", "b_im",
-         "p_quantum", "p_classical", "interference"),
-        [row], summary, {})
+    return _RunOutput(columns, summary)
 
 
 def _run_decay(p, rng, jobs) -> _RunOutput:
@@ -407,14 +416,15 @@ def _run_decay(p, rng, jobs) -> _RunOutput:
 
     model = DecayModel(rate_lambda=p["rate_lambda"], n_atoms=p["n_atoms"])
     result = decay_sample(model, rng, p["t_max"], p["bins"])
-    rows = list(zip(result.times.tolist(), result.survival.tolist()))
+    columns = {"time": result.times.tolist(),
+               "survival": result.survival.tolist()}
     summary = {
         "fitted_rate": result.fitted_rate,
         "mean_lifetime": result.mean_lifetime,
         "relative_rate_error":
             abs(result.fitted_rate - p["rate_lambda"]) / p["rate_lambda"],
     }
-    return _RunOutput(("time", "survival"), rows, summary, {})
+    return _RunOutput(columns, summary)
 
 
 def _run_uncertainty(p, rng, jobs) -> _RunOutput:
@@ -422,23 +432,23 @@ def _run_uncertainty(p, rng, jobs) -> _RunOutput:
 
     grid = Grid1D(p["x_min"], p["x_max"], p["n_points"])
     gen = rng.gen
-    rows = []
-    products = []
-    for index in range(p["n_states"]):
+    results = []
+    for _ in range(p["n_states"]):
         raw = (gen.standard_normal(p["n_points"])
                + 1j * gen.standard_normal(p["n_points"]))
-        result = uncertainty_product(WaveState.from_samples(grid, raw))
-        rows.append((index, result.dx, result.dp, result.product))
-        products.append(result.product)
+        results.append(uncertainty_product(WaveState.from_samples(grid, raw)))
+    columns = {"state": list(range(p["n_states"])),
+               "dx": [r.dx for r in results], "dp": [r.dp for r in results],
+               "product": [r.product for r in results]}
     reference = uncertainty_product(
         WaveState.gaussian_packet(grid, sigma0=p["sigma0"]))
-    products = np.array(products)
+    products = np.array(columns["product"])
     summary = {
         "min_product": float(products.min()),
         "bound_violations": int((products < 0.5 - 1e-3).sum()),
         "gaussian_product": reference.product,
     }
-    return _RunOutput(("state", "dx", "dp", "product"), rows, summary, {})
+    return _RunOutput(columns, summary)
 
 
 _POTENTIALS = {
@@ -455,15 +465,16 @@ def _run_spectrum(p, rng, jobs) -> _RunOutput:
     grid = Grid1D(p["x_min"], p["x_max"], p["n_points"])
     result = spectrum_gaps(_POTENTIALS[p["potential"]], grid, p["n_levels"],
                            commuting_mode=p["commuting"])
-    gaps = list(result.gaps) + [float("nan")]
-    rows = [(i, e, g) for i, (e, g) in enumerate(zip(result.energies, gaps))]
+    columns = {"level": list(range(len(result.energies))),
+               "energy": list(result.energies),
+               "gap_above": list(result.gaps) + [float("nan")]}
     summary = {
         "ground_energy": float(result.energies[0]),
         "first_gap": float(result.gaps[0]),
         "gap_mean": float(result.gaps.mean()),
         "gap_std": float(result.gaps.std()),
     }
-    return _RunOutput(("level", "energy", "gap_above"), rows, summary, {})
+    return _RunOutput(columns, summary)
 
 
 def _paths_block(unit) -> list:
@@ -491,35 +502,32 @@ def _run_paths(p, rng, jobs) -> _RunOutput:
     ensemble = np.vstack([paths for block in fan_out(_paths_block, units, jobs)
                           for paths in block])
     scan = hausdorff_scan(ensemble)
-    rows = list(zip(scan.block_sizes.tolist(), scan.resolutions.tolist(),
-                    scan.mean_lengths.tolist()))
+    columns = {"block_size": scan.block_sizes.tolist(),
+               "resolution": scan.resolutions.tolist(),
+               "mean_length": scan.mean_lengths.tolist()}
     summary = {
         "d_h": scan.d_h,
         "length_exponent": scan.alpha,
         "pooled_paths": int(ensemble.shape[0]),
     }
-    return _RunOutput(("block_size", "resolution", "mean_length"),
-                      rows, summary, {})
+    return _RunOutput(columns, summary)
 
 
 def _run_diffuse(p, rng, jobs) -> _RunOutput:
-    from .diffusion import _kernel_peak, convergence_scan
+    from .diffusion import ConvergenceLevel, _kernel_peak, convergence_scan
 
     levels = convergence_scan(p["dim"], p["a_s"], p["n_walkers"],
                               p["n_steps"], p["refinements"], rng)
-    rows = [(lv.a_s, lv.a_t, lv.n_steps, lv.sup_error, lv.sampling_limited)
-            for lv in levels]
-    errors = [lv.sup_error for lv in levels]
+    columns = _named_columns(levels, ConvergenceLevel)
+    errors = columns["sup_error"]
     peak = _kernel_peak(p["dim"], 1.0, levels[0].n_steps * levels[0].a_t)
     summary = {
         "final_sup_error": errors[-1],
         "final_error_over_peak": errors[-1] / peak,
         "monotone_decreasing": bool(np.all(np.diff(errors) < 0)),
-        "any_sampling_limited": bool(any(lv.sampling_limited
-                                         for lv in levels)),
+        "any_sampling_limited": bool(any(columns["sampling_limited"])),
     }
-    return _RunOutput(("a_s", "a_t", "n_steps", "sup_error",
-                       "sampling_limited"), rows, summary, {})
+    return _RunOutput(columns, summary)
 
 
 def _run_sandpile(p, rng, jobs) -> _RunOutput:
@@ -529,9 +537,10 @@ def _run_sandpile(p, rng, jobs) -> _RunOutput:
     if p["warmup"]:
         drive(grid, rng.substream(0), p["warmup"], p["site_policy"])
     record = drive(grid, rng.substream(1), p["n_drops"], p["site_policy"])
-    rows = list(zip(range(record.n_drops), record.sizes.tolist(),
-                    record.areas.tolist(), record.durations.tolist(),
-                    record.dissipated.tolist()))
+    columns = {"drop": list(range(record.n_drops)),
+               "size": record.sizes.tolist(), "area": record.areas.tolist(),
+               "duration": record.durations.tolist(),
+               "dissipated": record.dissipated.tolist()}
     fit = ccdf_fit(record.sizes)
     sites = [(int(a), int(b)) for a, b in
              rng.substream(2).gen.integers(0, [p["height"], p["width"]],
@@ -545,8 +554,7 @@ def _run_sandpile(p, rng, jobs) -> _RunOutput:
         "abelian_ok": bool(abelian_check(grid, sites, rng.substream(3),
                                          permutations=3)),
     }
-    return _RunOutput(("drop", "size", "area", "duration", "dissipated"),
-                      rows, summary, {})
+    return _RunOutput(columns, summary)
 
 
 def _run_resonance(p, rng, jobs) -> _RunOutput:
@@ -557,15 +565,15 @@ def _run_resonance(p, rng, jobs) -> _RunOutput:
                           noise_d=levels[0], dt=p["dt"],
                           t_total=p["t_total"])
     curve = resonance_scan(base, levels, p["replicas_per_level"], rng, jobs)
-    rows = list(zip(curve.noise_levels.tolist(), curve.snr_db.tolist(),
-                    curve.snr_stderr.tolist()))
+    columns = {"noise_d": curve.noise_levels.tolist(),
+               "snr_db": curve.snr_db.tolist(),
+               "snr_stderr": curve.snr_stderr.tolist()}
     summary = {
         "peak_d": curve.peak_d,
         "interior_peak": bool(curve.interior_peak),
         "peak_snr_db": float(curve.snr_db.max()),
     }
-    return _RunOutput(("noise_d", "snr_db", "snr_stderr"),
-                      rows, summary, {})
+    return _RunOutput(columns, summary)
 
 
 def _anneal_energy(unit) -> float:
@@ -582,8 +590,7 @@ def _run_memory(p, rng, jobs) -> _RunOutput:
                          sk_couplings, zero_t_dynamics)
 
     if p["task"] == "retrieve":
-        rows = []
-        hits = 0
+        columns = {"trial": [], "overlap": [], "converged": [], "sweeps": []}
         for trial in range(p["trials"]):
             sub = rng.substream(trial)
             patterns = [SpinConfig.random(p["n"], sub)
@@ -591,15 +598,16 @@ def _run_memory(p, rng, jobs) -> _RunOutput:
             couplings = hebbian_couplings(patterns)
             cue = flip_spins(patterns[0], p["corrupt_flips"], sub)
             result = zero_t_dynamics(cue, couplings, sub)
-            m = overlap(result.config, patterns[0])
-            hits += m >= 0.95
-            rows.append((trial, m, result.converged, result.sweeps_used))
+            columns["trial"].append(trial)
+            columns["overlap"].append(overlap(result.config, patterns[0]))
+            columns["converged"].append(result.converged)
+            columns["sweeps"].append(result.sweeps_used)
+        overlaps = columns["overlap"]
         summary = {
-            "success_rate": hits / p["trials"],
-            "mean_overlap": float(np.mean([r[1] for r in rows])),
+            "success_rate": sum(m >= 0.95 for m in overlaps) / p["trials"],
+            "mean_overlap": float(np.mean(overlaps)),
         }
-        return _RunOutput(("trial", "overlap", "converged", "sweeps"),
-                          rows, summary, {})
+        return _RunOutput(columns, summary)
 
     schedule = AnnealSchedule(t_initial=p["t_initial"], ratio=p["ratio"],
                               levels=p["levels"],
@@ -610,25 +618,22 @@ def _run_memory(p, rng, jobs) -> _RunOutput:
     annealed = fan_out(_anneal_energy,
                        [(c, schedule, rng.substream(2 * i + 1))
                         for i, c in enumerate(couplings)], jobs)
-    rows = []
-    matches = 0
-    for instance, (energy, ground) in enumerate(zip(annealed, grounds)):
-        matched = bool(energy <= ground + 1e-9)
-        matches += matched
-        rows.append((instance, energy, ground, matched))
-    summary = {"match_rate": matches / p["instances"]}
-    return _RunOutput(("instance", "annealed_energy", "ground_energy",
-                       "matched"), rows, summary, {})
+    matched = [bool(energy <= ground + 1e-9)
+               for energy, ground in zip(annealed, grounds, strict=True)]
+    columns = {"instance": list(range(p["instances"])),
+               "annealed_energy": annealed, "ground_energy": grounds,
+               "matched": matched}
+    summary = {"match_rate": sum(matched) / p["instances"]}
+    return _RunOutput(columns, summary)
 
 
 def _run_network(p, rng, jobs) -> _RunOutput:
-    from .networks import (barabasi_albert, degree_ccdf_fit, edge_list_text,
-                           small_world_scan, watts_strogatz)
+    from .networks import (SmallWorldPoint, barabasi_albert, degree_ccdf_fit,
+                           edge_list_text, small_world_scan, watts_strogatz)
 
     scan = small_world_scan(p["n"], p["k"], p["p_values"], p["seeds"],
                             rng.substream(0))
-    rows = [(pt.p, pt.clustering_ratio, pt.path_length_ratio)
-            for pt in scan.points]
+    columns = _named_columns(scan.points, SmallWorldPoint)
     fit = degree_ccdf_fit(barabasi_albert(p["ba_n"], p["ba_m"],
                                           rng.substream(1)))
     sample_p = sorted(p["p_values"])[len(p["p_values"]) // 2]
@@ -641,18 +646,16 @@ def _run_network(p, rng, jobs) -> _RunOutput:
         "ba_ccdf_stderr": fit.stderr,
     }
     extras = {"network_sample.edges": edge_list_text(sample)}
-    return _RunOutput(("p", "clustering_ratio", "path_length_ratio"),
-                      rows, summary, extras)
+    return _RunOutput(columns, summary, extras)
 
 
 def _run_search(p, rng, jobs) -> _RunOutput:
-    from .search import strategy_tournament
+    from .search import TournamentRow, strategy_tournament
 
     budget = p["step_budget"] if p["step_budget"] > 0 else None
     table = strategy_tournament(p["sides"], p["target_counts"], p["radii"],
                                 p["replicas_per_cell"], rng,
                                 step_budget=budget)
-    rows = [tuple(row) for row in table]
     wins: dict = {}
     for row in table:
         if row.rank == 1:
@@ -661,9 +664,7 @@ def _run_search(p, rng, jobs) -> _RunOutput:
         "cells": len(table) // 2,
         "wins": wins,
     }
-    return _RunOutput(
-        ("side", "n_targets", "capture_radius", "strategy", "success_rate",
-         "mean_steps", "median_steps", "rank"), rows, summary, {})
+    return _RunOutput(_named_columns(table, TournamentRow), summary)
 
 
 def _run_mcint(p, rng, jobs) -> _RunOutput:
@@ -676,15 +677,16 @@ def _run_mcint(p, rng, jobs) -> _RunOutput:
         exact = (2.0 / 3.0) ** dim
     stats = mc_integrate(rng, f, dim, p["samples"])
     error = stats.mean - exact
-    rows = [(stats.n, stats.mean, stats.std_error, exact, error)]
+    columns = {"samples": [stats.n], "estimate": [stats.mean],
+               "std_error": [stats.std_error], "exact": [exact],
+               "error": [error]}
     summary = {
         "estimate": stats.mean,
         "std_error": stats.std_error,
         "exact": exact,
         "z_score": error / stats.std_error if stats.std_error else float("inf"),
     }
-    return _RunOutput(("samples", "estimate", "std_error", "exact", "error"),
-                      rows, summary, {})
+    return _RunOutput(columns, summary)
 
 
 def _run_clt(p, rng, jobs) -> _RunOutput:
@@ -693,9 +695,8 @@ def _run_clt(p, rng, jobs) -> _RunOutput:
         sampler = lambda s, size: ((s.gen.random(size) - 0.5)  # noqa: E731
                                    * math.sqrt(12.0))
     scaling = clt_scaling(rng, p["n_values"], p["replicas"], sampler)
-    rows = [(pt.n, pt.std_error) for pt in scaling.points]
     summary = {"slope": scaling.slope}
-    return _RunOutput(("n", "std_error"), rows, summary, {})
+    return _RunOutput(_named_columns(scaling.points, CltPoint), summary)
 
 
 # --------------------------------------------------------------------------
@@ -872,8 +873,9 @@ def run(config: ExperimentConfig) -> RunManifest:
     extras: dict = {}
     for replica in range(replicas):
         result = runner(params, base.substream(replica), jobs)
-        header = result.header
-        merged_rows.extend((replica, *row) for row in result.rows)
+        header = tuple(result.columns)
+        merged_rows.extend((replica, *row) for row in
+                           zip(*result.columns.values(), strict=True))
         summaries.append(result.summary)
         for name, text in result.extra_files.items():
             key = name if replicas == 1 else f"replica{replica}_{name}"
@@ -984,8 +986,12 @@ def main(argv=None) -> int:
     if args.config:
         import configparser
 
-        ini = configparser.ConfigParser()
-        read = ini.read(args.config)
+        ini = configparser.ConfigParser(interpolation=None)
+        try:
+            read = ini.read(args.config, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            print(f"invalid config: {args.config}: {exc}", file=sys.stderr)
+            return 2
         if not read:
             print(f"invalid config: could not read {args.config!r}",
                   file=sys.stderr)

@@ -9,8 +9,10 @@ approaches the heat kernel with diffusion coefficient
     D = a_s**2 / (2 * dim * a_t),
 
 which equals 1 exactly when the spacings obey a_s**2 / a_t = 2 * dim — the
-scaling under which the walk converges to the diffusion equation.  General D
-is obtained by rescaling lengths by sqrt(D) rather than by changing the walk.
+scaling under which the walk converges to the diffusion equation.  A walk
+therefore takes its time step from its spacing, a_t = a_s**2 / (2 * dim);
+general D is obtained by rescaling lengths by sqrt(D) rather than by
+changing the walk.
 
 Only the displacement statistics of a walk matter here, never the visit
 order, so walkers are simulated by their sufficient statistics: the number
@@ -69,19 +71,21 @@ def _kernel_peak(dim: int, d_coeff: float, t: float) -> float:
 class WalkSpec:
     """Lattice, population, and duration of a random-walk simulation.
 
-    Every walker starts at the coordinate origin.
+    Every walker starts at the coordinate origin.  The time step ``a_t`` is
+    derived from the spacing at D = 1 (see the module docstring), so a spec
+    whose step leaves the double range is rejected.
     """
 
     dim: int
     a_s: float
-    a_t: float
     n_walkers: int
     n_steps: int
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
-        if self.a_s <= 0 or self.a_t <= 0:
-            raise ValueError("a_s and a_t must be positive")
+        if self.a_s <= 0:
+            raise ValueError("a_s must be positive")
+        _time_step(self.dim, self.a_s)
         _check_cell(self.dim, self.a_s)
         if self.n_walkers < 1:
             raise ValueError("need at least one walker")
@@ -91,13 +95,8 @@ class WalkSpec:
             raise ValueError("n_steps too large for packed site keys")
 
     @property
-    def scaling_ratio(self) -> float:
-        """a_s**2 / a_t, which is 2 * dim in the diffusive limit."""
-        return self.a_s**2 / self.a_t
-
-    @property
-    def d_coeff(self) -> float:
-        return self.scaling_ratio / (2.0 * self.dim)
+    def a_t(self) -> float:
+        return _time_step(self.dim, self.a_s)
 
     @property
     def duration(self) -> float:
@@ -111,13 +110,12 @@ class DiffusionField:
     ``points`` holds the physical coordinates of every occupied lattice site
     (shape (n_sites, dim)) and ``masses`` the probability mass each carries.
     ``cell_volume`` is the parity-sublattice cell volume 2 * a_s**dim, so
-    ``density`` is directly comparable to a continuum kernel.
+    ``density`` is directly comparable to the continuum kernel at D = 1.
     """
 
     points: np.ndarray
     masses: np.ndarray
     time: float
-    d_coeff: float
     normalization: float
     cell_volume: float
 
@@ -208,7 +206,6 @@ def simulate_walk(spec: WalkSpec, rng: RngStream) -> DiffusionField:
         points=points,
         masses=masses,
         time=spec.duration,
-        d_coeff=spec.d_coeff,
         normalization=float(masses.sum()),
         cell_volume=2.0 * spec.a_s**spec.dim,
     )
@@ -256,8 +253,7 @@ def _time_step(dim: int, a_s: float) -> float:
 def _level_specs(dim: int, a_s: float, n_walkers: int, n_steps: int,
                  refinements: int) -> list[WalkSpec]:
     """The base level and ``refinements`` halvings of a_s at D = 1."""
-    return [WalkSpec(dim, a_s / 2**k, _time_step(dim, a_s / 2**k),
-                     n_walkers, n_steps * 4**k)
+    return [WalkSpec(dim, a_s / 2**k, n_walkers, n_steps * 4**k)
             for k in range(refinements + 1)]
 
 

@@ -293,8 +293,6 @@ def uncertainty_product(state: WaveState) -> UncertaintyResult:
     dp is computed from the second moment of the discrete momentum-space
     density |FFT(psi)|^2 at p = k.
     """
-    if abs(state.norm_squared() - 1.0) > 1e-6:
-        raise ValueError("state must be normalized")
     x = state.grid.points
     rho = state.position_density()
     mean_x = float(rho @ x)

@@ -218,8 +218,6 @@ def _segment_length(n_samples: int, step: float, omega: float) -> int:
         raise ValueError("drive period spans fewer than 4 samples; "
                          "sample more finely")
     periods_per_segment = n_samples // (SEGMENTS * period_samples)
-    if periods_per_segment < 1:
-        raise ValueError("fewer than one drive period per segment")
     # Whole-period mismatch accumulated over a segment must stay well below
     # one bin, or the line drifts off its bin and the estimate is meaningless.
     bin_offset = periods_per_segment * abs(samples_per_period - period_samples) \

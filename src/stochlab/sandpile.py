@@ -17,8 +17,9 @@ toppled in the previous round and their neighbours, held in a flat list of
 Python ints with a sink ring around the grid.  ``Avalanche.duration`` counts
 these rounds.
 
-Two activity clocks are recorded.  ``DriveRecord.activity`` is topplings per
-drop: the natural driving clock for event statistics.  On that clock the
+Two activity clocks are recorded.  ``DriveRecord.sizes``, topplings per
+drop, is both the avalanche-size catalog and the activity series on the
+driving clock, the natural one for event statistics.  On that clock the
 stationary spectrum is slightly *suppressed* at low frequency -- over a long
 window the pile's mass balance pins the summed activity to the drive, so the
 series is anti-correlated, not 1/f-like.  ``DriveRecord.round_activity`` is
@@ -174,16 +175,6 @@ class DriveRecord:
     @property
     def n_drops(self) -> int:
         return self.sizes.size
-
-    @property
-    def activity(self) -> np.ndarray:
-        """Topplings per drop -- the activity time series on the drive clock.
-
-        Identical to ``sizes``; the alias exists because the same numbers
-        play two roles (event magnitude vs. time series to be Fourier
-        analysed).
-        """
-        return self.sizes
 
 
 def _to_cells(heights: np.ndarray) -> tuple[list, list[int]]:

@@ -74,7 +74,7 @@ def test_criterion_03_walk_converges_to_heat_kernel():
     start = time.monotonic()
     walk = run_runner("diffuse", RngStream(53, 0), n_walkers=10_000_000)
     elapsed = time.monotonic() - start
-    errors = [row[3] for row in walk.rows]
+    errors = walk.columns["sup_error"]
     decreasing = walk.summary["monotone_decreasing"]
     final = walk.summary["final_error_over_peak"]
     ok = decreasing and final < 1e-2 and elapsed <= 60.0
@@ -162,7 +162,7 @@ def test_criterion_08_stochastic_resonance_peak():
     start = time.monotonic()
     scan = run_runner("resonance", RngStream(70, 0), available_cpus())
     elapsed = time.monotonic() - start
-    snr_db = [row[1] for row in scan.rows]
+    snr_db = scan.columns["snr_db"]
     best = int(np.argmax(snr_db))
     margin_low = snr_db[best] - snr_db[0]
     margin_high = snr_db[best] - snr_db[-1]

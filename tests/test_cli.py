@@ -467,6 +467,22 @@ def test_rerun_from_manifest_is_byte_identical(tmp_path):
     for entry in first.outputs:
         assert (tmp_path / "a" / entry["path"]).read_bytes() \
             == (tmp_path / "b" / entry["path"]).read_bytes()
+    # With no output_dir the rerun goes into the manifest's own directory.
+    third = cli.rerun(first.path)
+    assert third.output_dir == first.output_dir
+    assert third.outputs == first.outputs
+
+
+def test_ragged_columns_raise_before_any_csv_is_written(tmp_path,
+                                                        monkeypatch):
+    def ragged(p, rng, jobs):
+        return cli._RunOutput({"n": [1, 2], "value": [0.5]}, {})
+
+    entry = dataclasses.replace(cli.EXPERIMENTS["mcint"], run=ragged)
+    monkeypatch.setitem(cli.EXPERIMENTS, "mcint", entry)
+    with pytest.raises(ValueError):
+        cli.run(ExperimentConfig("mcint", {}, output_dir=str(tmp_path)))
+    assert not (tmp_path / "mcint.csv").exists()
 
 
 def test_replica_fanout_orders_rows_and_summaries(tmp_path):
@@ -746,6 +762,22 @@ def test_main_bad_override_and_missing_config_exit_2(tmp_path, capsys):
     assert cli.main(["mcint", "--config", str(tmp_path / "none.ini"),
                      "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"n_atoms = 5\n", "bad.ini: File contains no section headers"),
+    (b"[decay]\nn_atoms = 5%\n", "n_atoms: could not parse '5%'"),
+    (b"[decay]\nn_atoms = 5\nn_atoms = 6\n", "bad.ini: While reading"),
+    (b"[decay]\nn_atoms = \xff\n", "bad.ini: 'utf-8' codec can't decode"),
+], ids=["no-section", "percent-is-literal", "duplicate-key", "not-utf8"])
+def test_malformed_config_file_exits_2(tmp_path, capsys, content, message):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(content)
+    out = tmp_path / "out"
+    assert cli.main(["decay", "--config", str(ini), "--out", str(out),
+                     "--jobs", "1"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_merges_under_overrides(tmp_path):

@@ -272,6 +272,10 @@ class TestPeriodogram:
         with pytest.raises(ValueError):
             periodogram(np.ones(2 * SEGMENTS - 1), sample_step=1.0)
 
+    def test_nonpositive_sample_step_rejected(self):
+        with pytest.raises(ValueError, match="sample_step"):
+            periodogram(np.ones(4 * SEGMENTS), sample_step=0.0)
+
 
 class TestLowHighPowerRatio:
     def test_ratio_of_lowest_to_highest_decile_means(self):

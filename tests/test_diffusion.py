@@ -26,35 +26,34 @@ from util import traced_peak
 
 def test_spec_validates_dimension_and_spacings():
     with pytest.raises(ValueError):
-        WalkSpec(dim=0, a_s=0.1, a_t=0.01, n_walkers=10, n_steps=5)
+        WalkSpec(dim=0, a_s=0.1, n_walkers=10, n_steps=5)
     with pytest.raises(ValueError):
-        WalkSpec(dim=4, a_s=0.1, a_t=0.01, n_walkers=10, n_steps=5)
+        WalkSpec(dim=4, a_s=0.1, n_walkers=10, n_steps=5)
     with pytest.raises(ValueError):
-        WalkSpec(dim=1, a_s=0.0, a_t=0.01, n_walkers=10, n_steps=5)
+        WalkSpec(dim=1, a_s=0.0, n_walkers=10, n_steps=5)
     with pytest.raises(ValueError):
-        WalkSpec(dim=1, a_s=0.1, a_t=0.01, n_walkers=0, n_steps=5)
+        WalkSpec(dim=1, a_s=0.1, n_walkers=0, n_steps=5)
     # 3-d site keys fit int64 up to 8 * 4**8 steps, not at 8 * 4**9.
-    WalkSpec(dim=3, a_s=0.1, a_t=0.01, n_walkers=1, n_steps=8 * 4**8)
+    WalkSpec(dim=3, a_s=0.1, n_walkers=1, n_steps=8 * 4**8)
     with pytest.raises(ValueError, match="packed site keys"):
-        WalkSpec(dim=3, a_s=0.1, a_t=0.01, n_walkers=1, n_steps=8 * 4**9)
+        WalkSpec(dim=3, a_s=0.1, n_walkers=1, n_steps=8 * 4**9)
     # The cell volume 2 * a_s**3 underflows to 0.
     with pytest.raises(ValueError, match="cell volume"):
-        WalkSpec(dim=3, a_s=1e-110, a_t=1e-221, n_walkers=1, n_steps=1)
+        WalkSpec(dim=3, a_s=1e-110, n_walkers=1, n_steps=1)
     # At a_s = 1e-104 it is subnormal, and one walker's density overflows.
     with pytest.raises(ValueError, match="its reciprocal"):
-        WalkSpec(dim=3, a_s=1e-104, a_t=1e-209, n_walkers=1, n_steps=1)
+        WalkSpec(dim=3, a_s=1e-104, n_walkers=1, n_steps=1)
 
 
 def test_spec_records_scaling_ratio_and_d():
-    spec = WalkSpec(dim=2, a_s=0.2, a_t=0.01, n_walkers=1, n_steps=1)
-    assert spec.scaling_ratio == pytest.approx(4.0)
-    assert spec.d_coeff == pytest.approx(1.0)
+    spec = WalkSpec(dim=2, a_s=0.2, n_walkers=1, n_steps=1)
+    assert spec.a_s**2 / spec.a_t == pytest.approx(2 * spec.dim)
 
 
 def test_field_rejects_bad_normalization():
     with pytest.raises(ValueError):
         DiffusionField(points=np.zeros((1, 1)), masses=np.array([0.5]),
-                       time=1.0, d_coeff=1.0, normalization=0.5,
+                       time=1.0, normalization=0.5,
                        cell_volume=0.2)
 
 
@@ -63,7 +62,7 @@ def test_field_rejects_bad_normalization():
 
 
 def test_zero_steps_is_a_delta_at_the_origin():
-    spec = WalkSpec(dim=2, a_s=0.1, a_t=0.01, n_walkers=500, n_steps=0)
+    spec = WalkSpec(dim=2, a_s=0.1, n_walkers=500, n_steps=0)
     field = simulate_walk(spec, RngStream(50, 0))
     assert field.masses.shape == (1,)
     assert field.masses[0] == 1.0
@@ -72,17 +71,16 @@ def test_zero_steps_is_a_delta_at_the_origin():
 
 def test_variance_matches_heat_kernel_moment():
     # r = a_s^2 / a_t = 2 so D = 1; after t = 1 the kernel variance is 2.
-    spec = WalkSpec(dim=1, a_s=0.1, a_t=0.005, n_walkers=10**6, n_steps=200)
+    spec = WalkSpec(dim=1, a_s=0.1, n_walkers=10**6, n_steps=200)
     field = simulate_walk(spec, RngStream(50, 1))
     mean = field.moment(1)[0]
     variance = field.moment(2)[0] - mean**2
     assert variance == pytest.approx(2.0, abs=0.01)
-    assert field.d_coeff == pytest.approx(1.0)
     assert field.time == pytest.approx(1.0)
 
 
 def test_mean_displacement_vanishes_by_symmetry():
-    spec = WalkSpec(dim=1, a_s=0.1, a_t=0.005, n_walkers=10**6, n_steps=200)
+    spec = WalkSpec(dim=1, a_s=0.1, n_walkers=10**6, n_steps=200)
     field = simulate_walk(spec, RngStream(50, 2))
     mean = field.moment(1)[0]
     variance = field.moment(2)[0] - mean**2
@@ -91,7 +89,7 @@ def test_mean_displacement_vanishes_by_symmetry():
 
 
 def test_probability_mass_is_conserved_exactly():
-    spec = WalkSpec(dim=2, a_s=0.5, a_t=0.125, n_walkers=20_000, n_steps=64)
+    spec = WalkSpec(dim=2, a_s=0.5, n_walkers=20_000, n_steps=64)
     field = simulate_walk(spec, RngStream(50, 3))
     assert abs(field.normalization - 1.0) <= 1e-12
     counts = field.masses * spec.n_walkers
@@ -102,7 +100,7 @@ def test_probability_mass_is_conserved_exactly():
 def test_per_axis_variance_is_combinatorially_exact():
     # Each step moves a uniformly chosen axis, so per-axis variance after n
     # steps is n * a_s^2 / dim; the error bar comes from the sample moments.
-    spec = WalkSpec(dim=3, a_s=0.2, a_t=0.01, n_walkers=200_000, n_steps=90)
+    spec = WalkSpec(dim=3, a_s=0.2, n_walkers=200_000, n_steps=90)
     field = simulate_walk(spec, RngStream(50, 4))
     expected = spec.n_steps * spec.a_s**2 / spec.dim
     m2 = field.moment(2)
@@ -114,7 +112,7 @@ def test_per_axis_variance_is_combinatorially_exact():
 
 
 def test_walkers_occupy_the_parity_sublattice():
-    spec = WalkSpec(dim=2, a_s=0.5, a_t=0.125, n_walkers=5000, n_steps=11)
+    spec = WalkSpec(dim=2, a_s=0.5, n_walkers=5000, n_steps=11)
     field = simulate_walk(spec, RngStream(50, 5))
     coords = np.round(field.points / spec.a_s).astype(int)
     assert np.all((coords.sum(axis=1) - spec.n_steps) % 2 == 0)
@@ -122,7 +120,7 @@ def test_walkers_occupy_the_parity_sublattice():
 
 
 def test_same_stream_reproduces_the_field():
-    spec = WalkSpec(dim=2, a_s=0.5, a_t=0.125, n_walkers=3000, n_steps=30)
+    spec = WalkSpec(dim=2, a_s=0.5, n_walkers=3000, n_steps=30)
     a = simulate_walk(spec, RngStream(51, 7))
     b = simulate_walk(spec, RngStream(51, 7))
     np.testing.assert_array_equal(a.points, b.points)
@@ -144,8 +142,7 @@ def _walk_and_stream_end(spec, chunk, monkeypatch):
 @pytest.mark.parametrize("chunk", [1000, 4096])
 def test_chunk_size_changes_no_draw_and_no_site(dim, chunk, monkeypatch):
     # 10,001 walkers are a multiple of neither chunk, so the last is short.
-    spec = WalkSpec(dim=dim, a_s=0.5, a_t=0.25 / (2 * dim), n_walkers=10_001,
-                    n_steps=24)
+    spec = WalkSpec(dim=dim, a_s=0.5, n_walkers=10_001, n_steps=24)
     whole, whole_end = _walk_and_stream_end(spec, 1 << 30, monkeypatch)
     field, end = _walk_and_stream_end(spec, chunk, monkeypatch)
     assert field.points.tobytes() == whole.points.tobytes()
@@ -157,7 +154,7 @@ def test_chunk_size_changes_no_draw_and_no_site(dim, chunk, monkeypatch):
 
 
 def test_walk_holds_one_chunk_of_draws():
-    spec = WalkSpec(dim=2, a_s=0.5, a_t=0.0625, n_walkers=10**6, n_steps=8)
+    spec = WalkSpec(dim=2, a_s=0.5, n_walkers=10**6, n_steps=8)
     field, peak = traced_peak(simulate_walk, spec, RngStream(55, 9))
     assert field.masses.size < 100
     # int64 values per walker of one 65,536-walker chunk at dim = 2: a
@@ -174,8 +171,7 @@ def test_walk_holds_one_chunk_of_draws():
 @given(dim=st.integers(1, 3), n_steps=st.integers(0, 16),
        n_walkers=st.integers(1, 400))
 def test_any_walk_conserves_mass_and_parity(dim, n_steps, n_walkers):
-    spec = WalkSpec(dim=dim, a_s=1.0, a_t=2.0 / (2 * dim) / 1.0,
-                    n_walkers=n_walkers, n_steps=n_steps)
+    spec = WalkSpec(dim=dim, a_s=1.0, n_walkers=n_walkers, n_steps=n_steps)
     field = simulate_walk(spec, RngStream(52, n_steps * 7 + dim))
     assert abs(field.normalization - 1.0) <= 1e-12
     assert np.all(field.masses > 0)
@@ -299,7 +295,7 @@ def test_scan_rejects_a_time_step_outside_the_double_range(a_s, monkeypatch):
 def test_scan_derives_each_time_step_at_unit_diffusion():
     for dim in (1, 2, 3):
         specs = diffusion._level_specs(dim, 0.5, 10, 8, 2)
-        assert [s.d_coeff for s in specs] == [1.0, 1.0, 1.0]
+        assert [s.a_s**2 / s.a_t for s in specs] == [2 * dim] * 3
 
 
 def test_packed_key_range_is_checked_before_any_level_runs(monkeypatch):
@@ -317,8 +313,7 @@ def test_walk_width_matches_wick_rotated_diffusion_width():
     # The quantum module's imaginary-time route and this walker route must
     # agree on the spreading width for D = hbar / 2m.
     t = 0.5
-    spec = WalkSpec(dim=1, a_s=0.05, a_t=0.00125, n_walkers=10**7,
-                    n_steps=400)
+    spec = WalkSpec(dim=1, a_s=0.05, n_walkers=10**7, n_steps=400)
     field = simulate_walk(spec, RngStream(54, 0))
     mean = field.moment(1)[0]
     walk_width = math.sqrt(field.moment(2)[0] - mean**2)

@@ -51,6 +51,8 @@ def test_edge_list_round_trip():
     g = watts_strogatz(15, 4, 0.5, RngStream(100, 2))
     text = edge_list_text(g)
     assert parse_edge_list(text, 15).edges == g.edges
+    spaced = "\n" + text.replace("\n", "\n  \n")
+    assert parse_edge_list(spaced, 15).edges == g.edges
     first = text.splitlines()[0].split()
     assert len(first) == 2 and all(part.isdigit() for part in first)
 
