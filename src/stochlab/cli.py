@@ -859,8 +859,6 @@ def run(config: ExperimentConfig) -> RunManifest:
     if violations:
         raise ConfigError("; ".join(violations))
     started = datetime.now(timezone.utc).isoformat(timespec="microseconds")
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     runner = EXPERIMENTS[config.experiment].run
     seed = _to_int(config.seed)
@@ -881,6 +879,11 @@ def run(config: ExperimentConfig) -> RunManifest:
             key = name if replicas == 1 else f"replica{replica}_{name}"
             extras[key] = text
 
+    # Only a run whose every replica returned whole columns touches the
+    # output directory, so a failed run leaves no directory, nor a mix of
+    # old and new files in an existing one.
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.experiment}.csv"
     with csv_path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

@@ -480,9 +480,10 @@ def test_ragged_columns_raise_before_any_csv_is_written(tmp_path,
 
     entry = dataclasses.replace(cli.EXPERIMENTS["mcint"], run=ragged)
     monkeypatch.setitem(cli.EXPERIMENTS, "mcint", entry)
+    out = tmp_path / "run"
     with pytest.raises(ValueError):
-        cli.run(ExperimentConfig("mcint", {}, output_dir=str(tmp_path)))
-    assert not (tmp_path / "mcint.csv").exists()
+        cli.run(ExperimentConfig("mcint", {}, output_dir=str(out)))
+    assert not out.exists()
 
 
 def test_replica_fanout_orders_rows_and_summaries(tmp_path):
@@ -714,13 +715,25 @@ def test_overflowing_action_exits_3_naming_a_t(a_t, sweeps, tmp_path):
 
 @pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=needs_two_cpus)])
 def test_main_runtime_failure_exits_3(jobs, tmp_path, capsys):
-    code = cli.main(["resonance", "--jobs", jobs, "--out", str(tmp_path),
+    out = tmp_path / "run"
+    code = cli.main(["resonance", "--jobs", jobs, "--out", str(out),
                      "dt=0.9", "t_total=7000",
                      "noise_levels=0.1,0.2,0.4,0.8,1.6"])
     assert code == 3
     assert capsys.readouterr().err == ("runtime failure: IntegrationError: "
                                        "|x| exceeded 1000 at t = 3.6; "
                                        "reduce dt\n")
+    assert not out.exists()
+
+
+def test_failed_run_leaves_an_earlier_run_untouched(tmp_path, capsys):
+    assert cli.main(["interfere", "--jobs", "1", "--out", str(tmp_path)]) == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert cli.main(["resonance", "amplitude=1e100", "--jobs", "1",
+                     "--out", str(tmp_path)]) == 3
+    capsys.readouterr()
+    assert {path.name: path.read_bytes()
+            for path in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("rate, cause", [

@@ -280,16 +280,17 @@ def test_batch_evaluates_the_potential_only_at_path_values():
 
 
 def test_batch_holds_no_second_path_sized_buffer():
-    # Beyond the kept sweeps and the thinned copies the ensembles return,
-    # the sampler's working set is a few tuning blocks.
+    # Beyond the kept sweeps, the sampler's working set is a few tuning
+    # blocks and one chain's thinned copy: each chain's buffer is dropped
+    # before the next chain is thinned, so the copies never pile up on it.
     chains, sweeps, n_t = 4, 9000, 256
     runs, peak = traced_peak(metropolis_batch,
                              EuclideanAction(None, 0.05), Lattice(n_t),
                              [RngStream(31, k) for k in range(chains)],
                              sweeps, 0)
     kept_bytes = chains * sweeps * n_t * 8
-    returned = sum(run.paths.nbytes for run in runs)
-    assert peak < kept_bytes + returned + 4 * 2**20
+    largest_copy = max(run.paths.nbytes for run in runs)
+    assert peak < kept_bytes + largest_copy + 3 * 2**20
 
 
 @pytest.mark.parametrize("thermalization", [50, 37])
