@@ -250,9 +250,10 @@ def _cross_spectrum(p) -> list:
 
 
 def _cross_paths(p) -> list:
-    from .paths import _check_sweeps
+    from .paths import EuclideanAction, _check_sweeps
 
-    return _rule("sweeps", _check_sweeps, p["sweeps"], p["thermalization"])
+    return (_rule("a_t", EuclideanAction, None, p["a_t"])
+            + _rule("sweeps", _check_sweeps, p["sweeps"], p["thermalization"]))
 
 
 def _cross_diffuse(p) -> list:
@@ -482,12 +483,10 @@ def _paths_block(unit) -> list:
     from .paths import EuclideanAction, Lattice, metropolis_batch
 
     p, streams = unit
-    dynamics = EuclideanAction(potential=_POTENTIALS[p["potential"]],
-                               a_t=p["a_t"])
-    lattice = Lattice(n_t=p["n_t"])
+    dynamics = EuclideanAction(_POTENTIALS[p["potential"]], p["a_t"])
     return [chain.paths for chain in metropolis_batch(
-        dynamics, lattice, streams, sweeps=p["sweeps"],
-        thermalization=p["thermalization"])]
+        dynamics, Lattice(p["n_t"]), streams, p["sweeps"],
+        p["thermalization"])]
 
 
 def _run_paths(p, rng, jobs) -> _RunOutput:

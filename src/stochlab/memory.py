@@ -5,8 +5,7 @@ H = -sum_{i<j} J_ij s_i s_j: the Hebbian outer-product rule stores patterns
 as low-energy attractors (retrieval = descending into the nearest one), and
 Gaussian couplings of variance 1/N give the frustrated glass whose ground
 state is genuinely hard to find.  The two constructions behave very
-differently even though the Hamiltonian is shared -- the coupling origin is
-carried on the matrix so results stay attributable.
+differently even though the Hamiltonian is shared.
 
 Small systems (N <= 24) admit exhaustive treatment: exact partition
 functions by enumeration and a brute-force ground-state oracle against which
@@ -77,10 +76,9 @@ class SpinConfig:
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Symmetric zero-diagonal coupling matrix with its construction origin."""
+    """Symmetric zero-diagonal coupling matrix."""
 
     j: np.ndarray
-    origin: str
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.j, dtype=float)
@@ -174,7 +172,7 @@ def hebbian_couplings(patterns) -> CouplingMatrix:
     xi = np.stack([c.spins for c in configs]).astype(float)
     j = xi.T @ xi / n
     np.fill_diagonal(j, 0.0)
-    return CouplingMatrix(j=j, origin="hebbian")
+    return CouplingMatrix(j)
 
 
 def sk_couplings(n: int, rng: RngStream) -> CouplingMatrix:
@@ -182,7 +180,7 @@ def sk_couplings(n: int, rng: RngStream) -> CouplingMatrix:
     if n < 2:
         raise ValueError("n must be at least 2")
     upper = np.triu(rng.gen.normal(0.0, 1.0 / math.sqrt(n), size=(n, n)), k=1)
-    return CouplingMatrix(j=upper + upper.T, origin="sk-gaussian")
+    return CouplingMatrix(upper + upper.T)
 
 
 def _check_sizes(config: SpinConfig, couplings: CouplingMatrix) -> None:

@@ -78,6 +78,9 @@ class EuclideanAction:
     def __post_init__(self) -> None:
         if self.a_t <= 0:
             raise ValueError("a_t must be positive")
+        if not math.isfinite(1.0 / (2.0 * self.a_t)):
+            raise ValueError("the kinetic coefficient 1 / (2 a_t) overflows "
+                             "a double; raise a_t")
 
 
 @dataclass(frozen=True)
@@ -87,15 +90,6 @@ class HausdorffScan:
     alpha: float               # fitted exponent of mean L ~ dx**alpha
     d_h: float                 # 1 - alpha
     block_sizes: np.ndarray    # coarse-graining block size per scan point
-
-
-@dataclass(frozen=True)
-class ProposalAudit:
-    """Logged Metropolis proposals for detailed-balance spot checks."""
-
-    delta_s: np.ndarray
-    uniforms: np.ndarray
-    accepted: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -110,7 +104,6 @@ class PathEnsemble:
     stride: int
     tau_int: float
     lattice: Lattice
-    audit: ProposalAudit | None = None
 
 
 def action(positions, dynamics: EuclideanAction):
@@ -169,8 +162,7 @@ def _check_sweeps(sweeps: int, thermalization: int) -> None:
 
 def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
                      streams: Sequence[RngStream], sweeps: int,
-                     thermalization: int, proposal_width: float = 1.0,
-                     audit_proposals: int = 0) -> list[PathEnsemble]:
+                     thermalization: int) -> list[PathEnsemble]:
     """Sample fixed-endpoint paths with Boltzmann weight exp(-S), one chain
     per stream.
 
@@ -179,17 +171,14 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
     each half-sweep depend only on frozen neighbors (single-site detailed
     balance is preserved and the schedule is deterministic from the seed).
 
-    The proposal width starts at ``proposal_width`` and is retuned toward 50%
-    acceptance every 25 sweeps during thermalization, then frozen.  ``sweeps``
-    counts total sweeps including thermalization.  Post-thermalization paths
-    are thinned by a stride of ceil(2 * tau_int), where tau_int is the
-    integrated autocorrelation time of the action series.
+    The proposal width starts at 1 and is retuned toward 50% acceptance every
+    25 sweeps during thermalization, then frozen.  ``sweeps`` counts total
+    sweeps including thermalization.  Post-thermalization paths are thinned
+    by a stride of ceil(2 * tau_int), where tau_int is the integrated
+    autocorrelation time of the action series.
 
-    Set ``audit_proposals`` to log that many post-thermalization proposals
-    (delta S, uniform draw, decision) for detailed-balance checks.
-
-    Each chain keeps its own width, tuning, action trace, tau_int, stride and
-    audit, and draws from its own stream in this order: the n_t - 1 bridge
+    Each chain keeps its own width, tuning, action trace, tau_int and
+    stride, and draws from its own stream in this order: the n_t - 1 bridge
     normals, then per sweep the proposal and the acceptance uniforms of the
     odd sites, then of the even sites.  Chain c therefore equals the one
     chain of ``metropolis_batch(..., [streams[c]], ...)`` bit for bit.  The
@@ -219,8 +208,6 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
     if not streams:
         raise ValueError("need at least one stream")
     _check_sweeps(sweeps, thermalization)
-    if proposal_width <= 0:
-        raise ValueError("proposal_width must be positive")
 
     n_t = lattice.n_t
     gens = [stream.gen for stream in streams]
@@ -284,7 +271,7 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
             per_sweep += 2 * size
 
     coef = 1.0 / (2.0 * dynamics.a_t)
-    width = np.full((chains, 1, 1), float(proposal_width))
+    width = np.ones((chains, 1, 1))
     trace = np.empty((chains, sweeps))
     # Per chain, so each buffer can be dropped once its chain is thinned.
     kept = [np.empty((sweeps - thermalization, n_t)) for _ in range(chains)]
@@ -294,8 +281,6 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
     # A proposal's sites, its squared links, and -delta S.
     new, left_sq, right_sq, log_p = np.empty((4, n))
     potential = dynamics.potential
-    audit: list[list[np.ndarray]] = []
-    audit_left = int(audit_proposals)
 
     def per_chain(decisions):
         """Accepted proposals of each chain in a (sweep, lane) block."""
@@ -311,8 +296,8 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
                 -width + 2.0 * width * draws[:, :k, proposals]).swapaxes(0, 1)
             uniform.reshape(-1, chains, row)[:k, :, lanes] = (
                 draws[:, :k, uniform_cols].swapaxes(0, 1))
-        for j, sweep in enumerate(range(start, start + k)):
-            for (old, left, right, left_link, right_link, lanes, _, _,
+        for j in range(k):
+            for (old, left, right, left_link, right_link, _, _, _,
                  step, uniform, decisions) in colours:
                 accept = decisions[j]
                 np.add(old, step[j], out=new)
@@ -327,22 +312,12 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
                     log_p -= dynamics.a_t * (
                         np.asarray(potential(new), dtype=float)
                         - np.asarray(potential(old), dtype=float))
-                logging = audit_left > 0 and sweep >= thermalization
-                if logging:
-                    # delta S is never -0.0, so 0.0 - log_p is it bitwise.
-                    delta_s = np.subtract(0.0, log_p)
                 np.minimum(log_p, 0.0, out=log_p)
                 np.exp(log_p, out=log_p)
                 np.less(uniform[j], log_p, out=accept)
                 np.putmask(old, accept, new)
                 np.putmask(left_link, accept, left_sq)
                 np.putmask(right_link, accept, right_sq)
-                if logging:
-                    take = min(audit_left, lanes.stop - lanes.start)
-                    audit.append([
-                        a.reshape(chains, row)[:, lanes][:, :take].copy()
-                        for a in (delta_s, uniform[j], accept)])
-                    audit_left -= take
             states[j] = x
         # One de-interleave per block, into site order, feeds the action
         # trace and the kept paths.
@@ -361,7 +336,6 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
                 buffer[start + measured - thermalization:
                        start + k - thermalization] = block
 
-    audit_arrays = [np.concatenate(parts, axis=1) for parts in zip(*audit)]
     ensembles = []
     for c in range(chains):
         measured_trace = trace[c, thermalization:]
@@ -380,7 +354,6 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
             stride=stride,
             tau_int=tau,
             lattice=lattice,
-            audit=ProposalAudit(*(a[c] for a in audit_arrays)) if audit else None,
         ))
     return ensembles
 

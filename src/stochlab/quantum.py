@@ -125,12 +125,12 @@ class WaveState:
         return cls(grid=grid, values=raw / norm)
 
     @classmethod
-    def gaussian_packet(cls, grid: Grid1D, x0: float = 0.0, sigma0: float = 1.0,
-                        k0: float = 0.0) -> "WaveState":
-        """Minimum-uncertainty packet: position std sigma0, momentum std 1/(2 sigma0)."""
+    def gaussian_packet(cls, grid: Grid1D, sigma0: float = 1.0) -> "WaveState":
+        """Minimum-uncertainty packet at rest at x = 0: position std sigma0,
+        momentum std 1/(2 sigma0)."""
         _check_width(sigma0)
-        x = grid.points
-        raw = np.exp(-((x - x0) ** 2) / (4.0 * sigma0**2) + 1j * k0 * x)
+        # A complex exp: a real one rounds differently.
+        raw = np.exp(-(grid.points**2) / (4.0 * sigma0**2) + 0j)
         return cls.from_samples(grid, raw)
 
 

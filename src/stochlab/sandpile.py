@@ -1,11 +1,11 @@
 """Driven-dissipative sandpile on a rectangular lattice.
 
-A cell holding at least ``threshold`` grains topples, shedding one grain to
-each of its four von Neumann neighbours; grains pushed past the boundary
-leave the system.  Repeated single-grain drops drive the grid into a
-stationary state with scale-free avalanche statistics, recorded per drop by
-:func:`drive` as a catalog (size, area, duration, dissipated grains) and an
-activity series suitable for spectral analysis.
+A cell holding at least four grains topples, shedding one grain to each of
+its four von Neumann neighbours; grains pushed past the boundary leave the
+system.  Repeated single-grain drops drive the grid into a stationary state
+with scale-free avalanche statistics, recorded per drop by :func:`drive` as
+a catalog (size, area, duration, dissipated grains) and an activity series
+suitable for spectral analysis.
 
 Relaxation proceeds in parallel rounds: every cell that is unstable at a
 round's start topples once in that round.  Topplings commute -- the final
@@ -49,9 +49,8 @@ __all__ = [
     "ccdf_fit",
 ]
 
-# Grains shed per toppling: one to each von Neumann neighbour.  The threshold
-# may sit above this (a "lazy" pile is still Abelian) but never below it,
-# otherwise a toppling could drive a cell's height negative.
+# Grains shed per toppling, one to each von Neumann neighbour, and the
+# height at which a cell topples.
 _SHED = 4
 
 # Value of the padding cells around a grid being relaxed: a sink that absorbs
@@ -65,21 +64,14 @@ _SITE_POLICIES = ("uniform-random", "center")
 class SandGrid:
     """Mutable sandpile state: integer grain heights with open edges.
 
-    ``heights`` is indexed ``[row, column]``.  A grid is single-owner while
-    it is being driven; use :meth:`copy` to branch experiments.
-
-    Parameters
-    ----------
-    heights:
-        Non-negative integer array, shape ``(height, width)``.  The array is
-        copied, so the caller's buffer is never aliased.
-    threshold:
-        A cell topples once its height reaches this value.  Must be at least
-        4, because every toppling sheds exactly four grains.
+    ``heights`` is a non-negative integer array of shape ``(height,
+    width)``, indexed ``[row, column]``; it is copied, so the caller's
+    buffer is never aliased.  A cell topples once it holds four grains.  A
+    grid is single-owner while it is being driven; use :meth:`copy` to
+    branch experiments.
     """
 
     heights: np.ndarray
-    threshold: int = 4
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.heights)
@@ -89,20 +81,14 @@ class SandGrid:
             raise ValueError("heights must be an integer array")
         if np.any(arr < 0):
             raise ValueError("heights must be non-negative")
-        if int(self.threshold) != self.threshold or self.threshold < _SHED:
-            raise ValueError(
-                f"threshold must be an integer >= {_SHED} "
-                "(each toppling sheds four grains)"
-            )
         self.heights = arr.astype(np.int64, copy=True)
-        self.threshold = int(self.threshold)
 
     @classmethod
-    def zeros(cls, width: int, height: int, threshold: int = 4) -> "SandGrid":
+    def zeros(cls, width: int, height: int) -> "SandGrid":
         """Empty grid of the given dimensions."""
         if width < 1 or height < 1:
             raise ValueError("grid dimensions must be positive")
-        return cls(np.zeros((height, width), dtype=np.int64), threshold)
+        return cls(np.zeros((height, width), dtype=np.int64))
 
     @property
     def width(self) -> int:
@@ -126,10 +112,10 @@ class SandGrid:
 
     @property
     def is_stable(self) -> bool:
-        return bool(np.all(self.heights < self.threshold))
+        return bool(np.all(self.heights < _SHED))
 
     def copy(self) -> "SandGrid":
-        return SandGrid(self.heights, self.threshold)
+        return SandGrid(self.heights)
 
 
 @dataclass(frozen=True)
@@ -183,8 +169,8 @@ def _to_cells(heights: np.ndarray) -> tuple[list, list[int]]:
     Cell ``(r, c)`` sits at index ``(r + 1) * (width + 2) + c + 1``, so its
     four neighbours are ``k - 1``, ``k + 1`` and ``k -+ (width + 2)``.  Sink
     cells hold ``-inf``: they absorb any number of grains without ever
-    reaching the threshold.  The second list gives, per index, the grains a
-    toppling there sheds over the edge.
+    toppling.  The second list gives, per index, the grains a toppling there
+    sheds over the edge.
     """
     inside = np.pad(np.ones(heights.shape, dtype=np.int64), 1)
     loss = np.pad(_SHED - (inside[:-2, 1:-1] + inside[2:, 1:-1]
@@ -203,7 +189,6 @@ def _write_back(cells: list, heights: np.ndarray) -> None:
 
 def _relax(cells: list,
            stride: int,
-           threshold: int,
            loss: list[int],
            candidates: Iterable[int],
            round_log: list[int]) -> Avalanche:
@@ -211,13 +196,13 @@ def _relax(cells: list,
 
     ``candidates`` must include every cell that is unstable on entry.  Each
     round, every unstable cell topples once, and only those cells and their
-    neighbours can be unstable after it.  A toppled cell still at or above
-    ``threshold`` stays unstable; any other cell was below ``threshold`` at
-    the round's start and becomes unstable when a grain lifts it to exactly
-    ``threshold``, so no cell is listed twice.  The per-round toppling
-    counts are appended to ``round_log``, or a single 0 for an event with
-    no topplings.
+    neighbours can be unstable after it.  A toppled cell still holding four
+    grains stays unstable; any other cell held fewer at the round's start
+    and becomes unstable when a grain lifts it to exactly four, so no cell
+    is listed twice.  The per-round toppling counts are appended to
+    ``round_log``, or a single 0 for an event with no topplings.
     """
+    threshold = _SHED  # a local: the loops below read it once per grain
     size = duration = lost = 0
     toppled: set[int] = set()
     unstable = [k for k in candidates if cells[k] >= threshold]
@@ -230,7 +215,7 @@ def _relax(cells: list,
         fired = unstable
         unstable = []
         for k in fired:
-            h = cells[k] - _SHED
+            h = cells[k] - threshold
             cells[k] = h
             if h >= threshold:
                 unstable.append(k)
@@ -265,12 +250,11 @@ def _drop_each(grid: SandGrid, rows, cols,
                          f"{grid.height}x{grid.width} grid")
     cells, loss = _to_cells(grid.heights)
     stride = grid.width + 2
-    threshold = grid.threshold
     everywhere = range(len(cells))
     events = []
     for i, site in enumerate(((rows + 1) * stride + cols + 1).tolist()):
         cells[site] += 1
-        events.append(_relax(cells, stride, threshold, loss,
+        events.append(_relax(cells, stride, loss,
                              (site,) if i else everywhere, round_log))
     _write_back(cells, grid.heights)
     return events

@@ -656,6 +656,8 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
     (["decay", "rate_lambda=1e-310"], "rate_lambda"),
     (["decay", "rate_lambda=5e-324"], "rate_lambda"),
     (["decay", "rate_lambda=1e-305"], "rate_lambda"),
+    # A subnormal slice spacing: the kinetic coefficient 1 / (2 a_t) is inf.
+    (["paths", "a_t=1e-310"], "a_t"),
 ], ids=["short-record", "line-off-its-bin", "diffuse-key-range",
         "overflowing-step-count", "spectrum-levels-past-grid",
         "mcint-ball-gamma-overflow", "interfere-amplitude", "uncertainty-width",
@@ -667,7 +669,7 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
         "resonance-kick-past-trust-bound",
         "spectrum-spacing-square-overflow", "uncertainty-spacing-underflow",
         "decay-lifetime-overflow", "decay-lifetime-overflow-min",
-        "decay-lifetime-sum-overflow"])
+        "decay-lifetime-sum-overflow", "paths-kinetic-overflow"])
 def test_faults_known_from_the_config_exit_2(argv, key, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main([*argv, "--jobs", "1", "--out", str(out)]) == 2

@@ -3,8 +3,8 @@
 Criterion 11 shows that a run equals its own rerun under the same code.  The
 tables here show that the code still computes what it computed when they were
 recorded: every data file ``cli.run`` writes for each golden configuration
-(``util.RERUN_CONFIGS``, plus ``util.ANNEAL_CONFIG``), and the raw Metropolis kernel output (paths, action
-trace, proposal audit) of a free and a harmonic three-chain run.  Under
+(``util.RERUN_CONFIGS``, plus ``util.ANNEAL_CONFIG``), and the raw Metropolis kernel output (paths and
+action trace) of a free and a harmonic three-chain run.  Under
 pytest each golden configuration runs once per session (the ``golden_run``
 fixture in conftest.py), and criterion 11 reruns that same run.  The tables
 were recorded at ``jobs=1``; criterion 11 reruns at the default worker
@@ -130,17 +130,17 @@ GOLDEN_ANNEAL = {
 
 GOLDEN_KERNEL = {
     "free":
-        "8c7118db1c64acc46f1be6d92e713faae90b007bd5be59a9e18f222b579e7a7b",
+        "855fe95ee4d79c382a79082d2e1bef4a10b3ca0d8d645fb7ed7e425664d62550",
     "harmonic":
-        "43cb2d9ed0f83df6587e15adb96f4c7f2f3f9a62fbd08397ded1bd5003de206d",
+        "3901dc11c0a4f39f466f53ee5c7f6ccc6ed078e7d48cc3623bf1cabc3b25913f",
 }
 
-# name -> (potential, n_t, a_t, proposal_width).  The odd n_t gives the two
-# checkerboard groups different sizes; thermalization is deliberately not a
-# multiple of the 25-sweep tuning interval.
+# name -> (potential, n_t, a_t).  The odd n_t gives the two checkerboard
+# groups different sizes; thermalization is deliberately not a multiple of
+# the 25-sweep tuning interval.
 _KERNEL_CASES = {
-    "free": (lambda x: np.zeros_like(x), 64, 0.05, 1.0),
-    "harmonic": (lambda x: 0.5 * x**2, 65, 0.1, 0.3),
+    "free": (lambda x: np.zeros_like(x), 64, 0.05),
+    "harmonic": (lambda x: 0.5 * x**2, 65, 0.1),
 }
 
 
@@ -149,18 +149,16 @@ def _digests(manifest: cli.RunManifest) -> dict:
 
 
 def _kernel_digest(case: str) -> str:
-    potential, n_t, a_t, width = _KERNEL_CASES[case]
+    potential, n_t, a_t = _KERNEL_CASES[case]
     dynamics = EuclideanAction(potential=potential, a_t=a_t)
     lattice = Lattice(n_t=n_t)
     base = RngStream(7, 0)
     ensembles = metropolis_batch(
         dynamics, lattice, [base.substream(c) for c in range(3)], sweeps=600,
-        thermalization=210, proposal_width=width, audit_proposals=500)
+        thermalization=210)
     digest = hashlib.sha256()
     for ensemble in ensembles:
-        audit = ensemble.audit
-        for array in (ensemble.paths, ensemble.action_trace, audit.delta_s,
-                      audit.uniforms, audit.accepted):
+        for array in (ensemble.paths, ensemble.action_trace):
             digest.update(f"{array.dtype.str}{array.shape}".encode())
             digest.update(np.ascontiguousarray(array).tobytes())
     return digest.hexdigest()

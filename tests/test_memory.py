@@ -37,13 +37,13 @@ def _pairwise_energy(spins, j):
 
 
 def _zero_couplings(n):
-    return CouplingMatrix(np.zeros((n, n)), origin="test")
+    return CouplingMatrix(np.zeros((n, n)))
 
 
 def _ferromagnet(n):
     j = np.full((n, n), 1.0 / n)
     np.fill_diagonal(j, 0.0)
-    return CouplingMatrix(j, origin="test")
+    return CouplingMatrix(j)
 
 
 # ---------------------------------------------------------------- types
@@ -76,13 +76,13 @@ def test_random_config_is_reproducible_and_valid():
 
 def test_coupling_matrix_validation():
     with pytest.raises(ValueError):
-        CouplingMatrix(np.zeros((2, 3)), origin="test")
+        CouplingMatrix(np.zeros((2, 3)))
     asym = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(ValueError):
-        CouplingMatrix(asym, origin="test")
+        CouplingMatrix(asym)
     diag = np.array([[1.0, 0.5], [0.5, 0.0]])
     with pytest.raises(ValueError):
-        CouplingMatrix(diag, origin="test")
+        CouplingMatrix(diag)
 
 
 def test_anneal_schedule_validation_and_temperatures():
@@ -115,7 +115,6 @@ def test_hebbian_matrix_shape_and_symmetry():
     rng = RngStream(41, 0)
     pats = [SpinConfig.random(20, rng) for _ in range(3)]
     j = hebbian_couplings(pats)
-    assert j.origin == "hebbian"
     assert np.array_equal(j.j, j.j.T)
     assert np.all(np.diag(j.j) == 0.0)
 
@@ -152,7 +151,6 @@ def test_orthogonal_patterns_are_local_minima_below_the_loading_bound():
 def test_sk_couplings_match_the_declared_distribution():
     n = 1000
     j = sk_couplings(n, RngStream(43, 0))
-    assert j.origin == "sk-gaussian"
     assert np.array_equal(j.j, j.j.T)
     assert np.all(np.diag(j.j) == 0.0)
     off = j.j[np.triu_indices(n, 1)]
@@ -172,7 +170,7 @@ def test_sk_couplings_reject_tiny_systems_and_reproduce():
 
 
 def test_two_spin_energies_are_exact():
-    j = CouplingMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), origin="test")
+    j = CouplingMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert energy(SpinConfig([1, 1]), j) == -1.0
     assert energy(SpinConfig([-1, -1]), j) == -1.0
     assert energy(SpinConfig([1, -1]), j) == 1.0
@@ -280,7 +278,7 @@ def test_free_spins_partition_function_counts_all_states():
 
 
 def test_two_spin_partition_function_closed_form():
-    j = CouplingMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), origin="test")
+    j = CouplingMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     state = exact_thermo(j, 1.0)
     assert state.partition_z == pytest.approx(2 * math.e + 2 / math.e, rel=1e-12)
     assert state.free_energy == pytest.approx(-math.log(2 * math.e + 2 / math.e),

@@ -53,8 +53,11 @@ def test_lattice_rejects_too_few_slices():
 
 
 def test_dynamics_rejects_nonpositive_parameters():
-    with pytest.raises(ValueError):
-        EuclideanAction(potential=zero_potential, a_t=-0.1)
+    # Below about 2.8e-309 the kinetic coefficient 1 / (2 a_t) is inf.
+    for a_t in (-0.1, 0.0, 1e-310):
+        with pytest.raises(ValueError):
+            EuclideanAction(potential=zero_potential, a_t=a_t)
+    assert EuclideanAction(zero_potential, 3e-309).a_t == 3e-309
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +148,7 @@ def free_run():
     dyn = EuclideanAction(potential=zero_potential, a_t=0.05)
     lattice = Lattice(n_t=64)
     return metropolis_batch(dyn, lattice, [RngStream(17, 0)],
-                            sweeps=5000, thermalization=1000,
-                            audit_proposals=1000)[0]
+                            sweeps=5000, thermalization=1000)[0]
 
 
 @pytest.fixture(scope="module")
@@ -189,24 +191,23 @@ def test_thinned_samples_own_their_memory(free_run, pooled_free_chains):
         assert run.paths.flags.owndata and run.paths.flags.c_contiguous
 
 
-# (potential, n_t, a_t, chains, sweeps, thermalization, audit_proposals):
-# odd and even n_t, a lone interior site, runs that end mid-block and
-# thermalization that ends mid tuning interval.
-# (potential, n_t, a_t, chains, sweeps, thermalization, audit_proposals)
+# (potential, n_t, a_t, chains, sweeps, thermalization): odd and even n_t,
+# a lone interior site, runs that end mid-block and thermalization that ends
+# mid tuning interval.
 _BATCH_CASES = {
-    "harmonic": (harmonic_potential, 33, 0.1, 3, 260, 60, 0),
-    "free-audit": (zero_potential, 18, 0.05, 2, 130, 75, 40),
-    "single-chain": (harmonic_potential, 3, 0.1, 1, 90, 30, 5),
-    "none-audit": (None, 17, 0.05, 3, 140, 50, 30),
+    "harmonic": (harmonic_potential, 33, 0.1, 3, 260, 60),
+    "free-audit": (zero_potential, 18, 0.05, 2, 130, 75),
+    "single-chain": (harmonic_potential, 3, 0.1, 1, 90, 30),
+    "none-audit": (None, 17, 0.05, 3, 140, 50),
     # One interior site of each colour.
-    "n_t-4": (harmonic_potential, 4, 0.1, 3, 110, 50, 6),
+    "n_t-4": (harmonic_potential, 4, 0.1, 3, 110, 50),
     # The even colour's last lane holds the endpoint, not padding.
-    "odd-n_t-quartic": (quartic_potential, 9, 0.1, 2, 120, 50, 9),
+    "odd-n_t-quartic": (quartic_potential, 9, 0.1, 2, 120, 50),
     # Nine chains, whose strides differ (checked below).
-    "nine-chains": (harmonic_potential, 12, 0.1, 9, 160, 40, 0),
-    "no-thermalization": (None, 20, 0.05, 2, 80, 0, 12),
+    "nine-chains": (harmonic_potential, 12, 0.1, 9, 160, 40),
+    "no-thermalization": (None, 20, 0.05, 2, 80, 0),
     # Measurement starts inside a 25-sweep tuning block.
-    "thermalization-mid-block": (harmonic_potential, 16, 0.1, 2, 120, 37, 20),
+    "thermalization-mid-block": (harmonic_potential, 16, 0.1, 2, 120, 37),
 }
 
 
@@ -223,17 +224,14 @@ def _assert_bitwise_equal(ours, theirs):
 
 @pytest.mark.parametrize("case", sorted(_BATCH_CASES))
 def test_batch_equals_separate_chains_and_reference_loop(case):
-    potential, n_t, a_t, chains, sweeps, therm, audit = _BATCH_CASES[case]
+    potential, n_t, a_t, chains, sweeps, therm = _BATCH_CASES[case]
     dyn = EuclideanAction(potential, a_t)
     lat = Lattice(n_t, x_start=0.5)
-    args = (sweeps, therm, 0.7, audit)
+    args = (sweeps, therm)
     streams = [RngStream(61, k) for k in range(chains)]
     batch = metropolis_batch(dyn, lat, streams, *args)
     assert len(batch) == chains
     for k, run in enumerate(batch):
-        assert (run.audit is None) == (audit == 0)
-        if audit:
-            assert run.audit.delta_s.shape == (audit,)
         single_stream, reference_stream = RngStream(61, k), RngStream(61, k)
         single = metropolis_batch(dyn, lat, [single_stream], *args)[0]
         _assert_bitwise_equal(dataclasses.asdict(run), dataclasses.asdict(single))
@@ -245,12 +243,11 @@ def test_batch_equals_separate_chains_and_reference_loop(case):
 
 
 def test_nine_chain_case_has_differing_strides():
-    potential, n_t, a_t, chains, sweeps, therm, audit = _BATCH_CASES[
-        "nine-chains"]
+    potential, n_t, a_t, chains, sweeps, therm = _BATCH_CASES["nine-chains"]
     runs = metropolis_batch(EuclideanAction(potential, a_t),
                             Lattice(n_t, x_start=0.5),
                             [RngStream(61, k) for k in range(chains)],
-                            sweeps, therm, 0.7, audit)
+                            sweeps, therm)
     assert len({run.stride for run in runs}) > 1
 
 
@@ -300,7 +297,7 @@ def test_none_potential_equals_zeros_potential_bitwise(thermalization):
     lat = Lattice(20, x_start=0.3)
     runs = [metropolis_batch(EuclideanAction(potential, 0.05), lat,
                              [RngStream(83, k) for k in range(2)], 120,
-                             thermalization, 0.7, 25)
+                             thermalization)
             for potential in (None, zero_potential)]
     for skipped, evaluated in zip(*runs):
         _assert_bitwise_equal(dataclasses.asdict(skipped),
@@ -337,18 +334,6 @@ def test_action_histogram_is_near_gaussian(pooled_free_chains):
     assert abs(stats.kurtosis(actions)) < 1.0
 
 
-def test_audit_confirms_metropolis_rule(free_run):
-    audit = free_run.audit
-    assert audit.delta_s.shape == (1000,)
-    threshold = np.exp(np.minimum(-audit.delta_s, 0.0))
-    np.testing.assert_array_equal(audit.accepted, audit.uniforms < threshold)
-    # The empirical acceptance fraction must match the mean Metropolis
-    # probability of the same proposals (binomial 3-sigma).
-    p = threshold.mean()
-    sigma = math.sqrt(p * (1.0 - p) / 1000)
-    assert abs(audit.accepted.mean() - p) < 3.0 * sigma + 1e-9
-
-
 def test_same_stream_reproduces_bitwise():
     dyn = EuclideanAction(zero_potential, 0.1)
     lat = Lattice(32)
@@ -375,8 +360,6 @@ def test_sampler_validates_arguments():
         metropolis_batch(dyn, lat, [RngStream(1)], sweeps=10, thermalization=10)
     with pytest.raises(ValueError):
         metropolis_batch(dyn, lat, [RngStream(1)], sweeps=10, thermalization=-1)
-    with pytest.raises(ValueError):
-        metropolis_batch(dyn, lat, [RngStream(1)], 10, 0, proposal_width=0.0)
 
 
 def test_harmonic_spread_matches_eigensolver_ground_state():

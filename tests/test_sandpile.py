@@ -112,8 +112,6 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         SandGrid(np.array([[1, -1], [0, 0]]))
     with pytest.raises(ValueError):
-        SandGrid(np.zeros((2, 2), dtype=int), threshold=3)
-    with pytest.raises(ValueError):
         SandGrid(np.zeros(4, dtype=int))
     with pytest.raises(ValueError):
         SandGrid.zeros(0, 5)
@@ -291,21 +289,21 @@ def test_ccdf_rejects_all_quiet_series():
 # The active-set relaxation against the whole-grid oracle
 
 _ORACLE_CASES = [
-    # (heights, threshold, site_policy, n_drops)
-    (np.zeros((1, 1), dtype=int), 4, "uniform-random", 60),
-    (np.zeros((1, 5), dtype=int), 4, "uniform-random", 200),
-    (np.zeros((3, 7), dtype=int), 5, "uniform-random", 600),
-    (np.zeros((5, 5), dtype=int), 4, "center", 300),
-    (np.full((6, 4), 9), 4, "uniform-random", 200),
+    # (heights, site_policy, n_drops)
+    (np.zeros((1, 1), dtype=int), "uniform-random", 60),
+    (np.zeros((1, 5), dtype=int), "uniform-random", 200),
+    (np.zeros((3, 7), dtype=int), "uniform-random", 600),
+    (np.zeros((5, 5), dtype=int), "center", 300),
+    (np.full((6, 4), 9), "uniform-random", 200),
 ]
-_ORACLE_IDS = ["1x1", "1x5", "7x3-threshold5", "center", "unstable-start"]
+_ORACLE_IDS = ["1x1", "1x5", "7x3", "center", "unstable-start"]
 
 
-@pytest.mark.parametrize("heights, threshold, policy, n_drops", _ORACLE_CASES,
+@pytest.mark.parametrize("heights, policy, n_drops", _ORACLE_CASES,
                          ids=_ORACLE_IDS)
-def test_drive_matches_whole_grid_oracle(heights, threshold, policy, n_drops):
-    grid = SandGrid(heights, threshold)
-    oracle = SandGrid(heights, threshold)
+def test_drive_matches_whole_grid_oracle(heights, policy, n_drops):
+    grid = SandGrid(heights)
+    oracle = SandGrid(heights)
     record = drive(grid, RngStream(65, 1), n_drops, site_policy=policy)
     expected = reference_drive(oracle, RngStream(65, 1), n_drops,
                                site_policy=policy)
@@ -318,12 +316,11 @@ def test_drive_matches_whole_grid_oracle(heights, threshold, policy, n_drops):
     assert grid.heights.dtype == np.int64
 
 
-@pytest.mark.parametrize("heights, threshold, policy, n_drops", _ORACLE_CASES,
+@pytest.mark.parametrize("heights, policy, n_drops", _ORACLE_CASES,
                          ids=_ORACLE_IDS)
-def test_drop_and_relax_matches_whole_grid_oracle(heights, threshold, policy,
-                                                  n_drops):
-    grid = SandGrid(heights, threshold)
-    oracle = SandGrid(heights, threshold)
+def test_drop_and_relax_matches_whole_grid_oracle(heights, policy, n_drops):
+    grid = SandGrid(heights)
+    oracle = SandGrid(heights)
     buffer = grid.heights
     rng = RngStream(66, 2)
     for _ in range(n_drops // 2):

@@ -165,14 +165,13 @@ def crank_nicolson_free_evolution(state: WaveState, t: float,
 
 
 def reference_metropolis(dynamics, lattice, rng: RngStream, sweeps: int,
-                         thermalization: int, proposal_width: float = 1.0,
-                         audit_proposals: int = 0) -> dict:
+                         thermalization: int) -> dict:
     """One chain of ``paths.metropolis_batch``, written as a per-site-group loop.
 
     A slow oracle with the batch kernel's draw order and arithmetic: bridge
     normals, then per sweep ``gen.uniform`` proposals and ``gen.random``
-    acceptance draws for the odd sites, then the even sites; the width is
-    retuned every 25 thermalization sweeps.  A ``None`` potential is
+    acceptance draws for the odd sites, then the even sites; the width
+    starts at 1 and is retuned every 25 thermalization sweeps.  A ``None`` potential is
     evaluated as ``np.zeros_like``.  Returns the ensemble's fields.
     """
     potential = (np.zeros_like if dynamics.potential is None
@@ -194,12 +193,10 @@ def reference_metropolis(dynamics, lattice, rng: RngStream, sweeps: int,
     groups = [g for g in (interior[interior % 2 == 1],
                           interior[interior % 2 == 0]) if g.size > 0]
     coef = 1.0 / (2.0 * dynamics.a_t)
-    width = float(proposal_width)
+    width = 1.0
     trace = np.empty(sweeps)
     kept = np.empty((sweeps - thermalization, n_t))
     accepted = tune_acc = tune_prop = 0
-    audit = ([], [], [])
-    audit_left = audit_proposals
     for sweep in range(sweeps):
         in_measurement = sweep >= thermalization
         for sites in groups:
@@ -216,11 +213,6 @@ def reference_metropolis(dynamics, lattice, rng: RngStream, sweeps: int,
             x[sites] = np.where(accept, new, old)
             if in_measurement:
                 accepted += int(accept.sum())
-                if audit_left > 0:
-                    take = min(audit_left, sites.size)
-                    for log, values in zip(audit, (delta_s, u, accept)):
-                        log.append(values[:take].copy())
-                    audit_left -= take
             else:
                 tune_acc += int(accept.sum())
                 tune_prop += sites.size
@@ -241,9 +233,6 @@ def reference_metropolis(dynamics, lattice, rng: RngStream, sweeps: int,
         "action_trace": trace,
         "acceptance_rate": accepted / ((sweeps - thermalization) * (n_t - 2)),
         "proposal_width": width, "stride": stride, "tau_int": tau,
-        "audit": (dict(zip(("delta_s", "uniforms", "accepted"),
-                           map(np.concatenate, audit)))
-                  if audit_proposals > 0 else None),
     }
 
 
@@ -347,14 +336,14 @@ def reference_integrate(spec, rng: RngStream, sample_stride: int = 1):
     return Trajectory(positions, dt * sample_stride)
 
 
-def _reference_relax(heights: np.ndarray, threshold: int,
-                     round_log: list) -> Avalanche:
-    """Whole-grid parallel rounds: every unstable cell topples once per
-    round, found and shifted with array operations over the full grid."""
+def _reference_relax(heights: np.ndarray, round_log: list) -> Avalanche:
+    """Whole-grid parallel rounds: every cell holding four grains topples
+    once per round, found and shifted with array operations over the full
+    grid."""
     size = duration = lost = 0
     toppled = np.zeros(heights.shape, dtype=bool)
     while True:
-        unstable = heights >= threshold
+        unstable = heights >= 4
         n_unstable = int(np.count_nonzero(unstable))
         if n_unstable == 0:
             break
@@ -377,7 +366,7 @@ def _reference_relax(heights: np.ndarray, threshold: int,
 def reference_drop_and_relax(grid, site) -> Avalanche:
     """``sandpile.drop_and_relax`` on whole-grid rounds (slow oracle)."""
     grid.heights[site] += 1
-    return _reference_relax(grid.heights, grid.threshold, [])
+    return _reference_relax(grid.heights, [])
 
 
 def reference_drive(grid, rng: RngStream, n_drops: int,
@@ -394,7 +383,7 @@ def reference_drive(grid, rng: RngStream, n_drops: int,
     grains = grid.total_grains
     for row, col in zip(rows, cols):
         grid.heights[row, col] += 1
-        event = _reference_relax(grid.heights, grid.threshold, round_log)
+        event = _reference_relax(grid.heights, round_log)
         if event.duration == 0:
             round_log.append(0)
         events.append(event)
