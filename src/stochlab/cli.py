@@ -72,9 +72,10 @@ class ExperimentConfig:
 
     ``parameters`` may hold raw strings (from the command line or a config
     file) or typed values (from the API or a manifest echo); resolution
-    applies the per-experiment schema either way.  ``seed``, ``replicas``
-    and ``jobs`` may be raw strings too: :func:`validate` names a bad one
-    and :func:`run` converts them.  ``jobs`` caps the worker processes;
+    applies the per-experiment schema either way, defaults included, so a
+    list key resolves to a list whatever its source.  ``seed``, ``replicas``
+    and ``jobs`` may be raw strings too: resolution converts them once and
+    :func:`validate` names a bad one.  ``jobs`` caps the worker processes;
     None means every CPU available to the process.
     """
 
@@ -160,18 +161,14 @@ def _to_bool(value) -> bool:
     raise ValueError("expected a boolean")
 
 
-def _to_floats(value) -> tuple:
-    if isinstance(value, str):
-        parts = [part for part in value.split(",") if part.strip()]
-        return tuple(float(part) for part in parts)
-    return tuple(float(v) for v in value)
-
-
-def _to_ints(value) -> tuple:
-    if isinstance(value, str):
-        parts = [part for part in value.split(",") if part.strip()]
-        return tuple(_to_int(part) for part in parts)
-    return tuple(_to_int(v) for v in value)
+def _list_of(convert) -> Callable:
+    """A converter of comma-separated text or a sequence into a list, each
+    element through the scalar key's ``convert``."""
+    def to_list(value) -> list:
+        if isinstance(value, str):
+            value = [part for part in value.split(",") if part.strip()]
+        return [convert(v) for v in value]
+    return to_list
 
 
 def _positive(v) -> bool:
@@ -321,32 +318,30 @@ def _cross_search(p) -> list:
 def _resolve(config: ExperimentConfig) -> tuple:
     """Apply the schema: defaults, conversions, checks.
 
-    Returns (resolved parameter dict, violation list); never raises.
+    Returns (resolved parameter dict, dict of the resolved ``seed``,
+    ``replicas`` and ``jobs``, violation list); never raises.
     """
     violations = []
     if config.experiment not in EXPERIMENTS:
         supported = ", ".join(sorted(EXPERIMENTS))
-        return {}, [f"experiment: unknown name {config.experiment!r}; "
-                    f"supported: {supported}"]
-    try:
-        seed = _to_int(config.seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError
-    except (ValueError, TypeError):
-        violations.append("seed: must be an integer in [0, 2^64)")
-    try:
-        if _to_int(config.replicas) < 1:
-            raise ValueError
-    except (ValueError, TypeError):
-        violations.append("replicas: must be a positive integer")
-    if config.jobs is not None:
-        cpus = available_cpus()
+        return {}, {}, [f"experiment: unknown name {config.experiment!r}; "
+                        f"supported: {supported}"]
+    cpus = available_cpus()
+    settings = {}
+    for name, value, low, high, constraint in (
+            ("seed", config.seed, 0, 2**64 - 1,
+             "must be an integer in [0, 2^64)"),
+            ("replicas", config.replicas, 1, math.inf,
+             "must be a positive integer"),
+            ("jobs", cpus if config.jobs is None else config.jobs, 1, cpus,
+             f"must be an integer in [1, {cpus}] (the CPUs available)")):
         try:
-            if not 1 <= _to_int(config.jobs) <= cpus:
-                raise ValueError
+            settings[name] = _to_int(value)
+            ok = low <= settings[name] <= high
         except (ValueError, TypeError):
-            violations.append(f"jobs: must be an integer in [1, {cpus}] "
-                              "(the CPUs available)")
+            ok = False
+        if not ok:
+            violations.append(f"{name}: {constraint}")
 
     experiment = EXPERIMENTS[config.experiment]
     schema = experiment.schema
@@ -357,15 +352,12 @@ def _resolve(config: ExperimentConfig) -> tuple:
                 f"(known: {', '.join(sorted(schema))})")
     resolved = {}
     for name, param in schema.items():
-        if name in config.parameters:
-            try:
-                value = param.convert(config.parameters[name])
-            except (ValueError, TypeError):
-                violations.append(f"{name}: could not parse "
-                                  f"{config.parameters[name]!r}")
-                continue
-        else:
-            value = param.default
+        raw = config.parameters.get(name, param.default)
+        try:
+            value = param.convert(raw)
+        except (ValueError, TypeError):
+            violations.append(f"{name}: could not parse {raw!r}")
+            continue
         try:
             ok = bool(param.check(value))
         except Exception:
@@ -377,13 +369,12 @@ def _resolve(config: ExperimentConfig) -> tuple:
 
     if not violations:
         violations.extend(experiment.cross_check(resolved))
-    return resolved, violations
+    return resolved, settings, violations
 
 
 def validate(config: ExperimentConfig) -> list:
     """List of violations; empty iff :func:`run` would accept the config."""
-    _, violations = _resolve(config)
-    return violations
+    return _resolve(config)[2]
 
 
 # --------------------------------------------------------------------------
@@ -757,7 +748,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
         "t_total": _f(100.0 * 2.0 * math.pi / 0.1, _positive,
                       "must be positive"),
         "noise_levels": _Param(
-            _to_floats, (0.02, 0.05, 0.1, 0.2, 0.4, 0.8),
+            _list_of(_to_float), (0.02, 0.05, 0.1, 0.2, 0.4, 0.8),
             lambda v: len(v) >= 5 and all(x > 0 for x in v),
             "needs at least 5 positive comma-separated values"),
         "replicas_per_level": _at_least(4, 4),
@@ -780,7 +771,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
         "k": _i(8, lambda v: v >= 2 and v % 2 == 0,
                 "must be an even count >= 2"),
         "p_values": _Param(
-            _to_floats, (0.0, 0.02, 0.1, 0.5),
+            _list_of(_to_float), (0.0, 0.02, 0.1, 0.5),
             lambda v: len(v) >= 1 and all(0.0 <= x <= 1.0 for x in v),
             "entries must lie in [0, 1]"),
         "seeds": _at_least(10, 10),
@@ -788,14 +779,14 @@ EXPERIMENTS: dict[str, _Experiment] = {
         "ba_m": _at_least(1, 2),
     }, cross_check=_cross_network),
     "search": _Experiment(_run_search, {
-        "sides": _Param(_to_ints, (8, 16),
+        "sides": _Param(_list_of(_to_int), (8, 16),
                         lambda v: len(v) >= 1 and all(s >= 1 for s in v),
                         "needs at least one side >= 1"),
-        "target_counts": _Param(_to_ints, (1, 4),
+        "target_counts": _Param(_list_of(_to_int), (1, 4),
                                 lambda v: len(v) >= 1
                                 and all(c >= 1 for c in v),
                                 "needs at least one count >= 1"),
-        "radii": _Param(_to_floats, (0.0, 1.0),
+        "radii": _Param(_list_of(_to_float), (0.0, 1.0),
                         lambda v: len(v) >= 1 and all(r >= 0 for r in v),
                         "entries must be nonnegative"),
         "replicas_per_cell": _at_least(100, 100),
@@ -808,7 +799,8 @@ EXPERIMENTS: dict[str, _Experiment] = {
         "samples": _at_least(2, 100_000),
     }, cross_check=_cross_mcint),
     "clt": _Experiment(_run_clt, {
-        "n_values": _Param(_to_ints, (4, 8, 16, 32, 64, 128, 256, 512, 1024),
+        "n_values": _Param(_list_of(_to_int),
+                           (4, 8, 16, 32, 64, 128, 256, 512, 1024),
                            lambda v: len(set(v)) >= 2
                            and all(n >= 2 for n in v),
                            "needs at least two distinct entries, each >= 2"),
@@ -823,29 +815,24 @@ EXPERIMENTS: dict[str, _Experiment] = {
 
 
 def _cell(value) -> str:
-    value = _jsonable(value)
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+def _numpy_scalar(value):
+    """``json``'s ``default`` hook: a numpy scalar becomes its Python value;
+    the encoder itself handles every other value a payload holds."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2)
-                    + "\n", encoding="utf-8")
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_numpy_scalar)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _digest(path: Path) -> str:
@@ -854,16 +841,14 @@ def _digest(path: Path) -> str:
 
 def run(config: ExperimentConfig) -> RunManifest:
     """Validate, execute, and persist one experiment run."""
-    params, violations = _resolve(config)
+    params, settings, violations = _resolve(config)
     if violations:
         raise ConfigError("; ".join(violations))
     started = datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
     runner = EXPERIMENTS[config.experiment].run
-    seed = _to_int(config.seed)
-    replicas = _to_int(config.replicas)
-    jobs = available_cpus() if config.jobs is None else _to_int(config.jobs)
-    base = RngStream(seed, 0)
+    replicas, jobs = settings["replicas"], settings["jobs"]
+    base = RngStream(settings["seed"], 0)
     header: tuple = ()
     merged_rows: list = []
     summaries: list = []
@@ -918,8 +903,8 @@ def run(config: ExperimentConfig) -> RunManifest:
     manifest_path = out_dir / "manifest.json"
     manifest = RunManifest(
         experiment=config.experiment,
-        parameters=_jsonable(params),
-        seed=seed,
+        parameters=params,
+        seed=settings["seed"],
         replicas=replicas,
         output_dir=str(out_dir),
         artifact_version=__version__,

@@ -131,8 +131,11 @@ def _integrated_autocorrelation(series: np.ndarray) -> float:
     """Sokal-windowed integrated autocorrelation time of a scalar series."""
     x = np.asarray(series, dtype=float)
     n = x.size
-    x = x - x.mean()
-    var = float(x @ x) / n
+    # A trace past the double range makes these inf or NaN: the check below
+    # names that, so numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x - x.mean()
+        var = float(x @ x) / n
     if not math.isfinite(var):
         raise ValueError("the action trace overflows a double; reduce a_t")
     if n < 8 or var == 0.0:
@@ -296,35 +299,43 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
                 -width + 2.0 * width * draws[:, :k, proposals]).swapaxes(0, 1)
             uniform.reshape(-1, chains, row)[:k, :, lanes] = (
                 draws[:, :k, uniform_cols].swapaxes(0, 1))
-        for j in range(k):
-            for (old, left, right, left_link, right_link, _, _, _,
-                 step, uniform, decisions) in colours:
-                accept = decisions[j]
-                np.add(old, step[j], out=new)
-                np.square(np.subtract(new, left, out=left_sq), out=left_sq)
-                np.square(np.subtract(right, new, out=right_sq), out=right_sq)
-                # -delta S, as (-coef) * d is bitwise -(coef * d).
-                np.add(left_sq, right_sq, out=log_p)
-                np.subtract(log_p, left_link, out=log_p)
-                np.subtract(log_p, right_link, out=log_p)
-                np.multiply(log_p, -coef, out=log_p)
-                if potential is not None:
-                    log_p -= dynamics.a_t * (
-                        np.asarray(potential(new), dtype=float)
-                        - np.asarray(potential(old), dtype=float))
-                np.minimum(log_p, 0.0, out=log_p)
-                np.exp(log_p, out=log_p)
-                np.less(uniform[j], log_p, out=accept)
-                np.putmask(old, accept, new)
-                np.putmask(left_link, accept, left_sq)
-                np.putmask(right_link, accept, right_sq)
-            states[j] = x
-        # One de-interleave per block, into site order, feeds the action
-        # trace and the kept paths.
-        lanes_of = states[:k].reshape(k, 2, chains, row).transpose(1, 2, 0, 3)
-        snapshots[:, :k, 0::2] = lanes_of[0, :, :, :(n_t + 1) // 2]
-        snapshots[:, :k, 1::2] = lanes_of[1, :, :, :n_t // 2]
-        trace[:, start:start + k] = action(snapshots[:, :k], dynamics)
+        # Overflow here is no fault, so it neither warns nor raises.  At an
+        # a_t near the smallest normal double, -coef * d is -inf: an exact
+        # rejection, as exp(-inf) = 0.  An action past the double range is
+        # an inf in the trace, which _integrated_autocorrelation names.
+        with np.errstate(over="ignore"):
+            for j in range(k):
+                for (old, left, right, left_link, right_link, _, _, _,
+                     step, uniform, decisions) in colours:
+                    accept = decisions[j]
+                    np.add(old, step[j], out=new)
+                    np.square(np.subtract(new, left, out=left_sq),
+                              out=left_sq)
+                    np.square(np.subtract(right, new, out=right_sq),
+                              out=right_sq)
+                    # -delta S, as (-coef) * d is bitwise -(coef * d).
+                    np.add(left_sq, right_sq, out=log_p)
+                    np.subtract(log_p, left_link, out=log_p)
+                    np.subtract(log_p, right_link, out=log_p)
+                    np.multiply(log_p, -coef, out=log_p)
+                    if potential is not None:
+                        log_p -= dynamics.a_t * (
+                            np.asarray(potential(new), dtype=float)
+                            - np.asarray(potential(old), dtype=float))
+                    np.minimum(log_p, 0.0, out=log_p)
+                    np.exp(log_p, out=log_p)
+                    np.less(uniform[j], log_p, out=accept)
+                    np.putmask(old, accept, new)
+                    np.putmask(left_link, accept, left_sq)
+                    np.putmask(right_link, accept, right_sq)
+                states[j] = x
+            # One de-interleave per block, into site order, feeds the action
+            # trace and the kept paths.
+            lanes_of = (states[:k].reshape(k, 2, chains, row)
+                        .transpose(1, 2, 0, 3))
+            snapshots[:, :k, 0::2] = lanes_of[0, :, :, :(n_t + 1) // 2]
+            snapshots[:, :k, 1::2] = lanes_of[1, :, :, :n_t // 2]
+            trace[:, start:start + k] = action(snapshots[:, :k], dynamics)
         measured = max(thermalization - start, 0)  # first measured sweep
         if measured >= k:
             rate = per_chain(accepted[:k]) / (k * (n_t - 2))

@@ -31,11 +31,12 @@ def _read_csv(path):
 
 
 def _python(*args):
-    """Run a fresh interpreter that imports stochlab from this checkout."""
+    """Run a fresh interpreter that imports stochlab from this checkout and,
+    as tier-1 does, turns warnings into errors."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *args], env=env,
+    return subprocess.run([sys.executable, "-W", "error", *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -73,6 +74,9 @@ def test_unparsable_value_is_a_violation_not_an_exception():
     ("decay", "n_atoms", 2000.5),
     ("decay", "rate_lambda", True),
     ("spectrum", "commuting", "maybe"),
+    # A list key takes exactly the elements its scalar key takes.
+    ("resonance", "noise_levels", [True, 0.05, 0.1, 0.2, 0.4, 0.8]),
+    ("network", "p_values", [0.0, True]),
 ])
 def test_typed_values_that_are_not_of_the_key_type_are_violations(
         experiment, key, value):
@@ -378,6 +382,61 @@ def test_search_table_has_both_strategies_per_cell(tmp_path):
     assert len(rows) == 2
     assert {row[4] for row in rows} == {"random-walk", "sweep"}
     assert {row[-1] for row in rows} == {"1", "2"}
+
+
+_PLAIN_VALUES = {"count": 3, "rate": 0.1, "half": 0.5, "nan": math.nan,
+                 "inf": math.inf, "neg_inf": -math.inf, "neg_zero": -0.0,
+                 "flag": True, "off": False}
+_NUMPY_VALUES = {"count": numpy.int64(3), "rate": numpy.float64(0.1),
+                 "half": numpy.float32(0.5), "nan": numpy.float64(math.nan),
+                 "inf": numpy.float32(math.inf),
+                 "neg_inf": numpy.float64(-math.inf),
+                 "neg_zero": numpy.float64(-0.0), "flag": numpy.bool_(True),
+                 "off": numpy.bool_(False)}
+
+
+@pytest.mark.parametrize("values", [
+    _PLAIN_VALUES, _NUMPY_VALUES,
+    {key: (_PLAIN_VALUES if i % 2 else _NUMPY_VALUES)[key]
+     for i, key in enumerate(_PLAIN_VALUES)},
+], ids=["python", "numpy", "mixed"])
+def test_tables_and_summaries_write_numpy_scalars_as_python_values(
+        values, tmp_path, monkeypatch):
+    summary = {**values, "pair": (values["count"], values["neg_zero"]),
+               "nested": {"flag": values["off"],
+                          "pair": (values["half"], values["nan"])}}
+    output = cli._RunOutput({key: [value] for key, value in values.items()},
+                            summary)
+    monkeypatch.setitem(cli.EXPERIMENTS, "mixed",
+                        cli._Experiment(lambda p, rng, jobs: output, {}))
+    cli.run(ExperimentConfig("mixed", {}, output_dir=str(tmp_path), jobs=1))
+    assert (tmp_path / "mixed.csv").read_bytes() == (
+        b"replica,count,rate,half,nan,inf,neg_inf,neg_zero,flag,off\r\n"
+        b"0,3,0.1,0.5,nan,inf,-inf,-0.0,true,false\r\n")
+    assert (tmp_path / "mixed_summary.json").read_text() == """\
+{
+  "count": 3,
+  "flag": true,
+  "half": 0.5,
+  "inf": Infinity,
+  "nan": NaN,
+  "neg_inf": -Infinity,
+  "neg_zero": -0.0,
+  "nested": {
+    "flag": false,
+    "pair": [
+      0.5,
+      NaN
+    ]
+  },
+  "off": false,
+  "pair": [
+    3,
+    -0.0
+  ],
+  "rate": 0.1
+}
+"""
 
 
 def test_paths_run_pools_chains_and_echoes_free_potential(tmp_path):
@@ -703,8 +762,7 @@ def test_noise_levels_past_the_double_range_validate_without_a_warning():
 def test_overflowing_action_exits_3_naming_a_t(a_t, sweeps, tmp_path):
     # At 1e300 the action trace itself overflows; at 1e150 only its variance
     # does; at sweeps=8 the trace is too short for an autocorrelation window.
-    # numpy warns on the way, and tier-1 makes warnings errors, so the run
-    # goes through a fresh interpreter.
+    # The child turns warnings into errors, so numpy may not warn on the way.
     child = _python("-m", "stochlab", "paths", f"a_t={a_t}",
                     "potential=harmonic", f"sweeps={sweeps}",
                     "thermalization=1", "chains=1", "--jobs", "1",
@@ -713,6 +771,16 @@ def test_overflowing_action_exits_3_naming_a_t(a_t, sweeps, tmp_path):
     assert child.stderr.splitlines()[-1] == (
         "runtime failure: ValueError: the action trace overflows a double; "
         "reduce a_t")
+
+
+def test_near_subnormal_a_t_runs_without_a_warning(tmp_path):
+    # coef = 1 / (2 a_t) is about 1.7e308, so the sampler's -coef * d
+    # overflows to -inf: an exact rejection that numpy must not warn about.
+    child = _python("-m", "stochlab", "paths", "a_t=3e-309", "sweeps=300",
+                    "thermalization=100", "chains=1", "--jobs", "1",
+                    "--out", str(tmp_path))
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == ""
 
 
 @pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=needs_two_cpus)])

@@ -181,7 +181,7 @@ def test_run_runner_gives_the_summary_cli_run_writes(experiment, golden_run):
     stream = RngStream(golden_seed(experiment), 0).substream(0)
     summary = run_runner(experiment, stream, **RERUN_CONFIGS[experiment]).summary
     written = Path(golden_run(experiment).output_dir, f"{experiment}_summary.json")
-    assert (json.loads(json.dumps(cli._jsonable(summary)))
+    assert (json.loads(json.dumps(summary, default=cli._numpy_scalar))
             == json.loads(written.read_text())["per_replica"][0])
 
 

@@ -267,6 +267,17 @@ def test_batch_raises_no_floating_point_error(potential):
     assert all(np.isfinite(run.action_trace).all() for run in runs)
 
 
+def test_batch_at_a_near_subnormal_a_t_rejects_overflowing_proposals():
+    # coef = 1 / (2 a_t) is about 1.7e308, so -coef * d overflows to -inf
+    # for any link change above 1: an exact rejection, as exp(-inf) = 0,
+    # that neither warns (tier-1 makes warnings errors) nor raises.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        run, = metropolis_batch(EuclideanAction(None, 3e-309), Lattice(32),
+                                [RngStream(41, 0)], 300, 100)
+    assert np.isfinite(run.action_trace).all()
+    assert np.isfinite(run.paths).all()
+
+
 def test_batch_evaluates_the_potential_only_at_path_values():
     # 1 / x**2 is singular at 0, which these paths from 5 to 5 never reach;
     # a padding lane holding 0.0 would divide by zero.

@@ -81,7 +81,8 @@ def run_runner(experiment: str, rng: RngStream, jobs: int = 1, **overrides):
     """The ``_RunOutput`` (named ``columns``, ``summary``, ``extra_files``)
     of one ``cli.run`` replica on ``rng``, with ``overrides`` resolved by the
     CLI's own schema and cross-checks."""
-    params, violations = cli._resolve(cli.ExperimentConfig(experiment, overrides))
+    params, _, violations = cli._resolve(
+        cli.ExperimentConfig(experiment, overrides))
     assert violations == []
     return cli.EXPERIMENTS[experiment].run(params, rng, jobs)
 
