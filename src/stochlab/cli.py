@@ -14,6 +14,12 @@ SHA-256 digests of every emitted data file.  Reruns from a manifest's
 echoed configuration reproduce the data files byte for byte — timestamps
 live only in the manifest itself.
 
+Every data file's text is built in memory before the output directory is
+made, so a run that fails, in its computation or while encoding its
+outputs, creates no directory and leaves an earlier run's files untouched.
+Each file is then written once as UTF-8 bytes, with no newline
+translation, and its manifest entry is digested from those same bytes.
+
 Exit codes: 0 success, 2 invalid configuration or usage, 3 runtime
 failure (e.g. integrator blow-up), with a diagnostic on stderr.
 
@@ -35,6 +41,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -100,7 +107,11 @@ class RunManifest:
     outputs: tuple
     environment: dict
     jobs: int
-    path: str
+
+    @property
+    def path(self) -> str:
+        """Where ``manifest.json`` is written: inside ``output_dir``."""
+        return str(Path(self.output_dir) / "manifest.json")
 
 
 @dataclass(frozen=True)
@@ -719,8 +730,8 @@ EXPERIMENTS: dict[str, _Experiment] = {
     }, cross_check=_cross_spectrum),
     "paths": _Experiment(_run_paths, {
         "potential": _one_of("free", "harmonic"),
-        # hausdorff_scan gets its 3 distinct resolution points only once
-        # n_t // 8 >= 9.
+        # paths.SCAN_MIN_N_T, the shortest path hausdorff_scan accepts;
+        # paths is not imported at start-up, so a test keeps the two equal.
         "n_t": _at_least(72, 256),
         "a_t": _f(0.05, _positive, "must be positive"),
         "sweeps": _at_least(2, 10_000),
@@ -830,13 +841,18 @@ def _numpy_scalar(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _write_json(path: Path, payload) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_numpy_scalar)
-    path.write_text(text + "\n", encoding="utf-8")
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2,
+                      default=_numpy_scalar) + "\n"
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write(path: Path, text: str) -> dict:
+    """Write ``text`` to ``path`` as UTF-8, with no newline translation, and
+    return its manifest entry, digested from the bytes written."""
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    return {"path": path.name, "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data)}
 
 
 def run(config: ExperimentConfig) -> RunManifest:
@@ -849,48 +865,32 @@ def run(config: ExperimentConfig) -> RunManifest:
     runner = EXPERIMENTS[config.experiment].run
     replicas, jobs = settings["replicas"], settings["jobs"]
     base = RngStream(settings["seed"], 0)
-    header: tuple = ()
-    merged_rows: list = []
+    table = io.StringIO()
+    writer = csv.writer(table)
     summaries: list = []
     extras: dict = {}
     for replica in range(replicas):
         result = runner(params, base.substream(replica), jobs)
-        header = tuple(result.columns)
-        merged_rows.extend((replica, *row) for row in
-                           zip(*result.columns.values(), strict=True))
+        if replica == 0:
+            writer.writerow(("replica", *result.columns))
+        writer.writerows([_cell(v) for v in (replica, *row)] for row in
+                         zip(*result.columns.values(), strict=True))
         summaries.append(result.summary)
         for name, text in result.extra_files.items():
             key = name if replicas == 1 else f"replica{replica}_{name}"
             extras[key] = text
+    summary = (summaries[0] if replicas == 1
+               else {"replicas": replicas, "per_replica": summaries})
+    texts = {f"{config.experiment}.csv": table.getvalue(),
+             f"{config.experiment}_summary.json": _json(summary), **extras}
 
-    # Only a run whose every replica returned whole columns touches the
-    # output directory, so a failed run leaves no directory, nor a mix of
-    # old and new files in an existing one.
+    # Only a run whose every replica returned whole columns and whose every
+    # output encoded touches the output directory, so a failed run leaves no
+    # directory, nor a mix of old and new files in an existing one.
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{config.experiment}.csv"
-    with csv_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("replica", *header))
-        for row in merged_rows:
-            writer.writerow([_cell(v) for v in row])
-
-    summary_payload = (summaries[0] if replicas == 1
-                       else {"replicas": replicas, "per_replica": summaries})
-    summary_path = out_dir / f"{config.experiment}_summary.json"
-    _write_json(summary_path, summary_payload)
-
-    extra_paths = []
-    for name, text in extras.items():
-        path = out_dir / name
-        path.write_text(text, encoding="utf-8")
-        extra_paths.append(path)
-
-    outputs = tuple(
-        {"path": path.name, "sha256": _digest(path),
-         "bytes": path.stat().st_size}
-        for path in [csv_path, summary_path, *extra_paths]
-    )
+    outputs = tuple(_write(out_dir / name, text)
+                    for name, text in texts.items())
     finished = datetime.now(timezone.utc).isoformat(timespec="microseconds")
     # numpy does not promise the same Generator streams across versions, so
     # a digest mismatch between runs is diagnosed from this stamp.  Only the
@@ -900,7 +900,6 @@ def run(config: ExperimentConfig) -> RunManifest:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
     }
-    manifest_path = out_dir / "manifest.json"
     manifest = RunManifest(
         experiment=config.experiment,
         parameters=params,
@@ -913,11 +912,8 @@ def run(config: ExperimentConfig) -> RunManifest:
         outputs=outputs,
         environment=environment,
         jobs=jobs,
-        path=str(manifest_path),
     )
-    payload = asdict(manifest)
-    del payload["path"]
-    _write_json(manifest_path, payload)
+    _write(Path(manifest.path), _json(asdict(manifest)))
     return manifest
 
 

@@ -386,6 +386,9 @@ def _coarse_increments(paths: np.ndarray, block: int) -> np.ndarray:
 # fluctuations (both effects bend the log-log fit upward in d_h).
 _BLOCK_MIN = 4
 _BLOCK_DENOM = 8
+# The shortest path the scan accepts: its 8 requested resolutions reach 3
+# distinct block sizes in the window only once n_t // _BLOCK_DENOM >= 9.
+SCAN_MIN_N_T = 72
 
 
 def hausdorff_scan(paths) -> HausdorffScan:
@@ -399,18 +402,18 @@ def hausdorff_scan(paths) -> HausdorffScan:
     [4, n_t // 8] whose resolution dx(b) = sqrt(b) * dx_1 is nearest in log
     space, duplicates collapse, and the power law is fitted on the achieved
     (dx, mean L) points.  dx_1 cancels, so the block sizes depend on n_t
-    alone, and 3 distinct points need n_t // 8 >= 9.
+    alone, and 3 distinct points need n_t >= SCAN_MIN_N_T = 72.
     """
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 2 or paths.shape[0] < 1:
         raise ValueError("paths must be a non-empty 2-d array")
 
     n_t = paths.shape[1]
-    blocks = np.arange(_BLOCK_MIN, n_t // _BLOCK_DENOM + 1)
-    if blocks.size < 3:
+    if n_t < SCAN_MIN_N_T:
         raise FitError(
-            f"n_t = {n_t} leaves fewer than 3 usable block sizes; "
-            f"need n_t >= {(_BLOCK_MIN + 2) * _BLOCK_DENOM}")
+            f"n_t = {n_t} gives fewer than 3 distinct resolution points; "
+            f"need n_t >= {SCAN_MIN_N_T}")
+    blocks = np.arange(_BLOCK_MIN, n_t // _BLOCK_DENOM + 1)
     dx_1 = math.sqrt(float((np.diff(paths, axis=1) ** 2).mean()))
     if dx_1 <= 0:
         raise FitError("ensemble has no fluctuation scale (constant paths?)")
@@ -422,11 +425,6 @@ def hausdorff_scan(paths) -> HausdorffScan:
         idx = int(np.argmin(np.abs(np.log(achievable_dx) - math.log(r))))
         if idx not in chosen:
             chosen.append(idx)
-    if len(chosen) < 3:
-        raise FitError(
-            f"only {len(chosen)} distinct resolution points are achievable: "
-            f"n_t = {n_t} allows block sizes [{_BLOCK_MIN}, "
-            f"{n_t // _BLOCK_DENOM}]; use longer paths")
 
     sel = np.sort(np.array(chosen))[::-1]  # strictly decreasing dx
     lengths = np.array([

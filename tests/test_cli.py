@@ -22,6 +22,7 @@ from stochlab import cli
 from stochlab.cli import ConfigError, ExperimentConfig
 from stochlab.core import RngStream, available_cpus
 from stochlab.networks import parse_edge_list
+from stochlab.paths import SCAN_MIN_N_T
 
 
 def _read_csv(path):
@@ -181,7 +182,7 @@ _LOWER_BOUNDS = [
     ("uncertainty", "n_points", 2, {}),
     ("spectrum", "n_levels", 2, {}),
     ("spectrum", "n_points", 2, {"n_levels": "2"}),
-    ("paths", "n_t", 72, {}),
+    ("paths", "n_t", SCAN_MIN_N_T, {}),
     ("paths", "sweeps", 2, {"thermalization": "1"}),
     ("paths", "chains", 1, {}),
     ("diffuse", "n_walkers", 1, {}),
@@ -475,7 +476,9 @@ def test_manifest_payload_echoes_the_returned_manifest(tmp_path):
                                         replicas=2, jobs=1))
     echoed = json.loads((tmp_path / "manifest.json").read_text())
     fields = {field.name for field in dataclasses.fields(cli.RunManifest)}
-    assert set(echoed) == fields - {"path"}
+    assert set(echoed) == fields
+    assert manifest.path == str(Path(manifest.output_dir) / "manifest.json")
+    assert Path(manifest.path).is_file()
     assert echoed["parameters"] == manifest.parameters
     assert echoed["outputs"] == list(manifest.outputs)
     assert echoed["environment"] == manifest.environment
@@ -532,17 +535,33 @@ def test_rerun_from_manifest_is_byte_identical(tmp_path):
     assert third.outputs == first.outputs
 
 
-def test_ragged_columns_raise_before_any_csv_is_written(tmp_path,
-                                                        monkeypatch):
-    def ragged(p, rng, jobs):
-        return cli._RunOutput({"n": [1, 2], "value": [0.5]}, {})
+def _ragged_columns(p, rng, jobs):
+    return cli._RunOutput({"n": [1, 2], "value": [0.5]}, {})
 
-    entry = dataclasses.replace(cli.EXPERIMENTS["mcint"], run=ragged)
+
+def _unencodable_summary(p, rng, jobs):
+    return cli._RunOutput({"n": [1]}, {"seen": {1, 2}})
+
+
+@pytest.mark.parametrize("runner, error", [
+    (_ragged_columns, ValueError),
+    (_unencodable_summary, TypeError),
+], ids=["ragged-columns", "set-in-summary"])
+def test_outputs_that_cannot_be_encoded_raise_before_any_file_is_written(
+        runner, error, tmp_path, monkeypatch):
+    earlier = tmp_path / "earlier"
+    cli.run(ExperimentConfig("mcint", {"samples": "4000"},
+                             output_dir=str(earlier), jobs=1))
+    before = {path.name: path.read_bytes() for path in earlier.iterdir()}
+    entry = dataclasses.replace(cli.EXPERIMENTS["mcint"], run=runner)
     monkeypatch.setitem(cli.EXPERIMENTS, "mcint", entry)
-    out = tmp_path / "run"
-    with pytest.raises(ValueError):
-        cli.run(ExperimentConfig("mcint", {}, output_dir=str(out)))
-    assert not out.exists()
+    fresh = tmp_path / "fresh"
+    for out in (fresh, earlier):
+        with pytest.raises(error):
+            cli.run(ExperimentConfig("mcint", {}, output_dir=str(out)))
+    assert not fresh.exists()
+    assert {path.name: path.read_bytes()
+            for path in earlier.iterdir()} == before
 
 
 def test_replica_fanout_orders_rows_and_summaries(tmp_path):

@@ -133,7 +133,7 @@ def test_distance_satisfies_triangle_inequality_on_sampled_triples():
                 assert d_ac <= d_ab + d_bc + 1e-12
 
 
-def test_distance_rejects_incompatible_lattices():
+def test_distance_rejects_paths_of_different_lengths():
     dyn = EuclideanAction(zero_potential, 0.1)
     with pytest.raises(ValueError):
         path_distance(np.zeros(5), np.zeros(6), dyn)
@@ -453,18 +453,17 @@ def test_scan_rejects_constant_ensemble():
 
 
 def test_scan_needs_enough_slices_for_three_blocks():
-    paths = brownian_bridge_paths(200, 40, 0.05, RngStream(29, 4))
-    with pytest.raises(FitError):
-        hausdorff_scan(paths)
+    # The scan's 8 requested resolutions collapse onto fewer than 3 block
+    # sizes while n_t // 8 < 9, whatever the paths: the fine scale cancels.
+    for seed, n_t in enumerate((40, 48, 71)):
+        paths = brownian_bridge_paths(50, n_t, 0.05, RngStream(29, seed))
+        with pytest.raises(FitError, match=rf"^n_t = {n_t} gives fewer than "
+                                           r"3 distinct resolution points; "
+                                           r"need n_t >= 72$"):
+            hausdorff_scan(paths)
 
 
 def test_ladder_scan_needs_72_slices():
-    # The scan's 8 requested resolutions collapse onto 2 block sizes while
-    # n_t // 8 < 9, whatever the paths: the fine scale cancels out.
-    short = brownian_bridge_paths(50, 71, 0.05, RngStream(29, 6))
-    with pytest.raises(FitError, match=r"^only 2 .* n_t = 71 allows block "
-                                       r"sizes \[4, 8\]; use longer paths"):
-        hausdorff_scan(short)
     paths = brownian_bridge_paths(50, 72, 0.05, RngStream(29, 7))
     scan = hausdorff_scan(paths)
     assert scan.block_sizes.tolist() == [9, 5, 4]
