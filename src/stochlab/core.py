@@ -284,7 +284,7 @@ def fit_power_law(x: Sequence[float] | np.ndarray,
     resid = ly - (slope * lx + intercept)
     dof = xa.size - 2
     centred = lx - lx.mean()
-    var_slope = (resid @ resid / dof) / (centred @ centred) if dof > 0 else 0.0
+    var_slope = (resid @ resid / dof) / (centred @ centred)
     return PowerLawFit(exponent=float(slope), stderr=float(math.sqrt(var_slope)))
 
 

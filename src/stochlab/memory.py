@@ -105,7 +105,6 @@ class ThermoState:
     identity F = -T ln Z holds exactly whenever ``partition_z`` is finite.
     """
 
-    temperature: float
     partition_z: float
     free_energy: float
     mean_energy: float
@@ -350,8 +349,7 @@ def exact_thermo(couplings: CouplingMatrix, temperature: float) -> ThermoState:
         partition_z = math.exp(log_z)
     except OverflowError:
         partition_z = math.inf
-    return ThermoState(temperature=float(temperature),
-                       partition_z=partition_z,
+    return ThermoState(partition_z=partition_z,
                        free_energy=free_energy,
                        mean_energy=mean_h)
 

@@ -127,6 +127,10 @@ def path_distance(x1, x2, dynamics: EuclideanAction) -> float:
     return float(abs(action(x1, dynamics) - action(x2, dynamics)))
 
 
+# A run whose action is past the double range fails with this message.
+_ACTION_OVERFLOW = "the action trace overflows a double; reduce a_t"
+
+
 def _integrated_autocorrelation(series: np.ndarray) -> float:
     """Sokal-windowed integrated autocorrelation time of a scalar series."""
     x = np.asarray(series, dtype=float)
@@ -137,7 +141,7 @@ def _integrated_autocorrelation(series: np.ndarray) -> float:
         x = x - x.mean()
         var = float(x @ x) / n
     if not math.isfinite(var):
-        raise ValueError("the action trace overflows a double; reduce a_t")
+        raise ValueError(_ACTION_OVERFLOW)
     if n < 8 or var == 0.0:
         return 0.5
     # Autocovariance by FFT, biased normalization.
@@ -227,6 +231,13 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
                              for gen in gens], axis=1)
     bridge = walk - walk[:, -1:] * (np.arange(n_t) / (n_t - 1))
     paths = np.linspace(lattice.x_start, lattice.x_end, n_t) + bridge
+    # A start whose action is past the double range stays there: a proposal
+    # step (width at most 1e9) is below the spacing of doubles at positions
+    # that large.  Name that before any sweep computes with its infinities.
+    with np.errstate(over="ignore", invalid="ignore"):
+        start_action = action(paths, dynamics)
+    if not np.isfinite(start_action).all():
+        raise ValueError(_ACTION_OVERFLOW)
 
     # Lane q of a chain's row holds site 2q in the even segment x[:n] and
     # site 2q + 1 in the odd segment x[n:].  Odd lane q's neighbours are even
@@ -414,7 +425,13 @@ def hausdorff_scan(paths) -> HausdorffScan:
             f"n_t = {n_t} gives fewer than 3 distinct resolution points; "
             f"need n_t >= {SCAN_MIN_N_T}")
     blocks = np.arange(_BLOCK_MIN, n_t // _BLOCK_DENOM + 1)
-    dx_1 = math.sqrt(float((np.diff(paths, axis=1) ** 2).mean()))
+    # Paths sampled at too large an a_t put the pooled squared increments
+    # past the double range, which the check below names.
+    with np.errstate(over="ignore"):
+        dx_1 = math.sqrt(float((np.diff(paths, axis=1) ** 2).mean()))
+    if not math.isfinite(dx_1):
+        raise FitError("the paths' fluctuation scale overflows a double; "
+                       "reduce a_t")
     if dx_1 <= 0:
         raise FitError("ensemble has no fluctuation scale (constant paths?)")
     achievable_dx = np.sqrt(blocks) * dx_1

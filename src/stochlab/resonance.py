@@ -93,10 +93,6 @@ class DoubleWellSpec:
     def n_steps(self) -> int:
         return int(round(self.t_total / self.dt))
 
-    @property
-    def drive_period(self) -> float:
-        return 2.0 * math.pi / self.omega
-
 
 @dataclass(frozen=True)
 class Trajectory:

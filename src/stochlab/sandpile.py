@@ -191,8 +191,9 @@ def _relax(cells: list,
            stride: int,
            loss: list[int],
            candidates: Iterable[int],
-           round_log: list[int]) -> Avalanche:
-    """Topple a padded cell list in place until stable; return the record.
+           round_log: list[int]) -> tuple[int, int, int, int]:
+    """Topple a padded cell list in place until stable; return the
+    avalanche's size, area, duration and dissipated grains.
 
     ``candidates`` must include every cell that is unstable on entry.  Each
     round, every unstable cell topples once, and only those cells and their
@@ -227,14 +228,13 @@ def _relax(cells: list,
                     unstable.append(j)
     if not duration:
         round_log.append(0)
-    return Avalanche(size=size, area=len(toppled), duration=duration,
-                     dissipated=lost)
+    return size, len(toppled), duration, lost
 
 
 def _drop_each(grid: SandGrid, rows, cols,
-               round_log: list[int]) -> list[Avalanche]:
+               round_log: list[int]) -> list[tuple[int, int, int, int]]:
     """Drop one grain at each ``(rows[i], cols[i])`` in turn, relaxing fully
-    after each; return the events.
+    after each; return each event's :func:`_relax` counts.
 
     The grid is converted to a padded cell list once and written back once.
     It may start unstable, so the first drop scans every cell; after it the
@@ -263,7 +263,7 @@ def _drop_each(grid: SandGrid, rows, cols,
 def drop_and_relax(grid: SandGrid, site: tuple[int, int]) -> Avalanche:
     """Add one grain at ``site`` and relax the grid to stability in place."""
     row, col = site
-    return _drop_each(grid, [row], [col], [])[0]
+    return Avalanche(*_drop_each(grid, [row], [col], [])[0])
 
 
 def drive(grid: SandGrid,
@@ -292,9 +292,7 @@ def drive(grid: SandGrid,
     grains = grid.total_grains
     round_log: list[int] = []
     events = _drop_each(grid, rows, cols, round_log)
-    sizes, areas, durations, dissipated = (
-        np.array([getattr(e, field) for e in events], dtype=np.int64)
-        for field in ("size", "area", "duration", "dissipated"))
+    sizes, areas, durations, dissipated = np.array(events, dtype=np.int64).T
     mean_heights = (grains + np.cumsum(1 - dissipated)) / grid.heights.size
     return DriveRecord(sizes=sizes, areas=areas, durations=durations,
                        dissipated=dissipated, mean_heights=mean_heights,

@@ -78,12 +78,28 @@ def test_unparsable_value_is_a_violation_not_an_exception():
     # A list key takes exactly the elements its scalar key takes.
     ("resonance", "noise_levels", [True, 0.05, 0.1, 0.2, 0.4, 0.8]),
     ("network", "p_values", [0.0, True]),
+    # Numbers past the double range, in which the cross-checks compute.
+    pytest.param("interfere", "a_re", 10**400, id="interfere-a_re-10**400"),
+    pytest.param("decay", "n_atoms", 10**400, id="decay-n_atoms-10**400"),
 ])
 def test_typed_values_that_are_not_of_the_key_type_are_violations(
         experiment, key, value):
     # API callers and manifest echoes pass typed values, not only text.
     assert cli.validate(ExperimentConfig(experiment, {key: value})) == [
         f"{key}: could not parse {value!r}"]
+
+
+# Text, typed and list values of every kind a caller may pass for any key.
+_RAW_VALUES = ["", "nan", "-inf", "1e400", 10**400, True, None, "1,,2",
+               "1" + "0" * 399, [2, 10**400]]
+
+
+def test_validate_returns_violations_and_never_raises():
+    for name, experiment in cli.EXPERIMENTS.items():
+        for key in experiment.schema:
+            for value in _RAW_VALUES:
+                config = ExperimentConfig(name, {key: value})
+                assert isinstance(cli.validate(config), list), (name, key)
 
 
 def test_an_integral_float_is_an_integer():
@@ -736,6 +752,11 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
     (["decay", "rate_lambda=1e-305"], "rate_lambda"),
     # A subnormal slice spacing: the kinetic coefficient 1 / (2 a_t) is inf.
     (["paths", "a_t=1e-310"], "a_t"),
+    # Integers past the double range, in which the cross-checks compute.
+    (["decay", f"n_atoms=1{'0' * 400}"], "n_atoms"),
+    (["uncertainty", f"n_points=1{'0' * 400}"], "n_points"),
+    (["spectrum", f"n_points=1{'0' * 400}"], "n_points"),
+    (["diffuse", f"n_steps=1{'0' * 400}"], "n_steps"),
 ], ids=["short-record", "line-off-its-bin", "diffuse-key-range",
         "overflowing-step-count", "spectrum-levels-past-grid",
         "mcint-ball-gamma-overflow", "interfere-amplitude", "uncertainty-width",
@@ -747,7 +768,9 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
         "resonance-kick-past-trust-bound",
         "spectrum-spacing-square-overflow", "uncertainty-spacing-underflow",
         "decay-lifetime-overflow", "decay-lifetime-overflow-min",
-        "decay-lifetime-sum-overflow", "paths-kinetic-overflow"])
+        "decay-lifetime-sum-overflow", "paths-kinetic-overflow",
+        "decay-huge-n_atoms", "uncertainty-huge-n_points",
+        "spectrum-huge-n_points", "diffuse-huge-n_steps"])
 def test_faults_known_from_the_config_exit_2(argv, key, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main([*argv, "--jobs", "1", "--out", str(out)]) == 2
@@ -775,21 +798,35 @@ def test_noise_levels_past_the_double_range_validate_without_a_warning():
                                          {"noise_levels": levels})) == []
 
 
-@pytest.mark.parametrize("a_t, sweeps", [("1e300", "60"), ("1e150", "60"),
-                                         ("1e300", "8")],
-                         ids=["1e300", "1e150", "1e300-short-trace"])
-def test_overflowing_action_exits_3_naming_a_t(a_t, sweeps, tmp_path):
-    # At 1e300 the action trace itself overflows; at 1e150 only its variance
-    # does; at sweeps=8 the trace is too short for an autocorrelation window.
-    # The child turns warnings into errors, so numpy may not warn on the way.
+_TRACE_OVERFLOW = ("ValueError: the action trace overflows a double; "
+                   "reduce a_t")
+
+
+@pytest.mark.parametrize("potential, a_t, sweeps, failure", [
+    ("harmonic", "1e300", "60", _TRACE_OVERFLOW),
+    ("harmonic", "1e150", "60", _TRACE_OVERFLOW),
+    ("harmonic", "1e300", "8", _TRACE_OVERFLOW),
+    ("harmonic", "1e150", "8", _TRACE_OVERFLOW),
+    ("harmonic", "1e307", "60", _TRACE_OVERFLOW),
+    ("free", "1.7e308", "60", _TRACE_OVERFLOW),
+    ("free", "1e305", "60", "FitError: the paths' fluctuation scale "
+                            "overflows a double; reduce a_t"),
+], ids=["1e300", "1e150", "1e300-short-trace", "1e150-short-trace",
+        "harmonic-1e307", "free-1.7e308", "free-1e305"])
+def test_overflowing_action_exits_3_naming_a_t(potential, a_t, sweeps,
+                                               failure, tmp_path):
+    # At harmonic 1e300 and 1e307, and free 1.7e308, the starting paths'
+    # action overflows; at 1e150 only the trace's variance does, which at
+    # sweeps=8 is checked before the short-window return.  At free 1e305
+    # the action stays finite, but the scan's pooled squared increments do
+    # not.  The child turns warnings into errors, so numpy may not warn on
+    # the way.
     child = _python("-m", "stochlab", "paths", f"a_t={a_t}",
-                    "potential=harmonic", f"sweeps={sweeps}",
+                    f"potential={potential}", f"sweeps={sweeps}",
                     "thermalization=1", "chains=1", "--jobs", "1",
                     "--out", str(tmp_path))
     assert child.returncode == 3
-    assert child.stderr.splitlines()[-1] == (
-        "runtime failure: ValueError: the action trace overflows a double; "
-        "reduce a_t")
+    assert child.stderr.splitlines()[-1] == f"runtime failure: {failure}"
 
 
 def test_near_subnormal_a_t_runs_without_a_warning(tmp_path):

@@ -202,7 +202,6 @@ def test_spec_derived_quantities():
     spec = DoubleWellSpec(amplitude=0.3, omega=0.1, noise_d=0.1,
                           dt=0.01, t_total=100 * TWO_PI / 0.1)
     assert spec.n_steps == round(spec.t_total / 0.01)
-    assert spec.drive_period == pytest.approx(TWO_PI / 0.1)
 
 
 def test_trajectory_validation():
