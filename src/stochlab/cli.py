@@ -51,7 +51,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .core import (CltPoint, RngStream, available_cpus, clt_scaling, fan_out,
@@ -830,6 +829,16 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _column(values):
+    """A column's CSV cells.  ``csv`` writes an exact ``int`` as ``str`` and
+    an exact ``float`` as ``repr``, the text :func:`_cell` gives, so a
+    column of those alone goes through as it is; any other column (bools,
+    numpy scalars, ``None``) is mapped through :func:`_cell`."""
+    if all(type(value) in (int, float) for value in values):
+        return values
+    return list(map(_cell, values))
+
+
 def _numpy_scalar(value):
     """``json``'s ``default`` hook: a numpy scalar becomes its Python value;
     the encoder itself handles every other value a payload holds."""
@@ -870,8 +879,9 @@ def run(config: ExperimentConfig) -> RunManifest:
         result = runner(params, base.substream(replica), jobs)
         if replica == 0:
             writer.writerow(("replica", *result.columns))
-        writer.writerows([_cell(v) for v in (replica, *row)] for row in
-                         zip(*result.columns.values(), strict=True))
+        writer.writerows((replica, *row) for row in
+                         zip(*map(_column, result.columns.values()),
+                             strict=True))
         summaries.append(result.summary)
         for name, text in result.extra_files.items():
             key = name if replicas == 1 else f"replica{replica}_{name}"
@@ -890,13 +900,15 @@ def run(config: ExperimentConfig) -> RunManifest:
                     for name, text in texts.items())
     finished = datetime.now(timezone.utc).isoformat(timespec="microseconds")
     # numpy does not promise the same Generator streams across versions, so
-    # a digest mismatch between runs is diagnosed from this stamp.  Only the
-    # top-level scipy package is imported for it; no submodule is loaded.
+    # a digest mismatch between runs is diagnosed from this stamp.  A data
+    # file's bits can depend only on a library the process loaded, so scipy
+    # is stamped only when the run imported it (default ``spectrum``).
     environment = {
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
     }
+    if "scipy" in sys.modules:
+        environment["scipy"] = sys.modules["scipy"].__version__
     manifest = RunManifest(
         experiment=config.experiment,
         parameters=params,

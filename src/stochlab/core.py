@@ -38,6 +38,20 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _id_word(stream_id: int) -> int:
+    """The Philox key word of a stream id.
+
+    Streams were first keyed from the list ``[seed, stream_id]``, which
+    numpy casts through float64 when the id is 2**63 or more and the seed
+    is not.  Such an id keeps the word that cast gave it, so no stream of a
+    seed below 2**53 moves, while the seed word is now always exact.
+    """
+    if stream_id < 1 << 63:
+        return stream_id
+    with np.errstate(invalid="ignore"):  # a double of 2**64 has no uint64
+        return int(np.float64(stream_id).astype(np.uint64))
+
+
 @dataclass
 class RngStream:
     """A reproducible random stream identified by (seed, stream_id).
@@ -55,7 +69,8 @@ class RngStream:
             value = getattr(self, name)
             if not 0 <= int(value) <= _MASK64:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
-        self._gen = Generator(Philox(key=[self.seed, self.stream_id]))
+        key = np.array([self.seed, _id_word(self.stream_id)], dtype=np.uint64)
+        self._gen = Generator(Philox(key=key))
 
     @property
     def gen(self) -> Generator:

@@ -37,6 +37,7 @@ numpy call of a half-sweep acts on 1-D contiguous operands (see
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -200,17 +201,19 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
     (chains, n_t) array takes its general iterator, at about twice the cost
     per call at these sizes (an add of 4 x 127 values: 2.9 us strided, 1.7
     us contiguous, on a 2-core Xeon).  Endpoint and padding lanes get a step
-    of 0 and a uniform of 1.0, so they never accept.  Each site's values go
+    of 0 and a uniform of +inf, so they never accept, even where rounding
+    leaves them a tiny positive -delta S.  Each site's values go
     through the IEEE operations of a per-site loop, so no bit changes.
 
     Memory: each chain keeps its measured sweeps in its own (sweeps -
-    thermalization, n_t) float64 buffer.  The chains are thinned one at a
-    time, and each buffer is dropped once its owned thinned copy exists, so
-    the peak is every buffer plus one chain's copy, not plus all of them.
-    A ``paths chains=8`` worker (4 chains, 70.3 MiB of buffers) peaks at
-    104.3 MB resident, and default ``paths`` at 328.9 MB at ``--jobs 1`` and
-    176.2 MB per worker at ``--jobs 2`` (110.9, 357.9 and 190.3 MB with one
-    shared buffer; ``wait4`` ``ru_maxrss``, medians of 3 on a 2-core host).
+    thermalization, n_t) float64 buffer.  Each chain is thinned inside its
+    buffer, which then shrinks to the kept rows, so the peak is the buffers
+    and the working set, with no thinned copy beside them.  A ``paths
+    chains=8`` worker (4 chains, 70.3 MiB of buffers) peaks at 103.2 MB
+    resident, and default ``paths`` at 326.7 MB at ``--jobs 1`` and 175.2 MB
+    per worker at ``--jobs 2`` (104.4, 329.0 and 176.2 MB with an owned
+    thinned copy of each chain; ``wait4`` ``ru_maxrss``, medians of 3 on a
+    2-core host).
     """
     if not streams:
         raise ValueError("need at least one stream")
@@ -259,9 +262,9 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
 
     # Per (sweep of a tuning block, lane of x): steps, uniforms, decisions
     # and states.  A lane that is no interior site keeps a step of 0 and a
-    # uniform of 1.0, which never accepts.
+    # uniform of +inf, which never accepts.
     steps = np.zeros((_TUNE_INTERVAL, 2 * n))
-    uniforms = np.ones((_TUNE_INTERVAL, 2 * n))
+    uniforms = np.full((_TUNE_INTERVAL, 2 * n), np.inf)
     accepted = np.zeros((_TUNE_INTERVAL, 2 * n), dtype=bool)
     states = np.empty((_TUNE_INTERVAL, 2 * n))
     # Per colour, in sweep order: its sites, their left and right neighbours
@@ -287,7 +290,7 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
     coef = 1.0 / (2.0 * dynamics.a_t)
     width = np.ones((chains, 1, 1))
     trace = np.empty((chains, sweeps))
-    # Per chain, so each buffer can be dropped once its chain is thinned.
+    # Per chain, so each buffer can be thinned and shrunk on its own.
     kept = [np.empty((sweeps - thermalization, n_t)) for _ in range(chains)]
     hits = np.zeros(chains, dtype=np.int64)  # measured accepted proposals
     draws = np.empty((chains, _TUNE_INTERVAL, per_sweep))
@@ -312,8 +315,11 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
                 draws[:, :k, uniform_cols].swapaxes(0, 1))
         # Overflow here is no fault, so it neither warns nor raises.  At an
         # a_t near the smallest normal double, -coef * d is -inf: an exact
-        # rejection, as exp(-inf) = 0.  An action past the double range is
-        # an inf in the trace, which _integrated_autocorrelation names.
+        # rejection, as exp(-inf) = 0.  A large -delta S makes exp overflow
+        # to inf, which accepts, as u < exp(min(l, 0)) would: a uniform u in
+        # [0, 1) is below every exp(l) >= 1, and a NaN l rejects either way.
+        # An action past the double range is an inf in the trace, which
+        # _integrated_autocorrelation names.
         with np.errstate(over="ignore"):
             for j in range(k):
                 for (old, left, right, left_link, right_link, _, _, _,
@@ -333,7 +339,6 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
                         log_p -= dynamics.a_t * (
                             np.asarray(potential(new), dtype=float)
                             - np.asarray(potential(old), dtype=float))
-                    np.minimum(log_p, 0.0, out=log_p)
                     np.exp(log_p, out=log_p)
                     np.less(uniform[j], log_p, out=accept)
                     np.putmask(old, accept, new)
@@ -354,18 +359,28 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
                             1e-9, 1e9)
         else:
             hits += per_chain(accepted[measured:k])
-            for buffer, block in zip(kept, snapshots[:, measured:k]):
-                buffer[start + measured - thermalization:
-                       start + k - thermalization] = block
+            for c in range(chains):
+                kept[c][start + measured - thermalization:
+                        start + k - thermalization] = snapshots[c, measured:k]
 
     ensembles = []
+    untraced = sys.getprofile() is None and sys.gettrace() is None
     for c in range(chains):
         measured_trace = trace[c, thermalization:]
         tau = _integrated_autocorrelation(measured_trace)
         stride = max(1, math.ceil(2.0 * tau))
-        # An owned copy, so the samples do not pin every measured sweep.
-        samples = kept[c][::stride].copy()
-        kept[c] = None
+        # Thinned in place: row i * stride moves to row i, in forward order,
+        # which never overwrites a row still to be read, and the buffer then
+        # shrinks to the kept rows.  resize's reference check fails loudly
+        # should anything else still hold the buffer.  A profiler or tracer
+        # (cProfile, sys.settrace) binds the method to the array for its
+        # call event, one more reference than the check allows, so while one
+        # is set the check is skipped.
+        samples, kept[c] = kept[c], None
+        m = len(range(0, len(samples), stride))
+        for i in range(1, m):
+            samples[i] = samples[i * stride]
+        samples.resize((m, n_t), refcheck=untraced)
         ensembles.append(PathEnsemble(
             paths=samples,
             sample_actions=measured_trace[::stride],

@@ -511,6 +511,9 @@ def test_manifest_jobs_defaults_to_the_available_cpus(tmp_path):
 
 
 def test_manifest_stamps_python_numpy_and_scipy_versions(tmp_path):
+    # scipy is stamped because this process loaded it (the test modules
+    # import it); the fresh-interpreter runs below load and stamp none.
+    assert "scipy" in sys.modules
     cli.run(ExperimentConfig("mcint", {"samples": "4000"},
                              output_dir=str(tmp_path)))
     echoed = json.loads((tmp_path / "manifest.json").read_text())
@@ -533,6 +536,18 @@ def test_same_seed_reproduces_data_bytes(tmp_path):
     cli.run(ExperimentConfig("decay", {"n_atoms": "3000"},
                              output_dir=str(other), seed=18))
     assert (other / "decay.csv").read_bytes() != blobs[0]
+
+
+def test_seeds_past_two_to_the_53_give_distinct_runs(tmp_path):
+    digests = []
+    for seed in (2**53, 2**53 + 1, 2**64 - 1):
+        out = tmp_path / str(seed)
+        child = _python("-m", "stochlab", "decay", "--seed", str(seed),
+                        "--out", str(out), "n_atoms=3000")
+        assert child.returncode == 0, child.stderr
+        digests.append(hashlib.sha256((out / "decay.csv").read_bytes())
+                       .hexdigest())
+    assert len(set(digests)) == 3
 
 
 def test_rerun_from_manifest_is_byte_identical(tmp_path):
@@ -651,16 +666,39 @@ _EXPERIMENT_MODULES = {f"stochlab.{name}" for name in (
     "networks", "search")}
 
 
+def _scipy_modules(loaded):
+    return {name for name in loaded if name.split(".")[0] == "scipy"}
+
+
 def test_importing_the_cli_leaves_deferred_scipy_submodules_unloaded():
-    # In-process the test modules have already imported scipy submodules,
-    # so only a fresh interpreter shows what ``import stochlab.cli`` loads.
+    # In-process the test modules have already imported scipy, so only a
+    # fresh interpreter shows what ``import stochlab.cli`` loads.
     child = _python("-c", "import sys, stochlab.cli; print(*sorted(sys.modules))")
     assert child.returncode == 0, child.stderr
     loaded = set(child.stdout.split())
-    assert {"stochlab.cli", "stochlab.core", "scipy"} <= loaded
-    assert not loaded & {"scipy.sparse", "scipy.sparse.csgraph", "scipy.linalg",
-                         "multiprocessing", "concurrent.futures.process"}
+    assert {"stochlab.cli", "stochlab.core"} <= loaded
+    assert not _scipy_modules(loaded)
+    assert not loaded & {"multiprocessing", "concurrent.futures.process"}
     assert not loaded & _EXPERIMENT_MODULES
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay", "n_atoms=2000"],
+    ["resonance", "--jobs", "2", "dt=0.1", "noise_levels=0.05,0.1,0.2,0.4,0.8"],
+])
+def test_a_run_without_scipy_loads_and_stamps_none(argv, tmp_path):
+    script = ("import sys\n"
+              "from stochlab.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(*sorted(sys.modules))\n"
+              "sys.exit(code)\n")
+    child = _python("-c", script, *argv[:1], "--out", str(tmp_path),
+                    *argv[1:])
+    assert child.returncode == 0, child.stderr
+    assert not _scipy_modules(child.stdout.split())
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["environment"] == {"python": platform.python_version(),
+                                       "numpy": numpy.__version__}
 
 
 def test_network_run_loads_no_scipy_submodule_and_no_other_experiment(tmp_path):
@@ -675,7 +713,7 @@ def test_network_run_loads_no_scipy_submodule_and_no_other_experiment(tmp_path):
     loaded = set(child.stdout.split())
     assert "stochlab.networks" in loaded
     assert not loaded & (_EXPERIMENT_MODULES - {"stochlab.networks"})
-    assert not {name for name in loaded if name.startswith("scipy.sparse")}
+    assert not _scipy_modules(loaded)
 
 
 @pytest.mark.parametrize("experiment",
@@ -692,7 +730,12 @@ def test_cold_start_run_matches_golden_digests(experiment, tmp_path):
                     "--jobs", jobs, "--out", str(tmp_path), *overrides)
     assert child.returncode == 0, child.stderr
     manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["environment"]["scipy"] == scipy.__version__
+    # Only spectrum's eigensolver loads scipy, and only a loaded library is
+    # stamped.
+    environment = manifest["environment"]
+    assert environment.pop("scipy", None) == (
+        scipy.__version__ if experiment == "spectrum" else None)
+    assert set(environment) == {"python", "numpy"}
     on_disk = {entry["path"]:
                hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest()
                for entry in manifest["outputs"]}

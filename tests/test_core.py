@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 from hypothesis import given, strategies as st
 from scipy import stats as sps
 
@@ -178,6 +179,20 @@ class TestRngStream:
         chi2 = ((counts - n / 100) ** 2 / (n / 100)).sum()
         p_value = sps.chi2.sf(chi2, df=99)
         assert p_value > 0.01
+
+    @pytest.mark.parametrize("seed, stream_id", [
+        (0, 0), (2004, 19), (2**53 - 1, 2**63 - 1), (7, 2**63),
+        (0, 0x910A2DEC89025CC1), (2**40 + 3, 2**64 - 2**11 - 1),
+        (1, 2**64 - 1)])
+    def test_key_of_a_seed_below_two_to_the_53_is_the_list_key(self, seed,
+                                                               stream_id):
+        # Streams were keyed from the list [seed, stream_id], which numpy
+        # casts through float64 when the id is 2**63 or more; a seed below
+        # 2**53 keeps every stream (an id that rounds to 2**64 warned).
+        with np.errstate(invalid="ignore"):
+            listed = Philox(key=[seed, stream_id]).state
+        keyed = RngStream(seed, stream_id).gen.bit_generator.state
+        assert np.array_equal(keyed["state"]["key"], listed["state"]["key"])
 
     def test_rejects_out_of_range_keys(self):
         with pytest.raises(ValueError):
