@@ -21,7 +21,10 @@ Each file is then written once as UTF-8 bytes, with no newline
 translation, and its manifest entry is digested from those same bytes.
 
 Exit codes: 0 success, 2 invalid configuration or usage, 3 runtime
-failure (e.g. integrator blow-up), with a diagnostic on stderr.
+failure (e.g. integrator blow-up), with a diagnostic on stderr.  Each
+replica's runner runs under ``np.errstate(all="raise", under="ignore")``,
+so a numpy overflow, invalid operation or division by zero is a runtime
+failure, named with the experiment, and underflow to zero is not.
 
 ``--replicas K`` fans the experiment out over K independent substreams of
 the seed; rows gain a leading ``replica`` column and are merged in replica
@@ -31,9 +34,13 @@ order, and the JSON summary becomes a per-replica list.
 cells), ``paths`` (one contiguous block of chains per worker) and
 ``memory task=anneal`` (its anneals) on up to N worker processes through
 :func:`core.fan_out`; the default is every CPU available to the process.
-Each unit draws from its own substream and results merge in unit order, so
-the data files are bit-identical for any N.  The count is not a parameter:
-the manifest records it beside ``environment``, and :func:`rerun` ignores it.
+The workers are forked and inherit the run's state, error state included;
+they take units from a pipe as they free up and send back only pickled
+results or exceptions.  Where ``os.fork`` does not exist the units run in
+this process.  Each unit draws from its own substream and results merge in
+unit order, so the data files are bit-identical for any N.  The count is
+not a parameter: the manifest records it beside ``environment``, and
+:func:`rerun` ignores it.
 """
 
 from __future__ import annotations
@@ -876,7 +883,11 @@ def run(config: ExperimentConfig) -> RunManifest:
     summaries: list = []
     extras: dict = {}
     for replica in range(replicas):
-        result = runner(params, base.substream(replica), jobs)
+        # One floating-point policy for every run: a numpy overflow, invalid
+        # operation or division by zero raises, here or in a forked worker,
+        # which inherits the error state; underflow to zero is ignored.
+        with np.errstate(all="raise", under="ignore"):
+            result = runner(params, base.substream(replica), jobs)
         if replica == 0:
             writer.writerow(("replica", *result.columns))
         writer.writerows((replica, *row) for row in
@@ -1010,8 +1021,10 @@ def main(argv=None) -> int:
     try:
         manifest = run(config)
     except Exception as exc:  # numeric/runtime failures map to exit 3
-        print(f"runtime failure: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
+        cause = type(exc).__name__
+        if isinstance(exc, FloatingPointError):  # numpy's text names no run
+            cause += f" in {config.experiment}"
+        print(f"runtime failure: {cause}: {exc}", file=sys.stderr)
         return 3
     print(manifest.path)
     return 0

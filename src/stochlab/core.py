@@ -6,9 +6,12 @@ sequence bit for bit, and substreams derived with :meth:`RngStream.substream`
 are statistically independent, so replicas can run in parallel and still merge
 deterministically.
 
-:func:`fan_out` runs such substream-indexed units on worker processes and
-returns their results in unit order, so a reduction over them sees the same
-operands whatever the worker count.
+:func:`fan_out` runs such substream-indexed units on worker processes that
+it forks itself, feeding them unit indices through one pipe and reading
+each one's pickled results or exceptions from another, and returns the
+results in unit order, so a reduction over them sees the same operands
+whatever the worker count.  Where ``os.fork`` does not exist the units run
+inline.
 
 The rest of the module is plain numerics: sample statistics, the 1/sqrt(N)
 scaling of the error of the mean, a segment-averaged periodogram, log-log
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -97,36 +102,157 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class WorkerError(RuntimeError):
+    """A :func:`fan_out` unit whose outcome could not come back from its
+    worker: the worker ended without reporting it, or its result or
+    exception could not be pickled."""
+
+
+# A worker's report of one unit: its index, whether it returned (else it
+# raised), and the size of the pickled result or exception that follows.
+_REPORT = struct.Struct("<I?Q")
+
+
 def fan_out(fn: Callable, units: Iterable, jobs: int) -> list:
     """``[fn(unit) for unit in units]``, on up to ``jobs`` worker processes.
 
-    With ``jobs == 1`` or fewer than two units everything runs inline, in
-    this process.  Otherwise ``fn`` and each unit are pickled to a process
-    pool of ``min(jobs, len(units))`` workers: ``fn`` must be a module-level
-    function and the units plain data (an ``RngStream`` pickles as its key
-    and position).  Results come back in unit order.
+    With ``jobs == 1``, fewer than two units, or no ``os.fork`` on the
+    platform, everything runs inline, in this process.  Otherwise this
+    process forks ``min(jobs, len(units))`` workers, which inherit ``fn``,
+    the units and numpy's error state, and writes each unit's index as a
+    4-byte record into one task pipe.  Each worker reads one index at a
+    time, so units go to whichever worker is free, and sends its outcomes
+    back on a pipe of its own: only results and exceptions are pickled.  A
+    worker ends in ``os._exit`` whatever happens, so it never returns into
+    the caller's code.  Results come back in unit order.
 
-    Results are read in unit order, so the first exception met is that of
-    the lowest failing unit, the one the inline loop would raise; it is
-    raised unchanged, and the units not yet started are cancelled.
+    If a unit raises, its worker drains the task pipe, so no further unit
+    starts, and the lowest failing unit's exception is raised unchanged,
+    the one the inline loop would raise.  A worker that ends without
+    reporting a unit (killed by a signal, say), or an outcome that cannot
+    be pickled, raises :class:`WorkerError`.  If the caller is interrupted,
+    every worker is killed and reaped.
     """
     units = list(units)
-    if jobs == 1 or len(units) < 2:
+    if jobs == 1 or len(units) < 2 or not hasattr(os, "fork"):
         return [fn(unit) for unit in units]
-    # Imported here: loading both costs 16-19 ms after numpy (2-vCPU
-    # Xeon), which runs that never fan out should not pay.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    # Imported here: together they add 60 KB of resident memory after
+    # numpy, which runs that never fan out should not pay.
+    import select
+    import signal
 
-    # A forked worker inherits the imported modules; a spawned one (where
-    # fork does not exist) would import stochlab again first.  The pool
-    # forks every worker before it starts its own manager thread.
-    method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
-              else "spawn")
-    with ProcessPoolExecutor(min(jobs, len(units)),
-                             mp_context=multiprocessing.get_context(method)
-                             ) as pool:
-        return list(pool.map(fn, units))
+    tasks = memoryview(np.arange(len(units), dtype="<u4").tobytes())
+    tasks_r, tasks_w = os.pipe()
+    fds = {tasks_r, tasks_w}  # this process's pipe ends still open
+    workers = {}  # read end of a worker's report pipe -> the worker's pid
+    reports = {}  # read end -> the bytes read from it
+    ended = []  # wait statuses of the workers reaped
+    try:
+        for _ in range(min(jobs, len(units))):
+            read_end, write_end = os.pipe()
+            fds |= {read_end, write_end}
+            pid = os.fork()
+            if pid == 0:
+                _work(fn, units, tasks_r, write_end, (tasks_w, read_end,
+                                                      *workers))
+            workers[read_end] = pid
+            os.close(write_end)
+            fds.remove(write_end)
+        # The task pipe may hold fewer records than there are units, so
+        # they are written as it drains, between reads of the reports.
+        os.set_blocking(tasks_w, False)
+        while workers:
+            readable, writable, _ = select.select(
+                workers, [tasks_w] if tasks else [], [])
+            if writable:
+                try:  # a write of up to PIPE_BUF bytes is all or nothing
+                    tasks = tasks[os.write(tasks_w, tasks[:select.PIPE_BUF]):]
+                except BlockingIOError:
+                    pass
+                if not tasks:
+                    os.close(tasks_w)
+                    fds.remove(tasks_w)
+            for fd in readable:
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    reports.setdefault(fd, bytearray()).extend(chunk)
+                else:  # forgotten only once reaped, so an interrupted
+                    # wait leaves the worker to the clean-up below
+                    ended.append(os.waitpid(workers[fd], 0)[1])
+                    del workers[fd]
+    finally:
+        for pid in workers.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+    outcomes = {}
+    while reports:
+        outcomes.update(_outcomes(reports.popitem()[1]))
+    for index in range(len(units)):
+        if index not in outcomes:
+            codes = [os.waitstatus_to_exitcode(status) for status in ended]
+            raise WorkerError(f"unit {index} was never reported; the workers "
+                              f"exited with {codes} (-N: killed by signal N)")
+        returned, value = outcomes[index]
+        if not returned:
+            raise value
+    return [outcomes[index][1] for index in range(len(units))]
+
+
+def _work(fn: Callable, units: list, tasks: int, report: int,
+          inherited: tuple):
+    """A forked worker's whole life: close the ``inherited`` pipe ends
+    that are not its own, so the task pipe ends when the parent closes it;
+    run each unit whose index it reads from ``tasks`` and write its report
+    to ``report``, until the task pipe ends or a unit raises; then
+    ``os._exit``, never returning."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        out = os.fdopen(report, "wb")
+        while record := os.read(tasks, 4):
+            index = int.from_bytes(record, "little")
+            try:
+                returned, value = True, fn(units[index])
+            except Exception as exc:
+                returned, value = False, exc
+            try:
+                payload = pickle.dumps(value)
+            except Exception as exc:
+                verb = "returned" if returned else "raised"
+                returned, payload = False, pickle.dumps(WorkerError(
+                    f"unit {index} {verb} a {type(value).__name__} that "
+                    f"cannot be pickled: {exc}"))
+            out.write(_REPORT.pack(index, returned, len(payload)))
+            out.write(payload)
+            out.flush()
+            if not returned:  # no further unit starts
+                while os.read(tasks, 4096):  # whole 4-byte records
+                    pass
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _outcomes(report: bytearray):
+    """``(index, (returned, value))`` for each whole report in a worker's
+    bytes; a report cut short by the worker's end is left out."""
+    start = 0
+    while start + _REPORT.size <= len(report):
+        index, returned, size = _REPORT.unpack_from(report, start)
+        start += _REPORT.size + size
+        if start > len(report):
+            return
+        try:
+            value = pickle.loads(memoryview(report)[start - size:start])
+        except Exception as exc:
+            returned, value = False, WorkerError(
+                f"unit {index}'s {'result' if returned else 'exception'} "
+                f"cannot be unpickled: {exc!r}")
+        yield index, (returned, value)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import scipy
 from test_golden import GOLDEN_CLI
 from util import RERUN_CONFIGS, golden_seed, needs_two_cpus, run_runner
 
-from stochlab import cli
+from stochlab import cli, resonance
 from stochlab.cli import ConfigError, ExperimentConfig
 from stochlab.core import RngStream, available_cpus
 from stochlab.networks import parse_edge_list
@@ -695,7 +695,10 @@ def test_a_run_without_scipy_loads_and_stamps_none(argv, tmp_path):
     child = _python("-c", script, *argv[:1], "--out", str(tmp_path),
                     *argv[1:])
     assert child.returncode == 0, child.stderr
-    assert not _scipy_modules(child.stdout.split())
+    loaded = set(child.stdout.split())
+    assert not _scipy_modules(loaded)
+    # resonance --jobs 2 forks its workers without a process pool.
+    assert not loaded & {"multiprocessing", "concurrent.futures"}
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["environment"] == {"python": platform.python_version(),
                                        "numpy": numpy.__version__}
@@ -892,6 +895,26 @@ def test_main_runtime_failure_exits_3(jobs, tmp_path, capsys):
     assert capsys.readouterr().err == ("runtime failure: IntegrationError: "
                                        "|x| exceeded 1000 at t = 3.6; "
                                        "reduce dt\n")
+    assert not out.exists()
+
+
+def _overflowing_cell(cell):
+    return float(numpy.exp(numpy.float64(1000.0)))
+
+
+@pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=needs_two_cpus)])
+def test_numpy_overflow_in_a_runner_exits_3_naming_the_experiment(
+        jobs, tmp_path, capsys, monkeypatch):
+    # At --jobs 2 the cells run in forked workers: the error state reaches
+    # them, and the FloatingPointError crosses the report pipe.
+    monkeypatch.setattr(resonance, "_cell_snr", _overflowing_cell)
+    out = tmp_path / "run"
+    code = cli.main(["resonance", "--jobs", jobs, "--out", str(out),
+                     "dt=0.1", "noise_levels=0.05,0.1,0.2,0.4,0.8"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "runtime failure: FloatingPointError in resonance: "
+        "overflow encountered in exp\n")
     assert not out.exists()
 
 

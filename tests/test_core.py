@@ -1,11 +1,12 @@
 """Tests for the shared random-stream and statistics utilities."""
 
 import ast
-import concurrent.futures
+import contextlib
 import hashlib
 import math
 import os
 import re
+import signal
 import time
 import warnings
 from pathlib import Path
@@ -16,13 +17,14 @@ from numpy.random import Philox
 from hypothesis import given, strategies as st
 from scipy import stats as sps
 
-from util import no_pool
+from util import no_fork
 
 from stochlab.core import (
     SEGMENTS,
     CltPoint,
     RngStream,
     SampleStats,
+    WorkerError,
     clt_scaling,
     fan_out,
     fit_power_law,
@@ -32,7 +34,6 @@ from stochlab.core import (
 )
 
 
-# fan_out units must be module-level functions, so a worker can unpickle them.
 def _pid(unit):
     return os.getpid()
 
@@ -53,6 +54,61 @@ def _fail_or_mark(unit):
     return index
 
 
+def _square(unit):
+    return unit * unit
+
+
+def _raise_on_1(unit):
+    if unit == 1:
+        raise ValueError("unit 1")
+    return unit
+
+
+def _kill_own_worker_on_1(unit):
+    if unit == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return unit
+
+
+def _raise_unpicklable_on_1(unit):
+    if unit == 1:
+        exc = ValueError("unit 1")
+        exc.hook = lambda: None  # pickled with the exception's __dict__
+        raise exc
+    return unit
+
+
+def _return_unpicklable_on_1(unit):
+    return (lambda: unit) if unit == 1 else unit
+
+
+class _TwoArgumentError(Exception):
+    def __init__(self, unit, detail):
+        super().__init__(f"unit {unit}: {detail}")
+
+
+def _raise_unrebuildable_on_1(unit):
+    if unit == 1:  # pickles, but unpickling calls __init__ with one argument
+        raise _TwoArgumentError(unit, "needs two arguments")
+    return unit
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process if the block outlasts
+    ``seconds``; a forked worker does not inherit the alarm."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestFanOut:
     def test_results_keep_unit_order_when_workers_finish_out_of_order(self):
         results = fan_out(_sleep_reversed, [(i, 6) for i in range(6)], 2)
@@ -60,7 +116,7 @@ class TestFanOut:
         assert os.getpid() not in {pid for _, pid in results}
 
     def test_one_job_or_one_unit_runs_inline_without_a_pool(self, monkeypatch):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         assert fan_out(_pid, range(3), 1) == [os.getpid()] * 3
         assert fan_out(_pid, [0], 2) == [os.getpid()]
         assert fan_out(_pid, [], 2) == []
@@ -75,10 +131,48 @@ class TestFanOut:
         if jobs == 1:
             assert ran == {0}
         else:
-            # Units already handed to a worker run; of the fourteen that
-            # pass, four to six do (0, 2, 4, 5, 6, 7) and the rest are
-            # cancelled.
+            # Units a worker has already taken run; the worker that took
+            # unit 1 drains the task pipe, so of the fourteen that pass
+            # only unit 0 ran in five trials on a 2-core host.
             assert 0 in ran and len(ran) < 10
+
+    def test_a_worker_killed_by_a_signal_raises_a_worker_error(self):
+        with _deadline(60), pytest.raises(
+                WorkerError, match=r"^unit 1 was never reported; the "
+                                   r"workers exited with \[(-9, 0|0, -9)\]"):
+            fan_out(_kill_own_worker_on_1, range(4), 2)
+
+    @pytest.mark.parametrize("fn, message", [
+        (_raise_unpicklable_on_1,
+         "^unit 1 raised a ValueError that cannot be pickled: "),
+        (_return_unpicklable_on_1,
+         "^unit 1 returned a function that cannot be pickled: "),
+        (_raise_unrebuildable_on_1,
+         "^unit 1's exception cannot be unpickled: TypeError"),
+    ], ids=["exception", "result", "exception-not-rebuilt"])
+    def test_an_outcome_that_cannot_cross_the_pipe_names_its_unit(
+            self, fn, message):
+        with _deadline(60), pytest.raises(WorkerError, match=message):
+            fan_out(fn, range(4), 2)
+
+    @pytest.mark.parametrize("fn, error", [
+        (_square, None), (_raise_on_1, ValueError),
+        (_kill_own_worker_on_1, WorkerError)],
+        ids=["returns", "raises", "worker-killed"])
+    def test_no_worker_outlives_the_call_or_runs_the_callers_code(
+            self, fn, error, tmp_path):
+        log = tmp_path / "finally"
+        expected = (pytest.raises(error) if error
+                    else contextlib.nullcontext())
+        with _deadline(60), expected:
+            try:
+                fan_out(fn, range(8), 2)
+            finally:
+                with log.open("a") as lines:
+                    lines.write(f"{os.getpid()}\n")
+        assert log.read_text().split() == [str(os.getpid())]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 # Stream canaries: for each Generator method src/ calls, a few draws with

@@ -305,8 +305,8 @@ def test_batch_holds_no_second_path_sized_buffer():
 def test_batch_thins_each_chain_inside_its_buffer():
     # An owned thinned copy of the first chain would coexist with both
     # measured-sweep buffers; thinned in place, the peak stays below them
-    # plus that chain's thinned samples (tuning blocks, the trace and its
-    # FFT take about 1.8 MiB here, the first chain's samples 2.7 MiB).
+    # plus that chain's thinned samples (tuning blocks and the trace take
+    # well under 1 MiB here, the first chain's samples 2.7 MiB).
     sweeps, n_t = 8192, 512
     runs, peak = traced_peak(metropolis_batch,
                              EuclideanAction(None, 1.0), Lattice(n_t),

@@ -52,10 +52,9 @@ needs_two_cpus = pytest.mark.skipif(available_cpus() < 2,
                                     reason="--jobs 2 needs two CPUs")
 
 
-def no_pool(*args, **kwargs):
-    """Stand-in for ``concurrent.futures.ProcessPoolExecutor`` where a run
-    must start no worker process."""
-    raise AssertionError("started a process pool")
+def no_fork():
+    """Stand-in for ``os.fork`` where a run must start no worker process."""
+    raise AssertionError("forked a worker process")
 
 
 def golden_seed(experiment: str) -> int:
