@@ -34,13 +34,14 @@ order, and the JSON summary becomes a per-replica list.
 cells), ``paths`` (one contiguous block of chains per worker) and
 ``memory task=anneal`` (its anneals) on up to N worker processes through
 :func:`core.fan_out`; the default is every CPU available to the process.
-The workers are forked and inherit the run's state, error state included;
-they take units from a pipe as they free up and send back only pickled
-results or exceptions.  Where ``os.fork`` does not exist the units run in
-this process.  Each unit draws from its own substream and results merge in
-unit order, so the data files are bit-identical for any N.  The count is
-not a parameter: the manifest records it beside ``environment``, and
-:func:`rerun` ignores it.
+The workers are forked and inherit the run's state, error state included,
+so each runner hands ``fan_out`` a closure over inputs it builds before
+the call; they take units from a pipe as they free up and send back only
+pickled results or exceptions.  Where ``os.fork`` does not exist the units
+run in this process.  Each unit draws from its own substream and results
+merge in unit order, so the data files are bit-identical for any N.  The
+count is not a parameter: the manifest records it beside ``environment``,
+and :func:`rerun` ignores it.
 """
 
 from __future__ import annotations
@@ -483,27 +484,23 @@ def _run_spectrum(p, rng, jobs) -> _RunOutput:
     return _RunOutput(columns, summary)
 
 
-def _paths_block(unit) -> list:
-    """Kept paths of each chain in one block: ``unit`` is (p, streams)."""
-    from .paths import EuclideanAction, Lattice, metropolis_batch
-
-    p, streams = unit
-    dynamics = EuclideanAction(_POTENTIALS[p["potential"]], p["a_t"])
-    return [chain.paths for chain in metropolis_batch(
-        dynamics, Lattice(p["n_t"]), streams, p["sweeps"],
-        p["thermalization"])]
-
-
 def _run_paths(p, rng, jobs) -> _RunOutput:
-    from .paths import hausdorff_scan
+    from .paths import (EuclideanAction, Lattice, hausdorff_scan,
+                        metropolis_batch)
 
+    dynamics = EuclideanAction(_POTENTIALS[p["potential"]], p["a_t"])
+    lattice = Lattice(p["n_t"])
     streams = [rng.substream(chain) for chain in range(p["chains"])]
     # One contiguous block per worker; chain c is the same in any batch.
     blocks = min(jobs, len(streams))
-    units = [(p, streams[b * len(streams) // blocks:
-                         (b + 1) * len(streams) // blocks])
-             for b in range(blocks)]
-    ensemble = np.vstack([paths for block in fan_out(_paths_block, units, jobs)
+    units = [streams[b * len(streams) // blocks:
+                     (b + 1) * len(streams) // blocks] for b in range(blocks)]
+
+    def kept_paths(block):
+        return [chain.paths for chain in metropolis_batch(
+            dynamics, lattice, block, p["sweeps"], p["thermalization"])]
+
+    ensemble = np.vstack([paths for block in fan_out(kept_paths, units, jobs)
                           for paths in block])
     scan = hausdorff_scan(ensemble)
     columns = {"block_size": scan.block_sizes.tolist(),
@@ -580,18 +577,10 @@ def _run_resonance(p, rng, jobs) -> _RunOutput:
     return _RunOutput(columns, summary)
 
 
-def _anneal_energy(unit) -> float:
-    """Best annealed energy: ``unit`` is (couplings, schedule, stream)."""
-    from .memory import simulated_annealing
-
-    couplings, schedule, stream = unit
-    return simulated_annealing(couplings, schedule, stream).energy
-
-
 def _run_memory(p, rng, jobs) -> _RunOutput:
     from .memory import (AnnealSchedule, SpinConfig, flip_spins,
                          ground_state_bruteforce, hebbian_couplings, overlap,
-                         sk_couplings, zero_t_dynamics)
+                         simulated_annealing, sk_couplings, zero_t_dynamics)
 
     if p["task"] == "retrieve":
         columns = {"trial": [], "overlap": [], "converged": [], "sweeps": []}
@@ -619,9 +608,9 @@ def _run_memory(p, rng, jobs) -> _RunOutput:
     couplings = [sk_couplings(p["n"], rng.substream(2 * i))
                  for i in range(p["instances"])]
     grounds = [ground_state_bruteforce(c)[1] for c in couplings]
-    annealed = fan_out(_anneal_energy,
-                       [(c, schedule, rng.substream(2 * i + 1))
-                        for i, c in enumerate(couplings)], jobs)
+    streams = [rng.substream(2 * i + 1) for i in range(p["instances"])]
+    annealed = fan_out(lambda i: simulated_annealing(
+        couplings[i], schedule, streams[i]).energy, range(p["instances"]), jobs)
     matched = [bool(energy <= ground + 1e-9)
                for energy, ground in zip(annealed, grounds, strict=True)]
     columns = {"instance": list(range(p["instances"])),

@@ -116,15 +116,19 @@ _REPORT = struct.Struct("<I?Q")
 def fan_out(fn: Callable, units: Iterable, jobs: int) -> list:
     """``[fn(unit) for unit in units]``, on up to ``jobs`` worker processes.
 
-    With ``jobs == 1``, fewer than two units, or no ``os.fork`` on the
-    platform, everything runs inline, in this process.  Otherwise this
-    process forks ``min(jobs, len(units))`` workers, which inherit ``fn``,
-    the units and numpy's error state, and writes each unit's index as a
-    4-byte record into one task pipe.  Each worker reads one index at a
-    time, so units go to whichever worker is free, and sends its outcomes
-    back on a pipe of its own: only results and exceptions are pickled.  A
-    worker ends in ``os._exit`` whatever happens, so it never returns into
-    the caller's code.  Results come back in unit order.
+    ``jobs`` below 1 is a ValueError.  With ``jobs == 1``, fewer than two
+    units, or no ``os.fork`` on the platform, everything runs inline, in
+    this process.  Otherwise this process forks ``min(jobs, len(units))``
+    workers, which inherit ``fn``, the units and numpy's error state, and
+    writes each unit's index as a 4-byte record into one task pipe.  Each
+    worker reads one index at a time, so units go to whichever worker is
+    free, and sends its outcomes back on a pipe of its own: only results
+    and exceptions are pickled, so ``fn`` may be any callable, closures
+    included.  Callers build each unit's inputs before the call, since
+    what a worker allocates counts toward its own resident peak.  A worker
+    is forked with every signal blocked and ends in ``os._exit`` whatever
+    happens, so it never returns into the caller's code.  Results come
+    back in unit order.
 
     If a unit raises, its worker drains the task pipe, so no further unit
     starts, and the lowest failing unit's exception is raised unchanged,
@@ -133,6 +137,8 @@ def fan_out(fn: Callable, units: Iterable, jobs: int) -> list:
     be pickled, raises :class:`WorkerError`.  If the caller is interrupted,
     every worker is killed and reaped.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     units = list(units)
     if jobs == 1 or len(units) < 2 or not hasattr(os, "fork"):
         return [fn(unit) for unit in units]
@@ -151,11 +157,18 @@ def fan_out(fn: Callable, units: Iterable, jobs: int) -> list:
         for _ in range(min(jobs, len(units))):
             read_end, write_end = os.pipe()
             fds |= {read_end, write_end}
-            pid = os.fork()
-            if pid == 0:
-                _work(fn, units, tasks_r, write_end, (tasks_w, read_end,
-                                                      *workers))
-            workers[read_end] = pid
+            # No signal is handled between the fork and the worker's
+            # ``try``, so none can unwind a worker into the caller's code.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                          signal.valid_signals())
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, units, tasks_r, write_end, mask,
+                          (tasks_w, read_end, *workers))
+                workers[read_end] = pid
+            finally:  # a signal handled here finds the worker in workers
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(write_end)
             fds.remove(write_end)
         # The task pipe may hold fewer records than there are units, so
@@ -201,15 +214,20 @@ def fan_out(fn: Callable, units: Iterable, jobs: int) -> list:
     return [outcomes[index][1] for index in range(len(units))]
 
 
-def _work(fn: Callable, units: list, tasks: int, report: int,
+def _work(fn: Callable, units: list, tasks: int, report: int, mask,
           inherited: tuple):
-    """A forked worker's whole life: close the ``inherited`` pipe ends
-    that are not its own, so the task pipe ends when the parent closes it;
-    run each unit whose index it reads from ``tasks`` and write its report
-    to ``report``, until the task pipe ends or a unit raises; then
+    """A forked worker's whole life: restore the caller's signal ``mask``
+    (every signal was blocked over the fork), so a signal that arrived
+    meanwhile ends the worker here; close the ``inherited`` pipe ends that
+    are not its own, so the task pipe ends when the parent closes it; run
+    each unit whose index it reads from ``tasks`` and write its report to
+    ``report``, until the task pipe ends or a unit raises; then
     ``os._exit``, never returning."""
+    import signal
+
     status = 1
     try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for fd in inherited:
             os.close(fd)
         out = os.fdopen(report, "wb")

@@ -251,12 +251,6 @@ def snr_at_drive(trajectory: Trajectory, omega: float) -> float:
     return 10.0 * math.log10(line_power / background)
 
 
-def _cell_snr(unit) -> float:
-    """SNR of one (level, replica) cell: ``unit`` is (spec, stream)."""
-    spec, stream = unit
-    return snr_at_drive(integrate(spec, stream), spec.omega)
-
-
 def _sorted_levels(noise_levels) -> np.ndarray:
     levels = np.sort(np.asarray(noise_levels, dtype=float))
     if levels.size < 5:
@@ -301,11 +295,12 @@ def resonance_scan(base: DoubleWellSpec,
     if replicas < 4:
         raise ValueError("need at least 4 replicas")
 
-    cells = [(replace(base, noise_d=float(level)),
-              rng.substream(i * replicas + j))
-             for i, level in enumerate(levels) for j in range(replicas)]
-    snr = np.array(fan_out(_cell_snr, cells, jobs)).reshape(levels.size,
-                                                            replicas)
+    specs = [replace(base, noise_d=float(level)) for level in levels]
+    streams = [rng.substream(cell) for cell in range(levels.size * replicas)]
+    snr = np.array(fan_out(
+        lambda cell: snr_at_drive(integrate(specs[cell // replicas],
+                                            streams[cell]), base.omega),
+        range(len(streams)), jobs)).reshape(levels.size, replicas)
     mean_db = snr.mean(axis=1)
     stderr = snr.std(axis=1, ddof=1) / math.sqrt(replicas)
 

@@ -898,7 +898,7 @@ def test_main_runtime_failure_exits_3(jobs, tmp_path, capsys):
     assert not out.exists()
 
 
-def _overflowing_cell(cell):
+def _overflowing_snr(trajectory, omega):
     return float(numpy.exp(numpy.float64(1000.0)))
 
 
@@ -907,7 +907,7 @@ def test_numpy_overflow_in_a_runner_exits_3_naming_the_experiment(
         jobs, tmp_path, capsys, monkeypatch):
     # At --jobs 2 the cells run in forked workers: the error state reaches
     # them, and the FloatingPointError crosses the report pipe.
-    monkeypatch.setattr(resonance, "_cell_snr", _overflowing_cell)
+    monkeypatch.setattr(resonance, "snr_at_drive", _overflowing_snr)
     out = tmp_path / "run"
     code = cli.main(["resonance", "--jobs", jobs, "--out", str(out),
                      "dt=0.1", "noise_levels=0.05,0.1,0.2,0.4,0.8"])

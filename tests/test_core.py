@@ -115,6 +115,15 @@ class TestFanOut:
         assert [index for index, _ in results] == list(range(6))
         assert os.getpid() not in {pid for _, pid in results}
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_fewer_than_one_job_is_rejected_before_any_fork(
+            self, jobs, monkeypatch):
+        monkeypatch.setattr(os, "fork", no_fork)
+        for units in (range(3), [0], []):
+            with pytest.raises(ValueError,
+                               match=f"^jobs must be at least 1, not {jobs}$"):
+                fan_out(abs, units, jobs)
+
     def test_one_job_or_one_unit_runs_inline_without_a_pool(self, monkeypatch):
         monkeypatch.setattr(os, "fork", no_fork)
         assert fan_out(_pid, range(3), 1) == [os.getpid()] * 3
@@ -171,6 +180,38 @@ class TestFanOut:
                 with log.open("a") as lines:
                     lines.write(f"{os.getpid()}\n")
         assert log.read_text().split() == [str(os.getpid())]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_signal_at_fork_ends_the_worker_not_the_callers_code(
+            self, tmp_path, monkeypatch):
+        # Each worker is interrupted at once, still inside os.fork's caller.
+        # A worker that escapes into the finally below logs its pid and
+        # ends there, so it never runs the rest of the suite.
+        parent, log, fork = os.getpid(), tmp_path / "finally", os.fork
+
+        def interrupted_fork():
+            pid = fork()
+            if pid == 0:
+                signal.raise_signal(signal.SIGINT)
+            return pid
+
+        monkeypatch.setattr(os, "fork", interrupted_fork)
+        # SIGINT raises KeyboardInterrupt even where the suite was started
+        # with it ignored.
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with _deadline(60), pytest.raises(WorkerError):
+                try:
+                    fan_out(_square, range(8), 2)
+                finally:
+                    with log.open("a") as lines:
+                        lines.write(f"{os.getpid()}\n")
+                    if os.getpid() != parent:
+                        os._exit(0)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert log.read_text().split() == [str(parent)]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

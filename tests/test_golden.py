@@ -192,6 +192,14 @@ def test_memory_anneal_matches_golden_digests(jobs, tmp_path):
     assert _digests(manifest) == GOLDEN_ANNEAL
 
 
+# The cells run in forked workers; GOLDEN_CLI was recorded at jobs=1.
+@needs_two_cpus
+def test_resonance_at_two_workers_matches_golden_digests(tmp_path):
+    manifest = run_golden("resonance", tmp_path, jobs=2)
+    assert manifest.jobs == 2
+    assert _digests(manifest) == GOLDEN_CLI["resonance"]
+
+
 @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
 def test_metropolis_kernel_matches_golden_digest(case):
     assert _kernel_digest(case) == GOLDEN_KERNEL[case]
