@@ -36,12 +36,13 @@ cells), ``paths`` (one contiguous block of chains per worker) and
 :func:`core.fan_out`; the default is every CPU available to the process.
 The workers are forked and inherit the run's state, error state included,
 so each runner hands ``fan_out`` a closure over inputs it builds before
-the call; they take units from a pipe as they free up and send back only
-pickled results or exceptions.  Where ``os.fork`` does not exist the units
-run in this process.  Each unit draws from its own substream and results
-merge in unit order, so the data files are bit-identical for any N.  The
-count is not a parameter: the manifest records it beside ``environment``,
-and :func:`rerun` ignores it.
+the call; they take units from a pipe as they free up and append only
+pickled results or exceptions to an unlinked file each, which never blocks
+them, and the parent reads the files once they have ended.  Where
+``os.fork`` does not exist the units run in this process.  Each unit
+draws from its own substream and results merge in unit order, so the data
+files are bit-identical for any N.  The count is not a parameter: the
+manifest records it beside ``environment``, and :func:`rerun` ignores it.
 """
 
 from __future__ import annotations

@@ -7,11 +7,12 @@ are statistically independent, so replicas can run in parallel and still merge
 deterministically.
 
 :func:`fan_out` runs such substream-indexed units on worker processes that
-it forks itself, feeding them unit indices through one pipe and reading
-each one's pickled results or exceptions from another, and returns the
-results in unit order, so a reduction over them sees the same operands
-whatever the worker count.  Where ``os.fork`` does not exist the units run
-inline.
+it forks itself, feeding them unit indices through one pipe.  Each worker
+appends its pickled results or exceptions to an unlinked file of its own,
+so it never blocks on its output, and the parent reads the files once the
+workers have ended and returns the results in unit order, so a reduction
+over them sees the same operands whatever the worker count.  Where
+``os.fork`` does not exist the units run inline.
 
 The rest of the module is plain numerics: sample statistics, the 1/sqrt(N)
 scaling of the error of the mean, a segment-averaged periodogram, log-log
@@ -24,6 +25,7 @@ import math
 import os
 import pickle
 import struct
+import tempfile
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -122,13 +124,15 @@ def fan_out(fn: Callable, units: Iterable, jobs: int) -> list:
     workers, which inherit ``fn``, the units and numpy's error state, and
     writes each unit's index as a 4-byte record into one task pipe.  Each
     worker reads one index at a time, so units go to whichever worker is
-    free, and sends its outcomes back on a pipe of its own: only results
-    and exceptions are pickled, so ``fn`` may be any callable, closures
-    included.  Callers build each unit's inputs before the call, since
-    what a worker allocates counts toward its own resident peak.  A worker
-    is forked with every signal blocked and ends in ``os._exit`` whatever
-    happens, so it never returns into the caller's code.  Results come
-    back in unit order.
+    free, and appends its outcomes to an unlinked file of its own, made
+    before the first fork: only results and exceptions are pickled, so
+    ``fn`` may be any callable, closures included.  A worker never waits
+    on its output, so this process can feed the task pipe with blocking
+    writes, then reap the workers and read their files.  Callers build
+    each unit's inputs before the call, since what a worker allocates
+    counts toward its own resident peak.  A worker is forked with every
+    signal blocked and ends in ``os._exit`` whatever happens, so it never
+    returns into the caller's code.  Results come back in unit order.
 
     If a unit raises, its worker drains the task pipe, so no further unit
     starts, and the lowest failing unit's exception is raised unchanged,
@@ -142,21 +146,18 @@ def fan_out(fn: Callable, units: Iterable, jobs: int) -> list:
     units = list(units)
     if jobs == 1 or len(units) < 2 or not hasattr(os, "fork"):
         return [fn(unit) for unit in units]
-    # Imported here: together they add 60 KB of resident memory after
-    # numpy, which runs that never fan out should not pay.
-    import select
+    # Imported here, so that a run that never fans out does not load it.
     import signal
 
-    tasks = memoryview(np.arange(len(units), dtype="<u4").tobytes())
-    tasks_r, tasks_w = os.pipe()
-    fds = {tasks_r, tasks_w}  # this process's pipe ends still open
-    workers = {}  # read end of a worker's report pipe -> the worker's pid
-    reports = {}  # read end -> the bytes read from it
+    read_end, write_end = os.pipe()
+    tasks, feed = open(read_end, "rb", 0), open(write_end, "wb", 0)
+    reports = []  # one unlinked file per worker, in fork order
+    workers = []  # pids of the workers not yet reaped
     ended = []  # wait statuses of the workers reaped
     try:
         for _ in range(min(jobs, len(units))):
-            read_end, write_end = os.pipe()
-            fds |= {read_end, write_end}
+            reports.append(tempfile.TemporaryFile())
+        for report in reports:
             # No signal is handled between the fork and the worker's
             # ``try``, so none can unwind a worker into the caller's code.
             mask = signal.pthread_sigmask(signal.SIG_BLOCK,
@@ -164,45 +165,36 @@ def fan_out(fn: Callable, units: Iterable, jobs: int) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(fn, units, tasks_r, write_end, mask,
-                          (tasks_w, read_end, *workers))
-                workers[read_end] = pid
+                    _work(fn, units, tasks, feed, report, mask)
+                workers.append(pid)
             finally:  # a signal handled here finds the worker in workers
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            os.close(write_end)
-            fds.remove(write_end)
-        # The task pipe may hold fewer records than there are units, so
-        # they are written as it drains, between reads of the reports.
-        os.set_blocking(tasks_w, False)
-        while workers:
-            readable, writable, _ = select.select(
-                workers, [tasks_w] if tasks else [], [])
-            if writable:
-                try:  # a write of up to PIPE_BUF bytes is all or nothing
-                    tasks = tasks[os.write(tasks_w, tasks[:select.PIPE_BUF]):]
-                except BlockingIOError:
-                    pass
-                if not tasks:
-                    os.close(tasks_w)
-                    fds.remove(tasks_w)
-            for fd in readable:
-                chunk = os.read(fd, 1 << 16)
-                if chunk:
-                    reports.setdefault(fd, bytearray()).extend(chunk)
-                else:  # forgotten only once reaped, so an interrupted
-                    # wait leaves the worker to the clean-up below
-                    ended.append(os.waitpid(workers[fd], 0)[1])
-                    del workers[fd]
+        # Closed here, so that once every worker has ended a write fails
+        # with BrokenPipeError rather than waiting for room in the pipe.
+        tasks.close()
+        records = np.arange(len(units), dtype="<u4").tobytes()
+        try:  # POSIX makes a write of up to 512 bytes to a pipe atomic,
+            # so no worker reads part of a record
+            for start in range(0, len(records), 512):
+                feed.write(records[start:start + 512])
+        except BrokenPipeError:  # the units not taken are never reported
+            pass
+        feed.close()
+        while workers:  # forgotten only once reaped, so an interrupted
+            # wait leaves the worker to the clean-up below
+            ended.append(os.waitpid(workers[0], 0)[1])
+            del workers[0]
+        outcomes = {}
+        for report in reports:
+            report.seek(0)
+            outcomes.update(_outcomes(report.read()))
     finally:
-        for pid in workers.values():
+        for pid in workers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for fd in fds:
-            os.close(fd)
+        for file in (tasks, feed, *reports):
+            file.close()
 
-    outcomes = {}
-    while reports:
-        outcomes.update(_outcomes(reports.popitem()[1]))
     for index in range(len(units)):
         if index not in outcomes:
             codes = [os.waitstatus_to_exitcode(status) for status in ended]
@@ -214,24 +206,21 @@ def fan_out(fn: Callable, units: Iterable, jobs: int) -> list:
     return [outcomes[index][1] for index in range(len(units))]
 
 
-def _work(fn: Callable, units: list, tasks: int, report: int, mask,
-          inherited: tuple):
+def _work(fn: Callable, units: list, tasks, feed, report, mask):
     """A forked worker's whole life: restore the caller's signal ``mask``
     (every signal was blocked over the fork), so a signal that arrived
-    meanwhile ends the worker here; close the ``inherited`` pipe ends that
-    are not its own, so the task pipe ends when the parent closes it; run
-    each unit whose index it reads from ``tasks`` and write its report to
-    ``report``, until the task pipe ends or a unit raises; then
-    ``os._exit``, never returning."""
+    meanwhile ends the worker here; close its copy of the ``feed``, the
+    task pipe's write end, so the pipe ends when the parent closes it; run
+    each unit whose index it reads from ``tasks`` and append its report to
+    its own ``report`` file, which never blocks on a reader, until the
+    task pipe ends or a unit raises; then ``os._exit``, never returning."""
     import signal
 
     status = 1
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for fd in inherited:
-            os.close(fd)
-        out = os.fdopen(report, "wb")
-        while record := os.read(tasks, 4):
+        feed.close()
+        while record := tasks.read(4):
             index = int.from_bytes(record, "little")
             try:
                 returned, value = True, fn(units[index])
@@ -244,18 +233,18 @@ def _work(fn: Callable, units: list, tasks: int, report: int, mask,
                 returned, payload = False, pickle.dumps(WorkerError(
                     f"unit {index} {verb} a {type(value).__name__} that "
                     f"cannot be pickled: {exc}"))
-            out.write(_REPORT.pack(index, returned, len(payload)))
-            out.write(payload)
-            out.flush()
+            report.write(_REPORT.pack(index, returned, len(payload)))
+            report.write(payload)
+            report.flush()
             if not returned:  # no further unit starts
-                while os.read(tasks, 4096):  # whole 4-byte records
+                while tasks.read(4096):  # whole 4-byte records
                     pass
         status = 0
     finally:
         os._exit(status)
 
 
-def _outcomes(report: bytearray):
+def _outcomes(report: bytes):
     """``(index, (returned, value))`` for each whole report in a worker's
     bytes; a report cut short by the worker's end is left out."""
     start = 0

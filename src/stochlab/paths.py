@@ -209,10 +209,7 @@ def metropolis_batch(dynamics: EuclideanAction, lattice: Lattice,
     thermalization, n_t) float64 buffer.  Each chain is thinned inside its
     buffer, which then shrinks to the kept rows, so the peak is the buffers
     and the working set, with no thinned copy beside them; tau_int needs no
-    FFT of the trace.  The largest process of ``paths chains=8`` (a worker
-    of 4 chains, 70.3 MiB of buffers) peaks at 98.7 MB resident, and of
-    default ``paths`` at 325.9 MB at ``--jobs 1`` and 172.2 MB at ``--jobs
-    2`` (``wait4`` ``ru_maxrss``, medians of 5 on a 2-core host).
+    FFT of the trace.  README records the measured peaks.
     """
     if not streams:
         raise ValueError("need at least one stream")

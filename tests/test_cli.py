@@ -697,8 +697,10 @@ def test_a_run_without_scipy_loads_and_stamps_none(argv, tmp_path):
     assert child.returncode == 0, child.stderr
     loaded = set(child.stdout.split())
     assert not _scipy_modules(loaded)
-    # resonance --jobs 2 forks its workers without a process pool.
+    # resonance --jobs 2 forks its workers without a process pool, and
+    # they report through files, which need no select loop.
     assert not loaded & {"multiprocessing", "concurrent.futures"}
+    assert "select" not in loaded
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["environment"] == {"python": platform.python_version(),
                                        "numpy": numpy.__version__}

@@ -2,11 +2,14 @@
 
 import ast
 import contextlib
+import errno
+import gc
 import hashlib
 import math
 import os
 import re
 import signal
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -62,6 +65,10 @@ def _raise_on_1(unit):
     if unit == 1:
         raise ValueError("unit 1")
     return unit
+
+
+def _kill_own_worker(unit):
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _kill_own_worker_on_1(unit):
@@ -150,6 +157,40 @@ class TestFanOut:
                 WorkerError, match=r"^unit 1 was never reported; the "
                                    r"workers exited with \[(-9, 0|0, -9)\]"):
             fan_out(_kill_own_worker_on_1, range(4), 2)
+
+    def test_more_units_than_the_task_pipe_holds_keep_unit_order(self):
+        # 40,000 4-byte records are more than a 64 KiB pipe holds.
+        with _deadline(60):
+            assert fan_out(_square, range(40_000), 2) == [
+                unit * unit for unit in range(40_000)]
+
+    def test_workers_killed_while_the_units_are_fed_raise_a_worker_error(
+            self):
+        with _deadline(60), pytest.raises(
+                WorkerError, match=r"^unit 0 was never reported; the "
+                                   r"workers exited with \[-9, -9\]"):
+            fan_out(_kill_own_worker, range(40_000), 2)
+
+    def test_a_report_file_that_cannot_be_made_forks_no_worker(
+            self, monkeypatch):
+        make, calls = tempfile.TemporaryFile, []
+
+        def second_call_fails():
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "no space for a report file")
+            return make()
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", second_call_fails)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OSError, match="no space for a report file"):
+                fan_out(_square, range(4), 2)
+            gc.collect()  # an unclosed file warns when it is collected
+        assert calls == [0, 1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert not [w for w in caught if w.category is ResourceWarning]
 
     @pytest.mark.parametrize("fn, message", [
         (_raise_unpicklable_on_1,
